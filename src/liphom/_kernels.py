@@ -88,27 +88,7 @@ def glauber_run(
             values[v] = a + np.int64(rnd_x[step] % span)
         post = step + 1 - burnin
         if post > 0 and post % thin == 0 and n_rec < n_out:
-            for i in range(values.shape[0]):
-                out[n_rec, i] = values[i]
+            out[n_rec, :] = values
             n_rec += 1
     return n_rec
 
-
-@njit(cache=True)
-def max_abs_rows(samples):
-    """Per-row (max, max of |.|) over a 2-d int64 array."""
-    n = samples.shape[0]
-    mx = np.empty(n, dtype=np.int64)
-    mxabs = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        a = samples[i, 0]
-        b = abs(samples[i, 0])
-        for j in range(1, samples.shape[1]):
-            x = samples[i, j]
-            if x > a:
-                a = x
-            if abs(x) > b:
-                b = abs(x)
-        mx[i] = a
-        mxabs[i] = b
-    return mx, mxabs

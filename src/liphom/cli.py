@@ -114,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sp.add_parser("experiment", help="run a config-driven experiment")
     ex.add_argument("config")
     _common(ex)
+    ex.set_defaults(seed=None)  # without --seed the config's seed stands
 
     return p
 
@@ -199,7 +200,7 @@ def _cmd_sample(args) -> int:
         f"burnin={args.burnin} thin={args.thin} n_samples={args.n_samples} seed={args.seed}"
     ]
     for row in arr:
-        lines.append(" ".join(str(int(x)) for x in row))
+        lines.append(" ".join(map(str, row.tolist())))
     _write_out(args, "\n".join(lines) + "\n")
     return 0
 
@@ -266,7 +267,7 @@ def _cmd_verify_transform(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
-    if args.seed:
+    if args.seed is not None:
         cfg = type(cfg)(**{**cfg.__dict__, "seed": args.seed})
     result = run_experiment(cfg)
     if args.out:

@@ -23,7 +23,7 @@ from .graphs import (
     gen_tree,
     read_graph,
 )
-from .heights import phase_hom, phase_lipschitz
+from .heights import HeightFunction, phase_hom, phase_lipschitz
 from .samplers import enumerate_functions, mcmc_sample_array
 from .treedp import tree_dp
 
@@ -188,20 +188,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     raise ValueError(f"unknown experiment kind {cfg.kind!r}")
 
 
-def _deviations_by_sample(g, cfg, mode, lam, functions_values):
+def _deviations_by_sample(g, cfg, mode, lam, functions):
     """Deviation of f(v) from phase(f) for every sample and target vertex."""
     targets = _target_vertices(g, cfg)
     devs = {v: [] for v in targets}
-    from .heights import HeightFunction
-
-    for vals in functions_values:
-        f = HeightFunction(
-            values=tuple(int(x) for x in vals),
-            root=cfg.v0,
-            mode=mode,
-            M=cfg.M if mode == "lipschitz" else None,
-        )
-        ph = phase_lipschitz(g, f, lam) if mode == "lipschitz" else phase_hom(g, f, lam)
+    phase = phase_lipschitz if mode == "lipschitz" else phase_hom
+    for f in functions:
+        ph = phase(g, f, lam)
         for v in targets:
             devs[v].append(ph.dist(f.values[v]))
     return devs
@@ -211,34 +204,41 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
     g = _build_graph_from_config(cfg)
     mode = cfg.mode
     d = g.degree
+    M = cfg.M if mode == "lipschitz" else None
     lam = _resolve_lambda(g, cfg, mode)
     n_norm = g.n // 2 if mode == "hom" else g.n
-    preds = expansion.goodness(d, lam, cfg.M if mode == "lipschitz" else None)
+    preds = expansion.goodness(d, lam, M)
     hyp_ok = preds[f"M-good({cfg.M})"] if mode == "lipschitz" else preds["good-bi"]
 
     result = ExperimentResult(config=cfg)
     chash = cfg.hash()
 
     if cfg.sampler == "exact":
-        fam = enumerate_functions(g, cfg.v0, mode, M=cfg.M if mode == "lipschitz" else None, cap=cfg.cap)
-        sample_vals = [f.values for f in fam.functions]
+        fam = enumerate_functions(g, cfg.v0, mode, M=M, cap=cfg.cap)
+        functions = fam.functions
+        n_s = fam.count
         exact = True
     else:
         arr = mcmc_sample_array(
             g,
             cfg.v0,
             mode,
-            M=cfg.M if mode == "lipschitz" else None,
+            M=M,
             burnin=cfg.burnin,
             thin=cfg.thin,
             n_samples=cfg.n_samples,
             seed=cfg.seed,
         )
-        sample_vals = list(arr)
+        # one row at a time: a whole-array tolist() holds every sample as
+        # Python ints at once
+        functions = (
+            HeightFunction(values=tuple(row.tolist()), root=cfg.v0, mode=mode, M=M)
+            for row in arr
+        )
+        n_s = arr.shape[0]
         exact = False
 
-    devs = _deviations_by_sample(g, cfg, mode, lam, sample_vals)
-    n_s = len(sample_vals)
+    devs = _deviations_by_sample(g, cfg, mode, lam, functions)
     trange = _t_range(g, cfg, lam, d, n_norm)
     for v in sorted(devs):
         dv = devs[v]

@@ -109,10 +109,6 @@ def validate(g: Graph, f: HeightFunction) -> list[str]:
     return out
 
 
-def _excluded_count(values, lo: int, hi: int) -> int:
-    return sum(1 for x in values if x < lo or x > hi)
-
-
 def phase_lipschitz(g: Graph, f: HeightFunction, lam: float) -> Phase:
     """Phase interval of a Lipschitz function, constructed so that
     phase(-f) = -phase(f).
@@ -120,32 +116,43 @@ def phase_lipschitz(g: Graph, f: HeightFunction, lam: float) -> Phase:
     For the lexicographically larger of {f, -f}, the interval base is the
     minimal k with |{v : f(v) outside {k..k+M}}| <= 2*lambda*n/d; the other
     sign gets the negated interval.  The zero function has phase {0}.
+
+    f is the larger of {f, -f} iff its first nonzero value is positive.  The
+    scan then runs windows {x-M..x} upward from min(f); otherwise it runs
+    windows {x..x+M} downward from max(f), which is the negated scan of -f.
+    Each value x is counted once, and the scan stops at the first window
+    that meets the bound or once every vertex has been counted: later
+    windows only lose values.
     """
     if f.mode != "lipschitz":
         raise ValueError("phase_lipschitz requires a Lipschitz function")
     d = g.degree
     if d is None:
         raise GraphError("phase requires a regular graph")
-    if all(x == 0 for x in f.values):
+    vals = f.values
+    first = next(filter(None, vals), 0)
+    if not first:
         return Phase(0, 0)
     M = f.M
     budget = 2 * lam * g.n / d
-    neg = tuple(-x for x in f.values)
-    big = f.values if f.values >= neg else neg
-    lo_k = min(big) - M
-    hi_k = max(big)
-    base = None
-    for k in range(lo_k, hi_k + 1):
-        if _excluded_count(big, k, k + M) <= budget:
-            base = k
-            break
-    if base is None:
-        raise PhaseError(
-            "no interval satisfies the count bound; lambda is not a valid "
-            "expansion parameter for this graph"
-        )
-    ph = Phase(base, base + M)
-    return ph if big is f.values else ph.negate()
+    n = len(vals)
+    step = 1 if first > 0 else -1
+    x = min(vals) if first > 0 else max(vals)
+    counts = []  # counts[i] = |{v : f(v) = x_i}| for the values x_i scanned so far
+    seen = inside = 0  # vertices counted so far; vertices in the current window
+    while seen < n:
+        c = vals.count(x)
+        counts.append(c)
+        seen += c
+        inside += c - (counts[-M - 2] if len(counts) > M + 1 else 0)
+        if n - inside <= budget:
+            base = x - M if step > 0 else x
+            return Phase(base, base + M)
+        x += step
+    raise PhaseError(
+        "no interval satisfies the count bound; lambda is not a valid "
+        "expansion parameter for this graph"
+    )
 
 
 def phase_hom(g: Graph, f: HeightFunction, lam: float) -> Phase:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .graphs import Graph, GraphError, distances_from
+from .graphs import Graph, GraphError, _is_connected, distances_from
 from .heights import HeightFunction, homomorphism, lipschitz
 
 __all__ = [
@@ -131,14 +131,6 @@ class ChainState:
     seed: int
     chain: int
 
-    def rng_at_position(self) -> np.random.Generator:
-        gen = np.random.Generator(
-            np.random.Philox(key=np.random.SeedSequence((self.seed, self.chain)).generate_state(2, np.uint64))
-        )
-        if self.step:
-            gen.integers(0, 2**63, size=2 * self.step, dtype=np.uint64)
-        return gen
-
 
 def initial_state(g: Graph, v0: int, mode: str, M: int | None, seed: int, chain: int = 0) -> ChainState:
     """Minimal-oscillation start: all zeros (Lipschitz), or 0/1 by color
@@ -195,10 +187,16 @@ def mcmc_sample_array(
     Starts from the minimal-oscillation state, discards ``burnin`` steps,
     then records every ``thin``-th state.  The kernel runs under numba when
     available; the fallback path consumes the same random words, so output
-    is backend-independent.
+    is backend-independent.  Raises GraphError on a graph with an isolated
+    vertex or more than one component, where the chain cannot move or
+    cannot mix.
     """
     if burnin < 0 or thin <= 0 or n_samples <= 0:
         raise ValueError("burnin must be >= 0, thin and n_samples positive")
+    if any(not nbrs for nbrs in g.adj):
+        raise GraphError("MCMC requires every vertex to have a neighbor")
+    if not _is_connected(g):
+        raise GraphError("MCMC requires a connected graph")
     state = initial_state(g, v0, mode, M, seed, chain)
     indptr, indices = g.csr()
     values = np.array(state.f.values, dtype=np.int64)
@@ -248,8 +246,8 @@ def mcmc_sample(
         chain=chain,
     )
     if mode == "hom":
-        return [homomorphism(tuple(int(x) for x in row), v0) for row in arr]
-    return [lipschitz(tuple(int(x) for x in row), v0, M) for row in arr]
+        return [homomorphism(tuple(row.tolist()), v0) for row in arr]
+    return [lipschitz(tuple(row.tolist()), v0, M) for row in arr]
 
 
 def split_chain_diagnostic(samples: np.ndarray, vertex: int) -> float:

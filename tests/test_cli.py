@@ -112,3 +112,18 @@ def test_experiment_reproducible(tmp_path):
         outs.append(out.read_bytes())
         assert (tmp_path / (name + ".config")).exists()
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv, seed", [([], "5"), (["--seed", "0"], "0"), (["--seed", "3"], "3")])
+def test_experiment_seed_override(tmp_path, argv, seed):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "kind = hom-exact\ngraph_type = complete_bipartite\nm = 2\n"
+        "mode = hom\ntargets = all\nt_max = 2\nlambda_source = exhaustive\nseed = 5\n"
+    )
+    out = tmp_path / "r.csv"
+    assert main(["experiment", str(cfg), "--out", str(out), *argv]) == 0
+    rows = out.read_text().splitlines()
+    col = rows[0].split(",").index("seed")
+    assert {r.split(",")[col] for r in rows[1:]} == {seed}
+    assert f"seed = {seed}\n" in (tmp_path / "r.csv.config").read_text()

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liphom import (
     PhaseError,
+    build_graph,
     enumerate_functions,
     exhaustive_lambda,
     homomorphism,
@@ -10,7 +13,7 @@ from liphom import (
     phase_lipschitz,
     validate,
 )
-from liphom.heights import deviation, hom_far_count
+from liphom.heights import Phase, deviation, hom_far_count
 
 from .conftest import c6, k33, k4, q3
 
@@ -90,3 +93,66 @@ def test_deviation():
     f = lipschitz((0, 1, 1, 0), 0, 1)
     ph = phase_lipschitz(g, f, lam)
     assert deviation(f, 0, ph) == ph.dist(0)
+
+
+def reference_phase_lipschitz(g, f, lam):
+    """Phase by definition: canonical sign by comparing f with -f as
+    tuples, then the excluded count of every candidate base k in turn."""
+    if all(x == 0 for x in f.values):
+        return Phase(0, 0)
+    M = f.M
+    budget = 2 * lam * g.n / g.degree
+    neg = tuple(-x for x in f.values)
+    big = f.values if f.values >= neg else neg
+    for k in range(min(big) - M, max(big) + 1):
+        if sum(1 for x in big if x < k or x > k + M) <= budget:
+            ph = Phase(k, k + M)
+            return ph if big is f.values else ph.negate()
+    raise PhaseError("no interval satisfies the count bound")
+
+
+def cycle(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def assert_matches_reference(g, f, lam):
+    try:
+        want = reference_phase_lipschitz(g, f, lam)
+    except PhaseError:
+        with pytest.raises(PhaseError):
+            phase_lipschitz(g, f, lam)
+        return
+    assert phase_lipschitz(g, f, lam) == want
+
+
+@st.composite
+def lipschitz_cases(draw):
+    n = draw(st.integers(3, 40))
+    width = draw(st.sampled_from([3, 60]))  # flat-ish, or steep with a wide range
+    values = draw(st.lists(st.integers(-width, width), min_size=n, max_size=n))
+    M = draw(st.integers(1, 5))
+    lam = draw(st.floats(-0.1, 1.2, allow_nan=False))
+    return cycle(n), lipschitz(values, 0, M), lam
+
+
+@settings(max_examples=600, deadline=None)
+@given(lipschitz_cases())
+def test_phase_lipschitz_matches_reference(case):
+    g, f, lam = case
+    # one of f, -f has a negative first nonzero value
+    assert_matches_reference(g, f, lam)
+    assert_matches_reference(g, f.negate(), lam)
+
+
+def test_phase_lipschitz_reference_edge_cases():
+    g = cycle(6)
+    zero = lipschitz((0,) * 6, 0, 2)
+    assert phase_lipschitz(g, zero, 0.0) == reference_phase_lipschitz(g, zero, 0.0) == Phase(0, 0)
+    spread = lipschitz((0, 5, -5, 10, -10, 20), 0, 1)
+    with pytest.raises(PhaseError):
+        reference_phase_lipschitz(g, spread, 0.1)
+    with pytest.raises(PhaseError):
+        phase_lipschitz(g, spread, 0.1)
+    # budget >= n: the lowest candidate base qualifies, for either sign
+    for f in (spread, spread.negate()):
+        assert phase_lipschitz(g, f, 1.0) == reference_phase_lipschitz(g, f, 1.0)

@@ -3,6 +3,8 @@ import pytest
 
 from liphom import (
     CapExceeded,
+    GraphError,
+    build_graph,
     enumerate_functions,
     gen_tree,
     glauber_step,
@@ -11,7 +13,8 @@ from liphom import (
     mcmc_sample_array,
     validate,
 )
-from liphom.samplers import allowed_values, split_chain_diagnostic
+from liphom import _kernels
+from liphom.samplers import _draw_words, allowed_values, split_chain_diagnostic
 
 from .conftest import brute_force_count, brute_force_functions, c4, k4, q3
 
@@ -72,6 +75,62 @@ def test_glauber_step_matches_kernel():
         state = glauber_step(g, state)
     arr = mcmc_sample_array(g, 0, "hom", burnin=0, thin=25, n_samples=1, seed=9)
     assert tuple(int(x) for x in arr[0]) == state.f.values
+
+
+def replay_glauber(g, values, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out):
+    """Plain-Python heat-bath replay of a pre-drawn word stream."""
+    values = list(values)
+    rows = []
+    for step, (wv, wx) in enumerate(zip(rnd_v.tolist(), rnd_x.tolist())):
+        v = free[wv % len(free)]
+        nbr = [values[w] for w in g.adj[v]]
+        mn, mx = min(nbr), max(nbr)
+        if hom:
+            values[v] = mn + 1 if mx - mn == 2 else mn + (1 if wx % 2 else -1)
+        else:
+            values[v] = mx - M + wx % (mn + M - (mx - M) + 1)
+        post = step + 1 - burnin
+        if post > 0 and post % thin == 0 and len(rows) < n_out:
+            rows.append(tuple(values))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "g, mode, M, n_steps, thin, burnin, n_out",
+    [
+        (k4(), "lipschitz", 2, 300, 7, 20, 25),  # more rows than room: stops at n_out
+        (q3(), "hom", 1, 400, 3, 0, 200),  # room to spare
+    ],
+)
+def test_glauber_run_rows_match_python_replay(g, mode, M, n_steps, thin, burnin, n_out):
+    hom = mode == "hom"
+    start = initial_state(g, 0, mode, None if hom else M, seed=11).f.values
+    free = [v for v in range(g.n) if v != 0]
+    rnd_v, rnd_x = _draw_words(11, 0, 0, n_steps)
+    want = replay_glauber(g, start, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out)
+    indptr, indices = g.csr()
+    out = np.full((n_out, g.n), 99, dtype=np.int64)
+    n_rec = _kernels.glauber_run(
+        indptr, indices, np.array(start, dtype=np.int64), np.array(free, dtype=np.int64),
+        np.int64(M), hom, n_steps, rnd_v, rnd_x, np.int64(thin), np.int64(burnin), out,
+    )
+    assert n_rec == len(want) == min(n_out, (n_steps - burnin) // thin)
+    assert [tuple(r) for r in out[:n_rec].tolist()] == want
+
+
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "g, match",
+    [
+        (build_graph(8, K4_EDGES + [(u + 4, v + 4) for u, v in K4_EDGES]), "connected"),
+        (build_graph(5, K4_EDGES), "neighbor"),  # vertex 4 is isolated
+    ],
+)
+def test_mcmc_rejects_bad_graph_at_entry(g, match):
+    with pytest.raises(GraphError, match=match):
+        mcmc_sample_array(g, 0, "lipschitz", M=1, burnin=10, thin=1, n_samples=5)
 
 
 def test_mcmc_determinism():

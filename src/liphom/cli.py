@@ -130,12 +130,19 @@ def _resolve_lam(g, args, mode: str) -> float:
 
 
 def _cmd_gen(args) -> int:
+    if args.type == "glued-tree":
+        # the glue vertex keeps parallel edges, which read_graph rejects
+        sys.stderr.write(
+            "liphom gen: --type glued-tree has parallel edges, which the graph "
+            "text format cannot hold; build it with gen_tree(d, h, glued=True)\n"
+        )
+        return 2
     if args.type == "regular":
         g = gen_random_regular(args.n, args.d, args.seed)
     elif args.type == "bipartite":
         g = gen_random_bipartite_regular(args.n, args.d, args.seed)
     else:
-        g = gen_tree(args.d, args.h, glued=args.type == "glued-tree")
+        g = gen_tree(args.d, args.h)
     header = f"# gen type={args.type} n={args.n} d={args.d} h={args.h} seed={args.seed}\n"
     _write_out(args, header + graph_to_text(g))
     return 0
@@ -173,13 +180,12 @@ def _cmd_enumerate(args) -> int:
 def _cmd_sample(args) -> int:
     if args.sampler == "tree":
         dp = tree_dp(args.d, args.h, mode=args.mode, M=args.M if args.mode == "lipschitz" else None)
-        tree = gen_tree(args.d, args.h)
         lines = [
             f"# sample sampler=tree d={args.d} h={args.h} mode={args.mode} "
             f"M={dp.M} n_samples={args.n_samples} seed={args.seed}"
         ]
         for i in range(args.n_samples):
-            f = tree_sample(dp, args.seed + i, tree)
+            f = tree_sample(dp, args.seed + i)
             lines.append(" ".join(str(x) for x in f.values))
         _write_out(args, "\n".join(lines) + "\n")
         return 0

@@ -3,6 +3,8 @@ exactly where their hypotheses are attainable and empirically elsewhere."""
 
 from __future__ import annotations
 
+import bisect
+import decimal
 import hashlib
 import json
 import math
@@ -22,6 +24,8 @@ from .graphs import (
     gen_random_regular,
     gen_tree,
     read_graph,
+    tree_ball_size,
+    tree_level_offsets,
 )
 from .heights import HeightFunction, phase_hom, phase_lipschitz
 from .samplers import enumerate_functions, mcmc_sample_array
@@ -153,12 +157,17 @@ def _resolve_lambda(g: Graph, cfg: ExperimentConfig, mode: str) -> float:
     return expansion.spectral_lambda(g, lam_mode, tol=tol) + tol
 
 
-def _target_vertices(g: Graph, cfg: ExperimentConfig) -> list[int]:
+def _target_vertices(n: int, cfg: ExperimentConfig) -> list[int]:
     if cfg.targets == "all":
-        return list(range(g.n))
+        return list(range(n))
     if cfg.targets == "v0":
-        return [cfg.v0]
-    return [int(x) for x in cfg.targets.split(",")]
+        targets = [cfg.v0]
+    else:
+        targets = [int(x) for x in cfg.targets.split(",")]
+    for v in targets:
+        if not (0 <= v < n):
+            raise GraphError(f"target vertex {v} out of range")
+    return targets
 
 
 def _t_range(g: Graph, cfg: ExperimentConfig, lam: float, d: int, n_norm: int) -> range:
@@ -172,8 +181,14 @@ def _t_range(g: Graph, cfg: ExperimentConfig, lam: float, d: int, n_norm: int) -
     return range(cfg.t_min, t_hi + 1)
 
 
+# str(int) refuses more than 4300 digits (sys.get_int_max_str_digits);
+# an exact decimal conversion has no such limit and gives the same digits
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+
+
 def _fmt_fraction(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    num, den = (_EXACT.create_decimal(x) for x in (q.numerator, q.denominator))
+    return f"{num:f}/{den:f}"
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -190,7 +205,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _deviations_by_sample(g, cfg, mode, lam, functions):
     """Deviation of f(v) from phase(f) for every sample and target vertex."""
-    targets = _target_vertices(g, cfg)
+    targets = _target_vertices(g.n, cfg)
     devs = {v: [] for v in targets}
     phase = phase_lipschitz if mode == "lipschitz" else phase_hom
     for f in functions:
@@ -330,20 +345,21 @@ def _run_tree(cfg: ExperimentConfig) -> ExperimentResult:
     d, h, M = cfg.d, cfg.h, cfg.M
     mode = cfg.mode
     dp = tree_dp(d, h, mode=mode, M=M if mode == "lipschitz" else None)
-    g = gen_tree(d, h)
-    depth = distances_from(g, g.root)
-    dist_leaf = [h - depth[v] for v in range(g.n)]
-    targets = _target_vertices(g, cfg)
+    # BFS numbering keeps levels contiguous: depths and ball sizes come from
+    # the level offsets, so the tree itself is never built
+    offsets = tree_level_offsets(d, h)
+    targets = _target_vertices(offsets[-1], cfg)
     trange = range(cfg.t_min, (cfg.t_max if cfg.t_max is not None else h) + 1)
     chash = cfg.hash()
     slope = M if mode == "lipschitz" else 1
     hyp_ok = mode == "lipschitz" and d > 40 * (M + 1) * math.log(M + 1)
     result = ExperimentResult(config=cfg)
     for v in sorted(targets):
+        depth = bisect.bisect_right(offsets, v) - 1
         for t in trange:
-            p = dp.tail_probability(depth[v], (t - 1) * slope)
-            logp = dp.log_tail_probability(depth[v], (t - 1) * slope)
-            if hyp_ok and dist_leaf[v] > t:
+            p = dp.tail_probability(depth, (t - 1) * slope)
+            logp = dp.log_tail_probability(depth, (t - 1) * slope)
+            if hyp_ok and h - depth > t:
                 bound = -d * (d - 1) ** (t - 1) / (5 * (M + 1))  # log-domain
                 note = "log-bound"
             else:
@@ -356,7 +372,7 @@ def _run_tree(cfg: ExperimentConfig) -> ExperimentResult:
                     "estimate": logp,
                     "exact": _fmt_fraction(p),
                     "bound": bound,
-                    "ball_size": len(ball(g, v, t)),
+                    "ball_size": tree_ball_size(d, h, depth, t),
                     "n_samples": 0,
                     "seed": cfg.seed,
                     "config_hash": chash,

@@ -20,6 +20,8 @@ __all__ = [
     "gen_random_regular",
     "gen_random_bipartite_regular",
     "gen_tree",
+    "tree_level_offsets",
+    "tree_ball_size",
     "ball",
     "boundary",
     "component_in_square",
@@ -257,6 +259,49 @@ def gen_random_bipartite_regular(n: int, d: int, seed: int, *, max_restarts: int
     )
 
 
+def tree_level_offsets(d: int, h: int) -> list[int]:
+    """First vertex of each level of gen_tree(d, h), then n: level j holds
+    vertices offsets[j] .. offsets[j + 1] - 1."""
+    if d < 3:
+        raise GraphError(f"arity parameter d={d} must be at least 3")
+    if h < 1:
+        raise GraphError(f"height h={h} must be at least 1")
+    # level sizes: 1, d, d(d-1), ..., d(d-1)^(h-1)
+    offsets = [0, 1]
+    for j in range(1, h + 1):
+        offsets.append(offsets[-1] + d * (d - 1) ** (j - 1))
+    return offsets
+
+
+def tree_ball_size(d: int, h: int, depth: int, t: int) -> int:
+    """len(ball(gen_tree(d, h), v, t)) for any vertex v at the given depth,
+    without building the tree.
+
+    The ball holds the vertices below v within t levels and, for each
+    ancestor k <= min(t, depth) hops up, that ancestor and the subtrees of
+    its other children within t - k - 1 levels below them.
+    """
+    if not (0 <= depth <= h):
+        raise GraphError(f"depth {depth} out of range")
+    if t < 0:
+        raise GraphError("radius must be non-negative")
+
+    def below(j: int, r: int) -> int:
+        # a depth-j vertex and its descendants at most r levels down
+        if r < 0:
+            return 0
+        size = 1
+        for i in range(1, min(r, h - j) + 1):
+            size += d * (d - 1) ** (i - 1) if j == 0 else (d - 1) ** i
+        return size
+
+    size = below(depth, t)
+    for k in range(1, min(t, depth) + 1):
+        siblings = (d if depth - k == 0 else d - 1) - 1
+        size += 1 + siblings * below(depth - k + 1, t - k - 1)
+    return size
+
+
 def gen_tree(d: int, h: int, *, glued: bool = False) -> Graph:
     """Complete (d-1)-ary tree of height h; all internal vertices have degree d.
 
@@ -264,15 +309,7 @@ def gen_tree(d: int, h: int, *, glued: bool = False) -> Graph:
     all leaves are identified into one vertex (adjacency keeps edge
     multiplicities, so the glue vertex has degree d*(d-1)^(h-1)).
     """
-    if d < 3:
-        raise GraphError(f"arity parameter d={d} must be at least 3")
-    if h < 1:
-        raise GraphError(f"height h={h} must be at least 1")
-    # level sizes: 1, d, d(d-1), ..., d(d-1)^(h-1)
-    level_sizes = [1] + [d * (d - 1) ** (j - 1) for j in range(1, h + 1)]
-    offsets = [0]
-    for s in level_sizes:
-        offsets.append(offsets[-1] + s)
+    offsets = tree_level_offsets(d, h)
     n = offsets[-1]
     edges = []
     for j in range(h):
@@ -283,7 +320,7 @@ def gen_tree(d: int, h: int, *, glued: bool = False) -> Graph:
                 edges.append((v, nxt + i * n_children + c))
     leaves = frozenset(range(offsets[h], n))
     depth_of = [
-        j for j in range(h + 1) for _ in range(level_sizes[j])
+        j for j in range(h + 1) for _ in range(offsets[j], offsets[j + 1])
     ]
     if not glued:
         part = (

@@ -2,29 +2,23 @@
 trees.
 
 Counts depend only on depth, so the bottom-up pass keeps one value table per
-level.  Tables hold exact Python integers; an optional log-domain mirror
-(floats, logsumexp) covers arities where the exact route would be wasteful.
+level, and the top-down pass (computed once, on the first marginal or tail
+query) keeps one outside table per level.  Tables hold exact Python
+integers; log values are logs of these exact numbers.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .graphs import Graph, GraphError, gen_tree
+from .graphs import GraphError, tree_level_offsets
 from .heights import HeightFunction, homomorphism, lipschitz
 
 __all__ = ["TreeDP", "tree_dp", "tree_sample"]
-
-
-def _logsumexp(xs) -> float:
-    xs = [x for x in xs if x != -math.inf]
-    if not xs:
-        return -math.inf
-    m = max(xs)
-    return m + math.log(sum(math.exp(x - m) for x in xs))
 
 
 @dataclass(frozen=True)
@@ -33,8 +27,7 @@ class TreeDP:
     (d-1)-ary tree of height h.
 
     counts[j][x] is the number of grounded extensions of the subtree below a
-    depth-j vertex carrying value x; window sums over a slope step are kept
-    alongside.  mode is "lipschitz" (slope M) or "hom".
+    depth-j vertex carrying value x.  mode is "lipschitz" (slope M) or "hom".
     """
 
     d: int
@@ -42,15 +35,18 @@ class TreeDP:
     mode: str
     M: int | None
     counts: tuple[dict[int, int], ...]
-    log_counts: tuple[dict[int, float], ...]
+    # exact tails by (depth, threshold); each is reduced once
+    _tails: dict[tuple[int, int], Fraction] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    @property
+    @cached_property
     def total(self) -> int:
         return sum(self.counts[0].values())
 
     @property
     def log_total(self) -> float:
-        return _logsumexp(self.log_counts[0].values())
+        return math.log(self.total)
 
     def _slope(self) -> int:
         return self.M if self.mode == "lipschitz" else 1
@@ -58,50 +54,62 @@ class TreeDP:
     def _children(self, depth: int) -> int:
         return self.d if depth == 0 else self.d - 1
 
-    def _upward(self, depth: int) -> tuple[dict[int, int], dict[int, int]]:
-        """(g, S_out) for the top-down pass at ``depth``: g[x] counts the
-        completions of everything outside the subtree of a depth-``depth``
-        vertex with value x."""
+    @cached_property
+    def _outside(self) -> tuple[dict[int, int], ...]:
+        """One top-down pass: _outside[j][x] counts the completions of
+        everything outside the subtree of a depth-j vertex with value x."""
         slope = self._slope()
         # depth 0: nothing outside the root's subtree, so weight 1 for every
         # attainable root value
         g = {x: 1 for x in self.counts[0]}
-        for j in range(1, depth + 1):
+        tables = [g]
+        for j in range(1, self.h + 1):
             m = self._children(j - 1)
+            child = self.counts[j]
             # sibling factor: each of the parent's other children contributes
             # its window sum
-            win_parent = _window_sums(self.counts[j], slope, self.mode)
+            win_parent = _window_sums(child, slope, self.mode)
             new_g: dict[int, int] = {}
             for p, gp in g.items():
                 sib = win_parent.get(p, 0) ** (m - 1)
                 if sib == 0:
                     continue
+                w = gp * sib
                 for x in _compatible(p, slope, self.mode):
-                    if x in self.counts[j]:
-                        new_g[x] = new_g.get(x, 0) + gp * sib
+                    if x in child:
+                        new_g[x] = new_g.get(x, 0) + w
             g = new_g
-        return g
+            tables.append(g)
+        return tuple(tables)
+
+    def _check_depth(self, depth: int) -> None:
+        if not (0 <= depth <= self.h):
+            raise GraphError("depth out of range")
 
     def marginal(self, depth: int, x: int) -> Fraction:
         """Exact P(f(v) = x) for any vertex v at the given depth."""
-        if not (0 <= depth <= self.h):
-            raise GraphError("depth out of range")
-        g = self._upward(depth)
-        num = g.get(x, 0) * self.counts[depth].get(x, 0)
+        self._check_depth(depth)
+        num = self._outside[depth].get(x, 0) * self.counts[depth].get(x, 0)
         return Fraction(num, self.total)
 
     def tail_probability(self, depth: int, threshold: int) -> Fraction:
         """Exact P(|f(v)| > threshold) at the given depth."""
-        g = self._upward(depth)
-        num = sum(
-            gx * self.counts[depth].get(x, 0)
-            for x, gx in g.items()
-            if abs(x) > threshold
-        )
-        return Fraction(num, self.total)
+        key = (depth, threshold)
+        p = self._tails.get(key)
+        if p is None:
+            self._check_depth(depth)
+            table = self.counts[depth]
+            num = sum(
+                gx * table.get(x, 0)
+                for x, gx in self._outside[depth].items()
+                if abs(x) > threshold
+            )
+            p = self._tails[key] = Fraction(num, self.total)
+        return p
 
     def log_tail_probability(self, depth: int, threshold: int) -> float:
-        """log P(|f(v)| > threshold) from the log-domain tables."""
+        """log P(|f(v)| > threshold): the log of the exact tail, taken from
+        its reduced numerator and denominator."""
         p = self.tail_probability(depth, threshold)
         if p == 0:
             return -math.inf
@@ -152,30 +160,22 @@ def tree_dp(d: int, h: int, mode: str = "lipschitz", M: int | None = 1) -> TreeD
         win = _window_sums(counts[j + 1], slope, mode)
         counts[j] = {x: w**m for x, w in win.items() if w > 0}
 
-    log_counts = tuple(
-        {x: math.log(c) for x, c in table.items()} for table in counts
-    )
-    return TreeDP(
-        d=d,
-        h=h,
-        mode=mode,
-        M=M,
-        counts=tuple(counts),
-        log_counts=log_counts,
-    )
+    return TreeDP(d=d, h=h, mode=mode, M=M, counts=tuple(counts))
 
 
-def tree_sample(dp: TreeDP, seed: int, tree: Graph | None = None) -> HeightFunction:
+def tree_sample(dp: TreeDP, seed: int) -> HeightFunction:
     """Exact uniform grounded function, sampled top-down from the DP counts.
 
-    The returned function lives on gen_tree(d, h) with its BFS numbering;
-    pass ``tree`` to reuse a prebuilt graph.  Deterministic per seed.
+    The returned function lives on gen_tree(d, h) with its BFS numbering.
+    Deterministic per seed.
     """
-    g = tree if tree is not None else gen_tree(dp.d, dp.h)
+    # BFS numbering: level j is offsets[j] .. offsets[j + 1] - 1 and the
+    # children of its i-th vertex are contiguous in level j + 1
+    offsets = tree_level_offsets(dp.d, dp.h)
     rng = random.Random((seed, dp.d, dp.h, dp.mode, dp.M).__repr__())
-    slope = dp.M if dp.mode == "lipschitz" else 1
+    slope = dp._slope()
 
-    values = [0] * g.n
+    values = [0] * offsets[-1]
 
     def draw(table_items) -> int:
         items = sorted(table_items)
@@ -188,29 +188,20 @@ def tree_sample(dp: TreeDP, seed: int, tree: Graph | None = None) -> HeightFunct
                 return x
         raise AssertionError("weighted draw fell through")
 
-    # depths from BFS numbering: root is 0, levels are contiguous
-    from .graphs import distances_from
-
-    depth = distances_from(g, g.root)
-    values[g.root] = draw(dp.counts[0].items())
-    order = sorted(range(g.n), key=lambda v: (depth[v], v))
-    for v in order:
-        jv = depth[v]
-        for w in g.adj[v]:
-            if depth[w] == jv + 1:
-                if depth[w] == dp.h:
-                    values[w] = 0
-                    continue
-                p = values[v]
-                table = [
-                    (y, dp.counts[jv + 1][y])
-                    for y in _compatible(p, slope, dp.mode)
-                    if y in dp.counts[jv + 1]
-                ]
-                values[w] = draw(table)
+    values[0] = draw(dp.counts[0].items())
+    # leaves (level h) stay 0; draws go in vertex order, parents first
+    for j in range(dp.h - 1):
+        kids = dp._children(j)
+        table = dp.counts[j + 1]
+        first = offsets[j + 1]
+        for i, v in enumerate(range(offsets[j], offsets[j + 1])):
+            p = values[v]
+            items = [(y, table[y]) for y in _compatible(p, slope, dp.mode) if y in table]
+            for w in range(first + i * kids, first + (i + 1) * kids):
+                values[w] = draw(items)
     # grounded functions are pinned at the leaves, not at the tree root;
     # designate the first leaf as the HeightFunction root
-    v0 = min(g.leaves)
+    v0 = offsets[dp.h]
     if dp.mode == "hom":
         return homomorphism(values, v0)
     return lipschitz(values, v0, dp.M)

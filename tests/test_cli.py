@@ -39,6 +39,13 @@ def test_gen_tree(tmp_path):
     assert read_graph(str(out)).n == 10
 
 
+def test_gen_glued_tree_rejected(tmp_path, capsys):
+    out = tmp_path / "gt.txt"
+    assert main(["gen", "--type", "glued-tree", "--d", "3", "--h", "2", "--out", str(out)]) != 0
+    assert not out.exists()
+    assert "parallel edges" in capsys.readouterr().err
+
+
 def test_certify(k4_file, tmp_path, capsys):
     assert main(["certify", k4_file, "--M", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,8 +1,13 @@
 import math
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from liphom import ExperimentConfig, emit_report, parse_config, run_experiment
+from liphom import ExperimentConfig, GraphError, emit_report, parse_config, run_experiment, tree_dp
+from liphom.cli import main
+from liphom.graphs import tree_level_offsets
 from liphom.experiments import HYPOTHESES_NOT_MET, result_to_text
 
 
@@ -105,6 +110,40 @@ def test_tree_kind_exact_bound():
     assert row["note"] == "log-bound"
     assert row["estimate"] <= row["bound"]  # log-domain comparison
     assert row["bound"] == -56 / 10
+
+
+def test_tree_kind_past_int_str_digit_limit(tmp_path):
+    # at h=13 the exact tails have more digits than str(int) accepts
+    d, h = 3, 13
+    starts = tree_level_offsets(d, h)[:-1]
+    cfg = tmp_path / "tree.cfg"
+    cfg.write_text(
+        f"kind = tree\nd = {d}\nh = {h}\nM = 1\nt_max = 2\n"
+        f"targets = {','.join(map(str, starts))}\n"
+    )
+    out = tmp_path / "tree.csv"
+    assert main(["experiment", str(cfg), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    cols = lines[0].split(",")
+    dp = tree_dp(d, h, "lipschitz", 1)
+    assert len(lines) == 1 + 2 * len(starts)
+    longest = 0
+    for line in lines[1:]:
+        row = dict(zip(cols, line.split(",")))
+        depth = starts.index(int(row["vertex"]))
+        num, den = row["exact"].split("/")
+        assert num.isdigit() and den.isdigit()
+        longest = max(longest, len(num), len(den))
+        q = Fraction(int(Decimal(num)), int(Decimal(den)))
+        assert q == dp.tail_probability(depth, int(row["t"]) - 1)
+    assert longest > sys.get_int_max_str_digits() > 0
+
+
+def test_tree_kind_rejects_out_of_range_target():
+    for v in (-1, 10):
+        cfg = ExperimentConfig(kind="tree", d=3, h=2, M=1, targets=str(v), t_max=1)
+        with pytest.raises(GraphError):
+            run_experiment(cfg)
 
 
 def test_max_kind():

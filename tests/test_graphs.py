@@ -19,6 +19,8 @@ from liphom.graphs import (
     distances_from,
     neighborhood,
     square_neighbors,
+    tree_ball_size,
+    tree_level_offsets,
 )
 
 from .conftest import c4, k4
@@ -102,6 +104,23 @@ def test_ball_examples():
     assert ball(g, 1, 1) == frozenset(range(4))
     t = gen_tree(3, 2)
     assert len(ball(t, t.root, 1)) == 4
+
+
+def test_tree_ball_size_matches_bfs():
+    for d in (3, 4, 5):
+        for h in range(1, 6):
+            g = gen_tree(d, h)
+            offsets = tree_level_offsets(d, h)
+            assert offsets[-1] == g.n
+            depth = distances_from(g, g.root)
+            for v in range(g.n):
+                assert offsets[depth[v]] <= v < offsets[depth[v] + 1]
+                for t in range(h + 3):
+                    assert tree_ball_size(d, h, depth[v], t) == len(ball(g, v, t))
+    with pytest.raises(GraphError):
+        tree_ball_size(3, 2, 3, 1)
+    with pytest.raises(GraphError):
+        tree_ball_size(3, 2, 1, -1)
 
 
 def test_boundary_examples():

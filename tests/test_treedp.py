@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from liphom import enumerate_functions, gen_tree, tree_dp, tree_sample, validate
-from liphom.graphs import distances_from
+from liphom import GraphError, enumerate_functions, gen_tree, tree_dp, tree_sample, validate
+from liphom.graphs import distances_from, tree_level_offsets
 
 
 def test_totals_small():
@@ -39,24 +39,88 @@ def test_value_support_invariant():
 
 
 def test_dp_matches_enumeration():
-    # glued-tree enumeration realizes the grounded family exactly
-    for d, h, mode in ((3, 1, "lipschitz"), (3, 2, "lipschitz"), (3, 2, "hom")):
-        M = 1 if mode == "lipschitz" else None
+    # glued-tree enumeration realizes the grounded family exactly; its
+    # internal vertices keep the tree's BFS numbering and the glue vertex
+    # stands for every leaf
+    cases = [(3, h, "lipschitz", 1) for h in (1, 2, 3)]
+    cases += [(3, h, "lipschitz", 2) for h in (1, 2)]
+    cases += [(3, h, "hom", None) for h in (1, 2, 3)]
+    cases += [(4, h, mode, M) for h in (1, 2) for mode, M in (("lipschitz", 1), ("lipschitz", 2))]
+    cases += [(4, h, "hom", None) for h in (1, 2, 3)]
+    for d, h, mode, M in cases:
         gt = gen_tree(d, h, glued=True)
         res = enumerate_functions(gt, gt.glue, mode, M=M)
         dp = tree_dp(d, h, mode, M)
         assert res.count == dp.total
-        # root marginal agreement (glued-tree vertex 0 is the tree root)
-        for x in range(-h, h + 1):
-            emp = Fraction(
-                sum(1 for f in res.functions if f.values[0] == x), res.count
-            )
-            assert emp == dp.root_marginal(x)
+        offsets = tree_level_offsets(d, h)
+        levels = [(offsets[j], offsets[j + 1] - 1) for j in range(h)] + [(gt.glue,)]
+        span = (M or 1) * h
+        for depth, vertices in enumerate(levels):
+            for v in vertices:
+                seen = [f.values[v] for f in res.functions]
+                for x in range(-span - 1, span + 2):
+                    assert dp.marginal(depth, x) == Fraction(seen.count(x), res.count)
+                for thr in range(span + 1):
+                    hits = sum(1 for y in seen if abs(y) > thr)
+                    assert dp.tail_probability(depth, thr) == Fraction(hits, res.count)
+        for x in range(-span, span + 1):
+            assert dp.root_marginal(x) == dp.marginal(0, x)
+
+
+def _outside_per_depth(dp, depth):
+    """Top-down outside table at one depth, rebuilt from the root on every
+    call: counts of the completions outside a depth-``depth`` subtree."""
+    slope = dp.M if dp.mode == "lipschitz" else 1
+
+    def compatible(p):
+        return (p - 1, p + 1) if dp.mode == "hom" else range(p - slope, p + slope + 1)
+
+    g = {x: 1 for x in dp.counts[0]}
+    for j in range(1, depth + 1):
+        siblings = (dp.d if j == 1 else dp.d - 1) - 1
+        new_g = {}
+        for p, gp in g.items():
+            sib = sum(dp.counts[j].get(y, 0) for y in compatible(p)) ** siblings
+            for x in compatible(p):
+                if x in dp.counts[j]:
+                    new_g[x] = new_g.get(x, 0) + gp * sib
+        g = new_g
+    return g
+
+
+@pytest.mark.parametrize("d", (3, 4))
+@pytest.mark.parametrize("mode, M", (("lipschitz", 1), ("lipschitz", 2), ("hom", None)))
+def test_cached_pass_matches_per_depth_recomputation(d, mode, M):
+    for h in range(1, 7):
+        dp = tree_dp(d, h, mode, M)
+        span = (M or 1) * h
+        for depth in range(h + 1):
+            g = _outside_per_depth(dp, depth)
+            table = dp.counts[depth]
+            for x in range(-span - 1, span + 2):
+                num = g.get(x, 0) * table.get(x, 0)
+                assert dp.marginal(depth, x) == Fraction(num, dp.total)
+            for thr in range(span + 1):
+                num = sum(g.get(x, 0) * c for x, c in table.items() if abs(x) > thr)
+                q = Fraction(num, dp.total)
+                assert dp.tail_probability(depth, thr) == q
+                assert dp.tail_probability(depth, thr) is dp.tail_probability(depth, thr)
+                log_q = math.log(q.numerator) - math.log(q.denominator) if q else -math.inf
+                assert dp.log_tail_probability(depth, thr) == log_q
+
+
+def test_depth_out_of_range():
+    dp = tree_dp(3, 2, "lipschitz", 1)
+    for depth in (-1, 3):
+        with pytest.raises(GraphError):
+            dp.marginal(depth, 0)
+        with pytest.raises(GraphError):
+            dp.tail_probability(depth, 0)
 
 
 def test_log_mirror_accuracy():
     dp = tree_dp(3, 3, "lipschitz", 1)
-    assert math.isclose(dp.log_total, math.log(dp.total), rel_tol=1e-9)
+    assert dp.log_total == math.log(dp.total)
     p = dp.tail_probability(0, 0)
     assert math.isclose(
         dp.log_tail_probability(0, 0),
@@ -85,8 +149,8 @@ def test_d56_exact_theorem_values():
 def test_tree_sample_valid_and_deterministic():
     dp = tree_dp(3, 2, "lipschitz", 1)
     t = gen_tree(3, 2)
-    f1 = tree_sample(dp, 7, t)
-    f2 = tree_sample(dp, 7, t)
+    f1 = tree_sample(dp, 7)
+    f2 = tree_sample(dp, 7)
     assert f1.values == f2.values
     assert validate(t, f1) == []
     assert all(f1.values[v] == 0 for v in t.leaves)
@@ -94,11 +158,10 @@ def test_tree_sample_valid_and_deterministic():
 
 def test_tree_sample_distribution():
     dp = tree_dp(3, 2, "lipschitz", 1)
-    t = gen_tree(3, 2)
     counts = {}
     n = 3000
     for seed in range(n):
-        f = tree_sample(dp, seed, t)
+        f = tree_sample(dp, seed)
         counts[f.values] = counts.get(f.values, 0) + 1
     assert len(counts) == dp.total
     tv = 0.5 * sum(abs(c / n - 1 / dp.total) for c in counts.values())
@@ -108,7 +171,7 @@ def test_tree_sample_distribution():
 def test_hom_tree_sample_parity():
     dp = tree_dp(3, 2, "hom", None)
     t = gen_tree(3, 2)
-    f = tree_sample(dp, 1, t)
+    f = tree_sample(dp, 1)
     depth = distances_from(t, t.root)
     for v in range(t.n):
         assert (f.values[v] - (dp.h - depth[v])) % 2 == 0

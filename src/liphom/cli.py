@@ -119,14 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _resolve_lam(g, args, mode: str) -> float:
-    if args.lam is not None:
-        return args.lam
-    lam_mode = "bipartite" if mode == "hom" else "general"
-    if args.lam_source == "exhaustive":
-        return expansion.exhaustive_lambda(g, lam_mode)
-    tol = 1e-9
-    return expansion.spectral_lambda(g, lam_mode, tol=tol) + tol
+def _lam(g, args) -> float:
+    source = "explicit" if args.lam is not None else args.lam_source
+    return expansion.resolve_lambda(g, args.mode, source, args.lam)
 
 
 def _cmd_gen(args) -> int:
@@ -224,7 +219,7 @@ def _read_function(path: str) -> list[int]:
 def _cmd_phase(args) -> int:
     g = read_graph(args.graph)
     vals = _read_function(args.function)
-    lam = _resolve_lam(g, args, args.mode)
+    lam = _lam(g, args)
     if args.mode == "lipschitz":
         f = lipschitz(vals, args.v0, args.M)
         ph = phase_lipschitz(g, f, lam)
@@ -249,9 +244,7 @@ def _cmd_phase(args) -> int:
 def _cmd_verify_transform(args) -> int:
     g = read_graph(args.graph)
     M = args.M if args.mode == "lipschitz" else None
-    lam = None
-    if args.k_strategy == "phase":
-        lam = args.lam if args.lam is not None else _resolve_lam(g, args, args.mode)
+    lam = _lam(g, args) if args.k_strategy == "phase" else None
     rep = transform.verify_counting(
         g,
         args.v0,

@@ -20,6 +20,7 @@ __all__ = [
     "edge_count",
     "exhaustive_lambda",
     "spectral_lambda",
+    "resolve_lambda",
     "goodness",
     "check_expansion_props",
     "certify",
@@ -138,15 +139,15 @@ def spectral_lambda(
     def matvec(x: np.ndarray) -> np.ndarray:
         return np.add.reduceat(x[indices], indptr[:-1])
 
+    def deflate(y):
+        return y - y.mean()
+
     if mode == "general":
-        n = g.n
+        dim = g.n
 
         def op(x):
-            return matvec(x)
+            return matvec(deflate(matvec(x)))  # A^2 avoids +-pair oscillation
 
-        dim = n
-        square_root = False
-        top = d * d  # we iterate on A^2 to avoid +-pair oscillation
     elif mode == "bipartite":
         if g.bipartition is None:
             raise GraphError("bipartite mode requires a bipartition")
@@ -162,30 +163,20 @@ def spectral_lambda(
             keep[v0] = full[v0]
             return matvec(keep)[v1]  # B^T B x
 
-        square_root = True
-        top = d * d
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     rng = np.random.default_rng(20240527)
-    x = rng.standard_normal(dim)
-
-    def deflate(y):
-        return y - y.mean()
-
-    x = deflate(x)
+    x = deflate(rng.standard_normal(dim))
     nrm = np.linalg.norm(x)
     if nrm == 0:
         return 0.0
     x /= nrm
     est = 0.0
     for it in range(max_iter):
-        if mode == "general":
-            y = deflate(matvec(deflate(matvec(x))))  # A^2 with deflation
-        else:
-            y = deflate(op(x))
+        y = deflate(op(x))
         nrm = np.linalg.norm(y)
-        if nrm <= 1e-14 * top:
+        if nrm <= 1e-14 * (d * d):
             return 0.0
         new_est = float(x @ y)  # Rayleigh quotient for A^2 resp. B^T B
         x = y / nrm
@@ -193,8 +184,35 @@ def spectral_lambda(
             est = new_est
             break
         est = new_est
-    val = math.sqrt(max(est, 0.0))
-    return val
+    return math.sqrt(max(est, 0.0))
+
+
+def resolve_lambda(g: Graph, height_mode: str, source: str, value: float | None = None) -> float:
+    """The lambda used for phases of height functions in ``height_mode``.
+
+    ``source`` is "explicit" (returns ``value``), "exhaustive" (exact
+    lambda) or "spectral" (power-iteration value plus its tolerance 1e-9).
+    Lipschitz functions use general-mode lambda, homomorphisms bipartite.
+    """
+    if source == "explicit":
+        if value is None:
+            raise ValueError("an explicit lambda needs a value")
+        return value
+    lam_mode = "bipartite" if height_mode == "hom" else "general"
+    if source == "exhaustive":
+        return exhaustive_lambda(g, lam_mode)
+    if source == "spectral":
+        tol = 1e-9
+        return spectral_lambda(g, lam_mode, tol=tol) + tol
+    raise ValueError(f"unknown lambda source {source!r}")
+
+
+def lipschitz_threshold(d: int, M: int) -> float:
+    return d / (32 * (M + 1) * math.log(9 * M * d * d))
+
+
+def bi_threshold(d: int) -> float:
+    return d / (300 * math.log(d))
 
 
 def goodness(d: int, lam: float, M: int | None = None) -> dict[str, bool]:
@@ -211,20 +229,9 @@ def goodness(d: int, lam: float, M: int | None = None) -> dict[str, bool]:
     if M is not None:
         if M < 1:
             raise ValueError("slope M must be at least 1")
-        out[f"M-good({M})"] = lam <= d / (32 * (M + 1) * math.log(9 * M * d * d))
-    if d > 1:
-        out["good-bi"] = lam <= d / (300 * math.log(d))
-    else:
-        out["good-bi"] = False
+        out[f"M-good({M})"] = lam <= lipschitz_threshold(d, M)
+    out["good-bi"] = d > 1 and lam <= bi_threshold(d)
     return out
-
-
-def lipschitz_threshold(d: int, M: int) -> float:
-    return d / (32 * (M + 1) * math.log(9 * M * d * d))
-
-
-def bi_threshold(d: int) -> float:
-    return d / (300 * math.log(d))
 
 
 @dataclass
@@ -278,31 +285,23 @@ def _subset_iter(items):
         yield [items[i] for i in range(len(items)) if (mask >> i) & 1]
 
 
-def check_expansion_props(
-    g: Graph,
-    lam: float,
-    mode: str = "general",
-    scope: str = "exhaustive",
-    *,
-    seed: int = 0,
-    n_samples: int = 200,
-) -> dict[str, PropCheck]:
+def check_expansion_props(g: Graph, lam: float, mode: str = "general") -> dict[str, PropCheck]:
     """Check the expansion propositions as executable inequalities.
 
     Verifies connectivity of large set pairs, neighborhood expansion, outer
     boundary growth, ball volume growth and the diameter bound, for all
-    admissible sets (exhaustive scope, tiny graphs) or a seeded sample.
-    Division-by-zero cases use the convention min{n/2, inf}.
+    admissible sets (tiny graphs only).  Division-by-zero cases use the
+    convention min{n/2, inf}.
     """
     d = _require_regular(g)
     if mode == "bipartite":
         if g.bipartition is None:
             raise GraphError("bipartite mode requires a bipartition")
         n = len(g.bipartition[0])
-        classes = (sorted(g.bipartition[0]), sorted(g.bipartition[1]))
     else:
         n = g.n
-        classes = None
+        if 2 * g.n > EXHAUSTIVE_GUARD_BITS:
+            raise GraphError("graph too large for exhaustive checks")
 
     ratio = math.inf if lam == 0 else (d * d) / (4 * lam * lam)
     checks = {
@@ -310,30 +309,13 @@ def check_expansion_props(
         for name in ("connectivity", "expansion", "boundary", "volume_growth", "diameter")
     }
 
-    if scope == "exhaustive":
-        if 2 * g.n > EXHAUSTIVE_GUARD_BITS and mode == "general":
-            raise GraphError("graph too large for exhaustive scope")
-        all_sets = [frozenset(s) for s in _subset_iter(range(g.n))]
-        if mode == "general":
-            pairs = ((a, b) for a in all_sets for b in all_sets)
-        else:
-            sets0 = [frozenset(s) for s in _subset_iter(classes[0])]
-            sets1 = [frozenset(s) for s in _subset_iter(classes[1])]
-            pairs = ((a, b) for a in sets0 for b in sets1)
+    all_sets = [frozenset(s) for s in _subset_iter(range(g.n))]
+    if mode == "general":
+        pairs = ((a, b) for a in all_sets for b in all_sets)
     else:
-        rng = np.random.default_rng(seed)
-        all_sets = []
-        for _ in range(n_samples):
-            k = int(rng.integers(0, g.n + 1))
-            all_sets.append(frozenset(int(v) for v in rng.choice(g.n, size=k, replace=False)))
-        if mode == "general":
-            half = n_samples // 2
-            pairs = ((all_sets[i], all_sets[-1 - i]) for i in range(half))
-        else:
-            pairs = (
-                (a & g.bipartition[0], b & g.bipartition[1])
-                for a, b in ((all_sets[i], all_sets[-1 - i]) for i in range(n_samples // 2))
-            )
+        sets0 = [frozenset(s) for s in _subset_iter(sorted(g.bipartition[0]))]
+        sets1 = [frozenset(s) for s in _subset_iter(sorted(g.bipartition[1]))]
+        pairs = ((a, b) for a in sets0 for b in sets1)
 
     # connectivity: min(|A|,|B|) > lam*n/d forces an edge between A and B
     thresh = lam * n / d

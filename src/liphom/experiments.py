@@ -56,6 +56,14 @@ COLUMNS = (
 )
 
 
+# config keys with a closed set of values, checked when a config is built
+_CHOICES = {
+    "mode": ("lipschitz", "hom"),
+    "sampler": ("exact", "mcmc"),
+    "lambda_source": ("spectral", "exhaustive", "explicit"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str  # deviation | max | tree | hom-exact
@@ -79,6 +87,12 @@ class ExperimentConfig:
     lambda_value: float | None = None
     seed: int = 0
     cap: int = 10_000_000
+
+    def __post_init__(self):
+        for key, allowed in _CHOICES.items():
+            val = getattr(self, key)
+            if val not in allowed:
+                raise ValueError(f"config {key} = {val!r}: expected one of {', '.join(allowed)}")
 
     def canonical_text(self) -> str:
         lines = []
@@ -145,18 +159,6 @@ def _build_graph_from_config(cfg: ExperimentConfig) -> Graph:
     raise ValueError(f"unknown graph_type {cfg.graph_type!r}")
 
 
-def _resolve_lambda(g: Graph, cfg: ExperimentConfig, mode: str) -> float:
-    if cfg.lambda_source == "explicit":
-        if cfg.lambda_value is None:
-            raise ValueError("lambda_source=explicit needs lambda_value")
-        return cfg.lambda_value
-    lam_mode = "bipartite" if mode == "hom" else "general"
-    if cfg.lambda_source == "exhaustive":
-        return expansion.exhaustive_lambda(g, lam_mode)
-    tol = 1e-9
-    return expansion.spectral_lambda(g, lam_mode, tol=tol) + tol
-
-
 def _target_vertices(n: int, cfg: ExperimentConfig) -> list[int]:
     if cfg.targets == "all":
         return list(range(n))
@@ -220,7 +222,7 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
     mode = cfg.mode
     d = g.degree
     M = cfg.M if mode == "lipschitz" else None
-    lam = _resolve_lambda(g, cfg, mode)
+    lam = expansion.resolve_lambda(g, mode, cfg.lambda_source, cfg.lambda_value)
     n_norm = g.n // 2 if mode == "hom" else g.n
     preds = expansion.goodness(d, lam, M)
     hyp_ok = preds[f"M-good({cfg.M})"] if mode == "lipschitz" else preds["good-bi"]

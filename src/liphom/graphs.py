@@ -67,9 +67,6 @@ class Graph:
         indices.flags.writeable = False
         object.__setattr__(self, "_csr", (indptr, indices))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) adjacency in CSR form, for numeric kernels."""
         return self._csr
@@ -87,15 +84,6 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return sum(len(a) for a in self.adj) // 2
-
-    def side_of(self, v: int) -> int:
-        """Bipartition class of v (0 or 1); requires a bipartition."""
-        if self.bipartition is None:
-            raise GraphError("graph has no bipartition")
-        return 0 if v in self.bipartition[0] else 1
-
-    def is_multigraph(self) -> bool:
-        return any(len(set(a)) != len(a) for a in self.adj)
 
 
 def _two_color(n: int, adj) -> tuple[frozenset[int], frozenset[int]]:

@@ -79,9 +79,6 @@ class Phase:
             return value - self.hi
         return 0
 
-    def as_set(self) -> frozenset[int]:
-        return frozenset(range(self.lo, self.hi + 1))
-
 
 def validate(g: Graph, f: HeightFunction) -> list[str]:
     """Violation messages; empty iff f is a member of its declared family."""

@@ -185,11 +185,9 @@ def mcmc_sample_array(
     """Deterministic Glauber sampling; returns (n_samples, n) int64 states.
 
     Starts from the minimal-oscillation state, discards ``burnin`` steps,
-    then records every ``thin``-th state.  The kernel runs under numba when
-    available; the fallback path consumes the same random words, so output
-    is backend-independent.  Raises GraphError on a graph with an isolated
-    vertex or more than one component, where the chain cannot move or
-    cannot mix.
+    then records every ``thin``-th state.  Raises GraphError on a graph with
+    an isolated vertex or more than one component, where the chain cannot
+    move or cannot mix.
     """
     if burnin < 0 or thin <= 0 or n_samples <= 0:
         raise ValueError("burnin must be >= 0, thin and n_samples positive")
@@ -198,25 +196,13 @@ def mcmc_sample_array(
     if not _is_connected(g):
         raise GraphError("MCMC requires a connected graph")
     state = initial_state(g, v0, mode, M, seed, chain)
-    indptr, indices = g.csr()
     values = np.array(state.f.values, dtype=np.int64)
-    free = np.array([v for v in range(g.n) if v != v0], dtype=np.int64)
-    n_steps = burnin + thin * n_samples
-    rnd_v, rnd_x = _draw_words(seed, chain, 0, n_steps)
+    free = [v for v in range(g.n) if v != v0]
+    rnd_v, rnd_x = _draw_words(seed, chain, 0, burnin + thin * n_samples)
     out = np.empty((n_samples, g.n), dtype=np.int64)
     n_rec = _kernels.glauber_run(
-        indptr,
-        indices,
-        values,
-        free,
-        np.int64(M if M is not None else 1),
-        mode == "hom",
-        n_steps,
-        rnd_v,
-        rnd_x,
-        np.int64(thin),
-        np.int64(burnin),
-        out,
+        g.adj, values, free, M if M is not None else 1, mode == "hom",
+        rnd_v, rnd_x, thin, burnin, out,
     )
     assert n_rec == n_samples
     return out

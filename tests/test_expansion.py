@@ -10,7 +10,7 @@ from liphom import (
     goodness,
     spectral_lambda,
 )
-from liphom.expansion import bi_threshold, edge_count, lipschitz_threshold
+from liphom.expansion import bi_threshold, edge_count, lipschitz_threshold, resolve_lambda
 from liphom.graphs import GraphError
 
 from .conftest import c4, k33, k4, kmm, q3
@@ -110,3 +110,20 @@ def test_props_lambda_zero_bipartite():
     for name, c in checks.items():
         assert c.passed, (name, c.witness)
     assert "not applicable" in checks["diameter"].note
+
+
+@pytest.mark.parametrize(
+    "g, height_mode, lam_mode", [(k4(), "lipschitz", "general"), (q3(), "hom", "bipartite")]
+)
+def test_resolve_lambda_matches_direct_calls(g, height_mode, lam_mode):
+    spectral = spectral_lambda(g, lam_mode, tol=1e-9) + 1e-9
+    assert resolve_lambda(g, height_mode, "spectral") == spectral
+    assert resolve_lambda(g, height_mode, "exhaustive") == exhaustive_lambda(g, lam_mode)
+    assert resolve_lambda(g, height_mode, "explicit", 0.25) == 0.25
+
+
+def test_resolve_lambda_rejects_bad_source():
+    with pytest.raises(ValueError, match="explicit"):
+        resolve_lambda(k4(), "lipschitz", "explicit")
+    with pytest.raises(ValueError, match="exhaustiv"):
+        resolve_lambda(k4(), "lipschitz", "exhaustiv")

@@ -35,6 +35,16 @@ def test_parse_config_errors():
         parse_config("graph_type = file")  # kind missing
 
 
+@pytest.mark.parametrize(
+    "key, value", [("sampler", "exakt"), ("lambda_source", "exhaustiv"), ("mode", "homm")]
+)
+def test_config_rejects_unknown_choice(key, value):
+    with pytest.raises(ValueError, match=f"{key} = '{value}'"):
+        ExperimentConfig(kind="deviation", **{key: value})
+    with pytest.raises(ValueError, match=f"{key} = '{value}'"):
+        parse_config(f"kind = deviation\n{key} = {value}\n")
+
+
 def test_config_hash_stable():
     a = parse_config("kind = deviation\nseed = 1")
     b = parse_config("seed = 1\nkind = deviation")

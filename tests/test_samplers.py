@@ -100,6 +100,8 @@ def replay_glauber(g, values, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out):
     [
         (k4(), "lipschitz", 2, 300, 7, 20, 25),  # more rows than room: stops at n_out
         (q3(), "hom", 1, 400, 3, 0, 200),  # room to spare
+        # several word chunks; burn-in and recorded steps off chunk boundaries
+        (q3(), "lipschitz", 2, 2 * _kernels.CHUNK_STEPS + 777, 13, 1001, 1000),
     ],
 )
 def test_glauber_run_rows_match_python_replay(g, mode, M, n_steps, thin, burnin, n_out):
@@ -108,11 +110,9 @@ def test_glauber_run_rows_match_python_replay(g, mode, M, n_steps, thin, burnin,
     free = [v for v in range(g.n) if v != 0]
     rnd_v, rnd_x = _draw_words(11, 0, 0, n_steps)
     want = replay_glauber(g, start, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out)
-    indptr, indices = g.csr()
     out = np.full((n_out, g.n), 99, dtype=np.int64)
     n_rec = _kernels.glauber_run(
-        indptr, indices, np.array(start, dtype=np.int64), np.array(free, dtype=np.int64),
-        np.int64(M), hom, n_steps, rnd_v, rnd_x, np.int64(thin), np.int64(burnin), out,
+        g.adj, np.array(start, dtype=np.int64), free, M, hom, rnd_v, rnd_x, thin, burnin, out,
     )
     assert n_rec == len(want) == min(n_out, (n_steps - burnin) // thin)
     assert [tuple(r) for r in out[:n_rec].tolist()] == want

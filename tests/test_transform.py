@@ -7,6 +7,7 @@ from liphom import (
     exhaustive_lambda,
     gen_tree,
     lipschitz,
+    transform,
     validate,
     verify_counting,
 )
@@ -129,3 +130,19 @@ def test_verify_report_serializable():
 def test_t_must_be_positive():
     with pytest.raises(ValueError):
         verify_counting(k4(), 0, 1, 0, "lipschitz", M=1, lam=1.0)
+
+
+def test_invalid_image_member_is_reported(monkeypatch):
+    g = k4()
+    lam = exhaustive_lambda(g)
+    bad_member = (0, 5, 0, 0)  # edge (0,1) has gap 5 > M
+
+    def bad_image(g, f, ctx, *, guard):
+        return frozenset({f.values, bad_member})
+
+    monkeypatch.setattr(transform, "apply_transform", bad_image)
+    rep = verify_counting(g, 0, 1, 1, "lipschitz", M=1, lam=lam)
+    check = rep.checks["image_members_valid"]
+    assert check.checked > 0 and not check.passed and not rep.all_passed
+    _, member, violation = check.witness
+    assert member == bad_member and "edge (0,1)" in violation

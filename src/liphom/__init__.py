@@ -40,7 +40,6 @@ from .samplers import (
     enumerate_functions,
     glauber_step,
     initial_state,
-    mcmc_sample,
     mcmc_sample_array,
 )
 from .transform import (
@@ -94,7 +93,6 @@ __all__ = [
     "enumerate_functions",
     "glauber_step",
     "initial_state",
-    "mcmc_sample",
     "mcmc_sample_array",
     "ContextError",
     "TransformContext",

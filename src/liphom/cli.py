@@ -2,7 +2,9 @@
 
 Subcommands: gen, certify, enumerate, sample, phase, verify-transform,
 experiment.  All output is deterministic for a fixed seed; seeds and
-parameters are echoed into output headers.
+parameters are echoed into output headers.  Rejected input (a bad flag or
+value, an unreadable file, an exceeded cap) prints one line on stderr and
+exits 2.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 from . import expansion, transform
 from .experiments import emit_report, parse_config, result_to_text, run_experiment
 from .graphs import (
+    GraphError,
     gen_random_bipartite_regular,
     gen_random_regular,
     gen_tree,
@@ -21,7 +24,7 @@ from .graphs import (
     read_graph,
 )
 from .heights import homomorphism, lipschitz, phase_hom, phase_lipschitz
-from .samplers import enumerate_functions, mcmc_sample_array
+from .samplers import CapExceeded, enumerate_functions, mcmc_sample_array
 from .treedp import tree_dp, tree_sample
 
 __all__ = ["main", "build_parser"]
@@ -38,9 +41,6 @@ def _write_out(args, text: str) -> None:
 def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None)
-    sub.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    sub.add_argument("--cap", type=int, default=10_000_000)
-    sub.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--mode", required=True, choices=("lipschitz", "hom"))
     e.add_argument("--M", type=int, default=1)
     e.add_argument("--v0", type=int, default=0)
+    e.add_argument("--cap", type=int, default=10_000_000)
     _common(e)
 
     s = sp.add_parser("sample", help="draw samples (Glauber MCMC or exact tree)")
@@ -109,10 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--lam-source", choices=("spectral", "exhaustive"), default="exhaustive"
     )
     vt.add_argument("--k-strategy", choices=("phase", "zero"), default="phase")
+    vt.add_argument("--cap", type=int, default=10_000_000)
     _common(vt)
 
     ex = sp.add_parser("experiment", help="run a config-driven experiment")
     ex.add_argument("config")
+    ex.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     _common(ex)
     ex.set_defaults(seed=None)  # without --seed the config's seed stands
 
@@ -127,11 +130,10 @@ def _lam(g, args) -> float:
 def _cmd_gen(args) -> int:
     if args.type == "glued-tree":
         # the glue vertex keeps parallel edges, which read_graph rejects
-        sys.stderr.write(
-            "liphom gen: --type glued-tree has parallel edges, which the graph "
-            "text format cannot hold; build it with gen_tree(d, h, glued=True)\n"
+        raise GraphError(
+            "--type glued-tree has parallel edges, which the graph text format "
+            "cannot hold; build it with gen_tree(d, h, glued=True)"
         )
-        return 2
     if args.type == "regular":
         g = gen_random_regular(args.n, args.d, args.seed)
     elif args.type == "bipartite":
@@ -287,9 +289,29 @@ _DISPATCH = {
 }
 
 
+# flags that one value of a subcommand's choice option needs:
+# command -> (option, {value: flags})
+_NEEDS = {
+    "gen": ("type", {"regular": ("n", "d"), "bipartite": ("n", "d"), "tree": ("d", "h")}),
+    "sample": ("sampler", {"mcmc": ("graph",), "tree": ("d", "h")}),
+}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return _DISPATCH[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in _NEEDS:
+        option, needs = _NEEDS[args.command]
+        choice = getattr(args, option)
+        missing = [f"--{flag}" for flag in needs.get(choice, ()) if getattr(args, flag) is None]
+        if missing:
+            parser.error(f"{args.command} --{option} {choice} needs {' and '.join(missing)}")
+    try:
+        return _DISPATCH[args.command](args)
+    except (ValueError, CapExceeded, OSError) as exc:
+        # bad input found after parsing; TypeError and AssertionError are bugs
+        sys.stderr.write(f"liphom {args.command}: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

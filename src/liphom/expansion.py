@@ -9,7 +9,7 @@ the known all-ones top vector deflated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,7 +134,8 @@ def spectral_lambda(
     mixing-lemma lambda.
     """
     d = _require_regular(g)
-    indptr, indices = g.csr()
+    indptr = np.cumsum([0, *map(len, g.adj)])
+    indices = np.fromiter((w for nbrs in g.adj for w in nbrs), dtype=np.int64, count=indptr[-1])
 
     def matvec(x: np.ndarray) -> np.ndarray:
         return np.add.reduceat(x[indices], indptr[:-1])
@@ -235,17 +236,22 @@ def goodness(d: int, lam: float, M: int | None = None) -> dict[str, bool]:
 
 
 @dataclass
-class PropCheck:
+class CheckResult:
+    """One executable claim: how many cases were checked, whether all held,
+    and the first counterexample."""
+
     name: str
     checked: int = 0
     passed: bool = True
     witness: object = None
     note: str = ""
 
-    def fail(self, witness) -> None:
-        self.passed = False
-        if self.witness is None:
-            self.witness = witness
+    def tick(self, ok: bool, witness=None) -> None:
+        self.checked += 1
+        if not ok:
+            self.passed = False
+            if self.witness is None:
+                self.witness = witness
 
 
 @dataclass
@@ -285,7 +291,7 @@ def _subset_iter(items):
         yield [items[i] for i in range(len(items)) if (mask >> i) & 1]
 
 
-def check_expansion_props(g: Graph, lam: float, mode: str = "general") -> dict[str, PropCheck]:
+def check_expansion_props(g: Graph, lam: float, mode: str = "general") -> dict[str, CheckResult]:
     """Check the expansion propositions as executable inequalities.
 
     Verifies connectivity of large set pairs, neighborhood expansion, outer
@@ -305,7 +311,7 @@ def check_expansion_props(g: Graph, lam: float, mode: str = "general") -> dict[s
 
     ratio = math.inf if lam == 0 else (d * d) / (4 * lam * lam)
     checks = {
-        name: PropCheck(name)
+        name: CheckResult(name)
         for name in ("connectivity", "expansion", "boundary", "volume_growth", "diameter")
     }
 
@@ -322,9 +328,7 @@ def check_expansion_props(g: Graph, lam: float, mode: str = "general") -> dict[s
     con = checks["connectivity"]
     for a, b in pairs:
         if min(len(a), len(b)) > thresh:
-            con.checked += 1
-            if edge_count(g, a, b) == 0:
-                con.fail((sorted(a), sorted(b)))
+            con.tick(edge_count(g, a, b) != 0, (sorted(a), sorted(b)))
 
     # expansion and boundary
     exp_c = checks["expansion"]
@@ -333,15 +337,11 @@ def check_expansion_props(g: Graph, lam: float, mode: str = "general") -> dict[s
         if not a:
             continue
         na = neighborhood(g, a)
-        exp_c.checked += 1
         bound = min(n / 2, ratio * len(a))
-        if len(na) < bound - 1e-12:
-            exp_c.fail(sorted(a))
+        exp_c.tick(len(na) >= bound - 1e-12, sorted(a))
         if len(a) <= n / 4:
-            bd_c.checked += 1
             bbound = min(n / 4, (ratio - 1) * len(a)) if ratio != math.inf else n / 4
-            if len(na - a) < bbound - 1e-12:
-                bd_c.fail(sorted(a))
+            bd_c.tick(len(na - a) >= bbound - 1e-12, sorted(a))
 
     # volume growth and diameter
     vg = checks["volume_growth"]
@@ -351,20 +351,16 @@ def check_expansion_props(g: Graph, lam: float, mode: str = "general") -> dict[s
     tmax = diam + 1
     for v in range(g.n):
         for t in range(tmax + 1):
-            vg.checked += 1
             bound = min(n / 2, growth**t) if growth != math.inf else (n / 2 if t > 0 else 1)
-            if len(ball(g, v, t)) < bound - 1e-12:
-                vg.fail((v, t))
+            vg.tick(len(ball(g, v, t)) >= bound - 1e-12, (v, t))
 
     dm = checks["diameter"]
     applicable = lam > 0 and (lam < d / 2 if mode == "general" else lam <= d / 8)
     if applicable:
-        dm.checked = 1
         dbound = math.log(n) / math.log(d / (2 * lam))
         if mode == "bipartite":
             dbound += 1
-        if diam > dbound + 1e-12:
-            dm.fail(("diameter", diam, dbound))
+        dm.tick(diam <= dbound + 1e-12, ("diameter", diam, dbound))
     else:
         dm.note = "not applicable (lambda outside the corollary's range)"
 

@@ -58,6 +58,8 @@ COLUMNS = (
 
 # config keys with a closed set of values, checked when a config is built
 _CHOICES = {
+    "kind": ("deviation", "max", "tree", "hom-exact"),
+    "graph_type": ("file", "regular", "bipartite", "complete_bipartite", "tree"),
     "mode": ("lipschitz", "hom"),
     "sampler": ("exact", "mcmc"),
     "lambda_source": ("spectral", "exhaustive", "explicit"),
@@ -66,8 +68,8 @@ _CHOICES = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str  # deviation | max | tree | hom-exact
-    graph_type: str = "file"  # regular | bipartite | complete_bipartite | tree | file
+    kind: str
+    graph_type: str = "file"
     graph_path: str | None = None
     n: int | None = None
     d: int | None = None
@@ -123,6 +125,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key not in ExperimentConfig.__dataclass_fields__:
+            raise ValueError(f"unknown config key {key!r}")
         if key in _INT_KEYS:
             data[key] = int(val)
         elif key == "lambda_value":
@@ -154,9 +158,8 @@ def _build_graph_from_config(cfg: ExperimentConfig) -> Graph:
         m = cfg.m
         edges = [(i, m + j) for i in range(m) for j in range(m)]
         return build_graph(2 * m, edges, bipartition=(range(m), range(m, 2 * m)))
-    if cfg.graph_type == "tree":
-        return gen_tree(cfg.d, cfg.h, glued=False)
-    raise ValueError(f"unknown graph_type {cfg.graph_type!r}")
+    # "tree": graph_type was checked against _CHOICES when cfg was built
+    return gen_tree(cfg.d, cfg.h, glued=False)
 
 
 def _target_vertices(n: int, cfg: ExperimentConfig) -> list[int]:
@@ -200,9 +203,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         return _run_max(cfg)
     if cfg.kind == "tree":
         return _run_tree(cfg)
-    if cfg.kind == "hom-exact":
-        return _run_hom_exact(cfg)
-    raise ValueError(f"unknown experiment kind {cfg.kind!r}")
+    # "hom-exact": kind was checked against _CHOICES when cfg was built
+    return _run_hom_exact(cfg)
 
 
 def _deviations_by_sample(g, cfg, mode, lam, functions):

@@ -9,7 +9,7 @@ they preserve the glue vertex's degree).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,24 +52,6 @@ class Graph:
     root: int | None = None
     leaves: frozenset[int] | None = None
     glue: int | None = None
-    _csr: tuple[np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False, default=None
-    )
-
-    def __post_init__(self):
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for v in range(self.n):
-            indptr[v + 1] = indptr[v] + len(self.adj[v])
-        indices = np.fromiter(
-            (w for nbrs in self.adj for w in nbrs), dtype=np.int64, count=indptr[-1]
-        )
-        indptr.flags.writeable = False
-        indices.flags.writeable = False
-        object.__setattr__(self, "_csr", (indptr, indices))
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) adjacency in CSR form, for numeric kernels."""
-        return self._csr
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list with u < v, sorted; parallel edges appear repeatedly."""
@@ -165,14 +147,13 @@ def gen_random_regular(
     d: int,
     seed: int,
     *,
-    connected: bool = True,
     max_restarts: int = 10_000,
 ) -> Graph:
-    """Random simple d-regular graph via stub pairing.
+    """Random simple connected d-regular graph via stub pairing.
 
     Stubs are paired one at a time; pairs forming a loop or a repeated edge
-    are re-drawn, and the whole pairing restarts when no legal pair remains.
-    Connectivity, when requested, is enforced by restart as well.
+    are re-drawn, and the whole pairing restarts when no legal pair remains
+    or the result is disconnected.
     Deterministic for a fixed (n, d, seed).
     """
     if d >= n:
@@ -214,7 +195,7 @@ def gen_random_regular(
         if stuck:
             continue
         g = build_graph(n, sorted(edges))
-        if connected and not _is_connected(g):
+        if not _is_connected(g):
             continue
         return g
     raise GraphError("retry budget exhausted generating a random regular graph")
@@ -430,21 +411,15 @@ def component_in_square(g: Graph, v: int, s) -> frozenset[int]:
     return frozenset(comp)
 
 
-def count_connected_sets(
-    g: Graph, v: int, a: int, *, square: bool = False, budget: int = 10_000_000
-) -> int:
+def count_connected_sets(g: Graph, v: int, a: int, *, budget: int = 10_000_000) -> int:
     """Exact number of connected vertex sets of size a containing v.
 
-    ``square=True`` counts connectivity in the distance-<=2 graph.  Uses
-    exhaustive growth with an exclusion set, so it is feasible only for
+    Uses exhaustive growth with an exclusion set, so it is feasible only for
     small a; aborts when the search touches more than ``budget`` states.
     """
     if a < 1:
         raise GraphError("set size must be at least 1")
-    if square:
-        nbrs = [square_neighbors(g, u) for u in range(g.n)]
-    else:
-        nbrs = [frozenset(g.adj[u]) for u in range(g.n)]
+    nbrs = [frozenset(g.adj[u]) for u in range(g.n)]
 
     visited = 0
 

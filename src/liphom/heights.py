@@ -47,9 +47,6 @@ class HeightFunction:
             values=tuple(-x for x in self.values), root=self.root, mode=self.mode, M=self.M
         )
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def lipschitz(values, root: int, M: int) -> HeightFunction:
     return HeightFunction(values=tuple(values), root=root, mode="lipschitz", M=M)

@@ -18,7 +18,6 @@ __all__ = [
     "allowed_values",
     "glauber_step",
     "initial_state",
-    "mcmc_sample",
     "mcmc_sample_array",
 ]
 
@@ -123,8 +122,8 @@ def allowed_values(g: Graph, values, v: int, mode: str, M: int | None = None) ->
 
 @dataclass(frozen=True)
 class ChainState:
-    """State of one Glauber chain: current function, step counter and the
-    position of its RNG stream (seed, chain id, words consumed)."""
+    """State of one Glauber chain: current function, steps taken (each step
+    consumes two words of its RNG stream) and the stream's seed and chain id."""
 
     f: HeightFunction
     step: int
@@ -206,34 +205,6 @@ def mcmc_sample_array(
     )
     assert n_rec == n_samples
     return out
-
-
-def mcmc_sample(
-    g: Graph,
-    v0: int,
-    mode: str,
-    *,
-    M: int | None = None,
-    burnin: int = 10_000,
-    thin: int = 10,
-    n_samples: int = 1000,
-    seed: int = 0,
-    chain: int = 0,
-) -> list[HeightFunction]:
-    arr = mcmc_sample_array(
-        g,
-        v0,
-        mode,
-        M=M,
-        burnin=burnin,
-        thin=thin,
-        n_samples=n_samples,
-        seed=seed,
-        chain=chain,
-    )
-    if mode == "hom":
-        return [homomorphism(tuple(row.tolist()), v0) for row in arr]
-    return [lipschitz(tuple(row.tolist()), v0, M) for row in arr]
 
 
 def split_chain_diagnostic(samples: np.ndarray, vertex: int) -> float:

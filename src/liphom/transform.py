@@ -5,10 +5,10 @@ instances."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .expansion import CheckResult
 from .graphs import Graph, GraphError, ball, boundary, component_in_square
 from .heights import HeightFunction, Phase, phase_hom, phase_lipschitz, validate
 from .samplers import enumerate_functions
@@ -61,6 +61,15 @@ class TransformContext:
         for x in self.X:
             out *= self.u[x]
         return out
+
+    @property
+    def ratio_bound(self) -> Fraction:
+        """The corollary's bound for the component A, on both
+        |Omega_{A,S}| / |image of Omega_{A,S}| and P(Omega_A^+)."""
+        if self.mode == "hom":
+            return Fraction(2, 2 ** len(self.X))
+        M, a_size = self.M, len(self.A)
+        return M * (2 * a_size + 1) * (2 * M + 1) ** a_size * Fraction(M, M + 1) ** len(self.X)
 
     def s_signature(self) -> tuple:
         """Hashable identity of the product set S (for partitioning)."""
@@ -159,21 +168,6 @@ def apply_transform(
         shift = h[f.root]
         out.add(tuple(val - shift for val in h))
     return frozenset(out)
-
-
-@dataclass
-class CheckResult:
-    name: str
-    checked: int = 0
-    passed: bool = True
-    witness: object = None
-
-    def tick(self, ok: bool, witness=None) -> None:
-        self.checked += 1
-        if not ok:
-            self.passed = False
-            if self.witness is None:
-                self.witness = witness
 
 
 @dataclass
@@ -323,12 +317,8 @@ def verify_counting(
         a_size = len(ctx0.A)
         if mode == "lipschitz":
             alpha = M * (2 * a_size + 1) * (2 * M + 1) ** a_size * ctx0.s_minus_size
-            cor_bound = Fraction(
-                M * (2 * a_size + 1) * (2 * M + 1) ** a_size
-            ) * Fraction(M, M + 1) ** len(ctx0.X)
         else:
             alpha = 2
-            cor_bound = Fraction(2, 2 ** len(ctx0.X))
         beta = min(ctx.image_size for _, ctx in members)
         worst = max(preimage_count.values())
         checks["preimage_bound"].tick(worst <= alpha, (key, worst, alpha))
@@ -337,23 +327,15 @@ def verify_counting(
             (key, len(members), alpha, beta),
         )
         checks["ratio_bound_AS"].tick(
-            Fraction(len(members), len(union_image)) <= cor_bound,
+            Fraction(len(members), len(union_image)) <= ctx0.ratio_bound,
             (key, len(members), len(union_image)),
         )
 
     # bound on P(Omega_A^+) per A, and image disjointness across S
     for a_set, members in by_a.items():
-        ctx0 = members[0][1]
-        a_size = len(a_set)
-        x_size = len(ctx0.X)
-        if mode == "lipschitz":
-            bound = Fraction(
-                M * (2 * a_size + 1) * (2 * M + 1) ** a_size
-            ) * Fraction(M, M + 1) ** x_size
-        else:
-            bound = Fraction(2, 2**x_size)
         checks["ratio_bound_A"].tick(
-            Fraction(len(members), q_size) <= bound, (sorted(a_set), len(members))
+            Fraction(len(members), q_size) <= members[0][1].ratio_bound,
+            (sorted(a_set), len(members)),
         )
 
     if mode == "lipschitz":

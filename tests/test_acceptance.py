@@ -223,21 +223,21 @@ def test_criterion_09_cli_determinism(tmp_path):
         "targets = all\nt_max = 2\nlambda_source = exhaustive\nseed = 2\n"
     )
     cases = [
-        lambda out, w: ["gen", "--type", "regular", "--n", "16", "--d", "3",
-                        "--seed", "9", "--workers", w, "--out", out],
-        lambda out, w: ["sample", "--sampler", "mcmc", "--graph", gpath,
-                        "--mode", "lipschitz", "--M", "1", "--burnin", "200",
-                        "--thin", "5", "--n-samples", "50", "--seed", "4",
-                        "--workers", w, "--out", out],
-        lambda out, w: ["enumerate", gpath, "--mode", "lipschitz", "--M", "1",
-                        "--workers", w, "--out", out],
-        lambda out, w: ["experiment", str(cfgpath), "--workers", w, "--out", out],
+        lambda out: ["gen", "--type", "regular", "--n", "16", "--d", "3",
+                     "--seed", "9", "--out", out],
+        lambda out: ["sample", "--sampler", "mcmc", "--graph", gpath,
+                     "--mode", "lipschitz", "--M", "1", "--burnin", "200",
+                     "--thin", "5", "--n-samples", "50", "--seed", "4",
+                     "--out", out],
+        lambda out: ["enumerate", gpath, "--mode", "lipschitz", "--M", "1",
+                     "--out", out],
+        lambda out: ["experiment", str(cfgpath), "--out", out],
     ]
     for i, case in enumerate(cases):
         blobs = []
-        for rep_i, workers in ((0, "1"), (1, "1"), (2, "4")):
+        for rep_i in range(3):
             out = str(tmp_path / f"o{i}_{rep_i}")
-            assert main(case(out, workers)) == 0
+            assert main(case(out)) == 0
             with open(out, "rb") as fh:
                 blobs.append(fh.read())
         ok &= blobs[0] == blobs[1] == blobs[2]

@@ -134,3 +134,33 @@ def test_experiment_seed_override(tmp_path, argv, seed):
     col = rows[0].split(",").index("seed")
     assert {r.split(",")[col] for r in rows[1:]} == {seed}
     assert f"seed = {seed}\n" in (tmp_path / "r.csv.config").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (["gen", "--type", "regular", "--d", "3"], "--n"),
+        (["gen", "--type", "bipartite", "--n", "4"], "--d"),
+        (["gen", "--type", "tree", "--d", "3"], "--h"),
+        (["gen", "--type", "glued-tree", "--d", "3", "--h", "2"], "parallel edges"),
+        (["sample", "--sampler", "mcmc"], "--graph"),
+        (["sample", "--sampler", "tree", "--h", "2"], "--d"),
+        (["enumerate", "{missing}", "--mode", "lipschitz"], "No such file"),
+        (["enumerate", "{k4}", "--mode", "lipschitz", "--cap", "3"], "cap 3"),
+        (["experiment", "{bad_cfg}"], "sampler = 'exakt'"),
+        (["certify", "{k4}", "--workers", "2"], "--workers"),
+        (["certify", "{k4}", "--format", "jsonl"], "--format"),
+    ],
+)
+def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text("kind = deviation\ngraph_type = complete_bipartite\nsampler = exakt\n")
+    paths = {"{k4}": k4_file, "{missing}": str(tmp_path / "missing.txt"), "{bad_cfg}": str(bad_cfg)}
+    try:
+        rc = main([paths.get(a, a) for a in argv])
+    except SystemExit as exc:  # argparse rejects at entry
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert expect in err
+    assert "Traceback" not in err

@@ -36,13 +36,26 @@ def test_parse_config_errors():
 
 
 @pytest.mark.parametrize(
-    "key, value", [("sampler", "exakt"), ("lambda_source", "exhaustiv"), ("mode", "homm")]
+    "key, value",
+    [
+        ("sampler", "exakt"),
+        ("lambda_source", "exhaustiv"),
+        ("mode", "homm"),
+        ("kind", "deviaton"),
+        ("graph_type", "regullar"),
+    ],
 )
 def test_config_rejects_unknown_choice(key, value):
+    kwargs = {"kind": "deviation", key: value}
     with pytest.raises(ValueError, match=f"{key} = '{value}'"):
-        ExperimentConfig(kind="deviation", **{key: value})
+        ExperimentConfig(**kwargs)
     with pytest.raises(ValueError, match=f"{key} = '{value}'"):
-        parse_config(f"kind = deviation\n{key} = {value}\n")
+        parse_config("".join(f"{k} = {v}\n" for k, v in kwargs.items()))
+
+
+def test_parse_config_rejects_unknown_key():
+    with pytest.raises(ValueError, match="'n_sample'"):
+        parse_config("kind = deviation\nn_sample = 5\n")
 
 
 def test_config_hash_stable():

@@ -8,8 +8,8 @@ from liphom import (
     enumerate_functions,
     gen_tree,
     glauber_step,
+    homomorphism,
     initial_state,
-    mcmc_sample,
     mcmc_sample_array,
     validate,
 )
@@ -144,8 +144,8 @@ def test_mcmc_determinism():
 
 def test_mcmc_samples_are_valid():
     g = q3()
-    for f in mcmc_sample(g, 0, "hom", burnin=200, thin=5, n_samples=30, seed=1):
-        assert validate(g, f) == []
+    for row in mcmc_sample_array(g, 0, "hom", burnin=200, thin=5, n_samples=30, seed=1):
+        assert validate(g, homomorphism(row.tolist(), 0)) == []
 
 
 def test_mcmc_tv_small_instance():

@@ -13,6 +13,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import expansion, transform
 from .experiments import emit_report, parse_config, result_to_text, run_experiment
 from .graphs import (
@@ -43,6 +45,12 @@ def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None)
 
 
+_CAP_HELP = (
+    "stop when a level of the enumeration (the valid assignments of the first "
+    "k vertices in BFS order) would exceed this many rows"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="liphom",
@@ -69,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--mode", required=True, choices=("lipschitz", "hom"))
     e.add_argument("--M", type=int, default=1)
     e.add_argument("--v0", type=int, default=0)
-    e.add_argument("--cap", type=int, default=10_000_000)
+    e.add_argument("--cap", type=int, default=10_000_000, help=_CAP_HELP)
     _common(e)
 
     s = sp.add_parser("sample", help="draw samples (Glauber MCMC or exact tree)")
@@ -110,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lam-source", choices=("spectral", "exhaustive"), default="exhaustive"
     )
     vt.add_argument("--k-strategy", choices=("phase", "zero"), default="phase")
-    vt.add_argument("--cap", type=int, default=10_000_000)
+    vt.add_argument("--cap", type=int, default=10_000_000, help=_CAP_HELP)
     _common(vt)
 
     ex = sp.add_parser("experiment", help="run a config-driven experiment")
@@ -168,8 +176,8 @@ def _cmd_enumerate(args) -> int:
     lines = [
         f"# enumerate mode={args.mode} M={M} v0={args.v0} seed={args.seed} count={res.count}"
     ]
-    for f in sorted(res.functions, key=lambda f: f.values):
-        lines.append(" ".join(str(x) for x in f.values))
+    rows = res.rows[np.lexsort(res.rows.T[::-1])]  # rows in increasing tuple order
+    lines += [" ".join(map(str, row)) for row in rows.tolist()]
     _write_out(args, "\n".join(lines) + "\n")
     return 0
 

@@ -27,7 +27,7 @@ from .graphs import (
     tree_ball_size,
     tree_level_offsets,
 )
-from .heights import HeightFunction, phase_hom, phase_lipschitz
+from .heights import phases_hom, phases_lipschitz
 from .samplers import enumerate_functions, mcmc_sample_array
 from .treedp import tree_dp
 
@@ -65,6 +65,14 @@ _CHOICES = {
     "lambda_source": ("spectral", "exhaustive", "explicit"),
 }
 
+# fields that a graph_type, or kind = tree (which builds no graph), needs
+_NEEDS = {
+    "regular": ("n", "d"),
+    "bipartite": ("n", "d"),
+    "complete_bipartite": ("m",),
+    "tree": ("d", "h"),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -95,6 +103,11 @@ class ExperimentConfig:
             val = getattr(self, key)
             if val not in allowed:
                 raise ValueError(f"config {key} = {val!r}: expected one of {', '.join(allowed)}")
+        tree = self.kind == "tree"
+        for key in _NEEDS.get("tree" if tree else self.graph_type, ()):
+            if getattr(self, key) is None:
+                what = "kind = tree" if tree else f"graph_type = {self.graph_type}"
+                raise ValueError(f"config {what} needs {key}")
 
     def canonical_text(self) -> str:
         lines = []
@@ -207,16 +220,32 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return _run_hom_exact(cfg)
 
 
-def _deviations_by_sample(g, cfg, mode, lam, functions):
-    """Deviation of f(v) from phase(f) for every sample and target vertex."""
-    targets = _target_vertices(g.n, cfg)
-    devs = {v: [] for v in targets}
-    phase = phase_lipschitz if mode == "lipschitz" else phase_hom
-    for f in functions:
-        ph = phase(g, f, lam)
-        for v in targets:
-            devs[v].append(ph.dist(f.values[v]))
-    return devs
+# rows of a sample array taken at a time: a block of (rows, n) holds about
+# this many values, so no temporary of the deviation pass approaches the
+# size of the sample array (32 rows at n = 4096)
+BLOCK_VALUES = 1 << 17
+
+
+def _deviation_counts(g, cfg, lam, rows, targets, top) -> np.ndarray:
+    """counts[j, c] = |{samples : deviation of f(targets[j]) from phase(f) is
+    c}| for c < top, and counts[j, top] those with deviation >= top."""
+    counts = np.zeros((len(targets), top + 1), dtype=np.int64)
+    # column j of a block's clipped deviations lands in bins j*(top+1)...
+    shift = (top + 1) * np.arange(len(targets))
+    step = max(1, BLOCK_VALUES // g.n)
+    for start in range(0, rows.shape[0], step):
+        block = rows[start : start + step]
+        if cfg.mode == "lipschitz":
+            lo, hi = phases_lipschitz(g, block, lam, cfg.M)
+        else:
+            lo, _ = phases_hom(g, block, lam, cfg.v0)
+            hi = lo
+        vals = block[:, targets]
+        dev = np.maximum(np.maximum(lo[:, None] - vals, vals - hi[:, None]), 0)
+        counts += np.bincount(
+            (np.minimum(dev, top) + shift).ravel(), minlength=counts.size
+        ).reshape(counts.shape)
+    return counts
 
 
 def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
@@ -233,12 +262,10 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
     chash = cfg.hash()
 
     if cfg.sampler == "exact":
-        fam = enumerate_functions(g, cfg.v0, mode, M=M, cap=cfg.cap)
-        functions = fam.functions
-        n_s = fam.count
+        rows = enumerate_functions(g, cfg.v0, mode, M=M, cap=cfg.cap).rows
         exact = True
     else:
-        arr = mcmc_sample_array(
+        rows = mcmc_sample_array(
             g,
             cfg.v0,
             mode,
@@ -248,23 +275,18 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
             n_samples=cfg.n_samples,
             seed=cfg.seed,
         )
-        # one row at a time: a whole-array tolist() holds every sample as
-        # Python ints at once
-        functions = (
-            HeightFunction(values=tuple(row.tolist()), root=cfg.v0, mode=mode, M=M)
-            for row in arr
-        )
-        n_s = arr.shape[0]
         exact = False
+    n_s = rows.shape[0]
 
-    devs = _deviations_by_sample(g, cfg, mode, lam, functions)
+    targets = sorted(set(_target_vertices(g.n, cfg)))
     trange = _t_range(g, cfg, lam, d, n_norm)
-    for v in sorted(devs):
-        dv = devs[v]
+    cuts = [(t - 1) * cfg.M if mode == "lipschitz" else t for t in trange]
+    # deviations above every cut share the last bin
+    counts = _deviation_counts(g, cfg, lam, rows, targets, max([0] + [c + 1 for c in cuts]))
+    for j, v in enumerate(targets):
         prev = None
-        for t in trange:
-            cut = (t - 1) * cfg.M if mode == "lipschitz" else t
-            hits = sum(1 for x in dv if x > cut)
+        for t, cut in zip(trange, cuts):
+            hits = int(counts[j, max(cut + 1, 0) :].sum())
             est = hits / n_s
             if prev is not None and est > prev + 1e-15:
                 raise AssertionError("deviation tail increased in t")

@@ -449,18 +449,18 @@ def count_connected_sets(g: Graph, v: int, a: int, *, budget: int = 10_000_000) 
 
 
 # ----------------------------------------------------------------------------
-# Text format: "n m" header, optional "bipartite n0" line, then "u v" lines.
+# Text format: "n m" header, optional "bipartite n0 [v ...]" line, then
+# "u v" lines.  The bipartite line lists the n0 vertices of V0 unless V0 is
+# {0..n0-1}.
 # ----------------------------------------------------------------------------
 
 
 def graph_to_text(g: Graph) -> str:
     lines = [f"{g.n} {g.n_edges}"]
     if g.bipartition is not None:
-        v0 = g.bipartition[0]
-        # the header can only describe a contiguous V0; otherwise omit it
-        # (readers can recover a bipartition by 2-coloring)
-        if v0 == frozenset(range(len(v0))):
-            lines.append(f"bipartite {len(v0)}")
+        v0 = sorted(g.bipartition[0])
+        listed = "" if v0 == list(range(len(v0))) else "".join(f" {v}" for v in v0)
+        lines.append(f"bipartite {len(v0)}{listed}")
     for u, v in g.edges():
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
@@ -487,9 +487,14 @@ def graph_from_text(text: str) -> Graph:
         raise GraphError(f"bad header line: {lines[0]!r}")
     n, m = int(header[0]), int(header[1])
     idx = 1
-    n0 = None
+    part0 = None
     if idx < len(lines) and lines[idx].startswith("bipartite"):
-        n0 = int(lines[idx].split()[1])
+        fields = [int(x) for x in lines[idx].split()[1:]]
+        if not fields or len(fields) not in (1, 1 + fields[0]):
+            raise GraphError(f"bad bipartite line: {lines[idx]!r}")
+        part0 = set(fields[1:]) if len(fields) > 1 else set(range(fields[0]))
+        if len(part0) != fields[0] or not all(0 <= v < n for v in part0):
+            raise GraphError(f"bad bipartite line: {lines[idx]!r}")
         idx += 1
     edges = []
     for ln in lines[idx:]:
@@ -502,6 +507,6 @@ def graph_from_text(text: str) -> Graph:
         edges.append((u, v))
     if len(edges) != m:
         raise GraphError(f"header declares {m} edges, file has {len(edges)}")
-    if n0 is not None:
-        return build_graph(n, edges, bipartition=(range(n0), range(n0, n)))
+    if part0 is not None:
+        return build_graph(n, edges, bipartition=(part0, set(range(n)) - part0))
     return build_graph(n, edges)

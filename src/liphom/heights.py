@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import Graph, GraphError
 
 __all__ = [
@@ -15,6 +17,8 @@ __all__ = [
     "validate",
     "phase_lipschitz",
     "phase_hom",
+    "phases_lipschitz",
+    "phases_hom",
     "hom_far_count",
     "deviation",
 ]
@@ -192,6 +196,112 @@ def phase_hom(g: Graph, f: HeightFunction, lam: float) -> Phase:
         "no (class, level) satisfies the count bound; lambda is not a valid "
         "expansion parameter for this graph"
     )
+
+
+def _signs(rows: np.ndarray) -> np.ndarray:
+    """Sign of each row's first nonzero value (0 for the zero row): a row is
+    the larger of {f, -f} iff its sign is positive."""
+    return np.sign(rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)])
+
+
+def _histograms(rows: np.ndarray, column_sets) -> tuple[int, list[np.ndarray]]:
+    """(A, counts): counts[i][r, A + x] = |{v in column_sets[i] : rows[r, v]
+    = x}| for -A <= x <= A, where A is the largest |value|; a column set of
+    None means every column.  Each value costs one ``rows == x`` comparison."""
+    low, high = int(rows.min(initial=0)), int(rows.max(initial=0))
+    width = 2 * max(-low, high) + 1
+    counts = [np.zeros((rows.shape[0], width), dtype=np.int64) for _ in column_sets]
+    for x in range(low, high + 1):
+        same = rows == x
+        for hist, cols in zip(counts, column_sets):
+            hist[:, width // 2 + x] = (same if cols is None else same[:, cols]).sum(axis=1)
+    return width // 2, counts
+
+
+def _canonical(hist: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Value counts of each row's larger sign: reversed where sign < 0."""
+    return np.where((sign < 0)[:, None], hist[:, ::-1], hist)
+
+
+def phases_lipschitz(g: Graph, rows, lam: float, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """``phase_lipschitz`` of every row of a (count, n) integer array, as
+    (lo, hi) int64 arrays.
+
+    Each row's value counts are taken in its canonical sign, and the number
+    of values in {x-M..x} is a difference of their cumulative sums.  A row's
+    base is the smallest x from its minimum to its maximum whose window meets
+    the bound, minus M; the other sign gets the negated interval.  Raises
+    PhaseError if some nonzero row has no such x.
+    """
+    d = g.degree
+    if d is None:
+        raise GraphError("phase requires a regular graph")
+    rows = np.asarray(rows)
+    n = rows.shape[1]
+    budget = 2 * lam * g.n / d
+    sign = _signs(rows)
+    A, (hist,) = _histograms(rows, [None])
+    hist = _canonical(hist, sign)
+    cum = np.cumsum(hist, axis=1)
+    inside = cum.copy()  # inside[:, j] = |{v : f(v) in {x_j - M..x_j}}|, x_j = j - A
+    inside[:, M + 1 :] -= cum[:, : max(cum.shape[1] - M - 1, 0)]
+    j = np.arange(hist.shape[1])
+    present = hist > 0
+    first, last = present.argmax(axis=1), j[-1] - present[:, ::-1].argmax(axis=1)
+    ok = (n - inside <= budget) & (first[:, None] <= j) & (j <= last[:, None])
+    if not np.all(ok.any(axis=1) | (sign == 0)):
+        raise PhaseError(
+            "no interval satisfies the count bound; lambda is not a valid "
+            "expansion parameter for this graph"
+        )
+    base = np.where(sign == 0, 0, ok.argmax(axis=1) - A - M)  # the zero function's phase is {0}
+    top = np.where(sign == 0, 0, base + M)
+    return np.where(sign < 0, -top, base), np.where(sign < 0, -base, top)
+
+
+def phases_hom(g: Graph, rows, lam: float, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """``phase_hom`` of every row of a (count, n) integer array of
+    homomorphisms pinned at ``root``, as (level, class_index) int64 arrays.
+
+    From each row's value counts per color class, in its canonical sign,
+    class i (0 = the root's) qualifies at the smallest value k it takes with
+    |{v in V_i : f(v) != k}| <= 2*lambda*n/d.  Raises PhaseError if some row
+    has no qualifying class or, when lambda < d/3, violates the refinement
+    bound.
+    """
+    d = g.degree
+    if d is None or g.bipartition is None:
+        raise GraphError("phase requires a regular bipartite graph")
+    rows = np.asarray(rows)
+    n = g.n // 2
+    budget = 2 * lam * n / d
+    root_side = 0 if root in g.bipartition[0] else 1
+    classes = (g.bipartition[root_side], g.bipartition[1 - root_side])
+    sign = _signs(rows)
+    A, (total, *by_class) = _histograms(rows, [None, *map(sorted, classes)])
+    level = np.zeros(rows.shape[0], dtype=np.int64)
+    class_index = np.full(rows.shape[0], -1, dtype=np.int64)
+    for i, hist in enumerate(by_class):
+        hist = _canonical(hist, sign)
+        ok = (hist > 0) & (len(classes[i]) - hist <= budget)
+        hit = (class_index < 0) & ok.any(axis=1)
+        level[hit] = ok.argmax(axis=1)[hit] - A
+        class_index[hit] = i
+    if (class_index < 0).any():
+        raise PhaseError(
+            "no (class, level) satisfies the count bound; lambda is not a valid "
+            "expansion parameter for this graph"
+        )
+    level = np.where(sign < 0, -level, level)
+    if lam < d / 3:
+        # |{v : |f(v) - level| >= 2}| from the counts of level-1..level+1
+        padded = np.pad(total, ((0, 0), (1, 1)))
+        near = np.arange(rows.shape[0])[:, None], A + 1 + level[:, None] + np.arange(-1, 2)
+        far = rows.shape[1] - padded[near].sum(axis=1)
+        bad = np.flatnonzero(far > 3 * lam * n / d)
+        if bad.size:
+            raise PhaseError(f"refinement bound violated: {far[bad[0]]} > 3*lambda*n/d")
+    return level, class_index
 
 
 def hom_far_count(f: HeightFunction, phase: Phase) -> int:

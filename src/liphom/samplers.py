@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +27,27 @@ class CapExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnumerationResult:
-    functions: tuple[HeightFunction, ...]
-    count: int
+    """A family as one (count, n) integer array, one function per row, in
+    depth-first order (lexicographic in the values at BFS positions)."""
+
+    rows: np.ndarray
+    root: int
+    mode: str
+    M: int | None = None
+
+    @property
+    def count(self) -> int:
+        return self.rows.shape[0]
+
+    @cached_property
+    def functions(self) -> tuple[HeightFunction, ...]:
+        """The rows as HeightFunctions, built on first use."""
+        return tuple(
+            HeightFunction(values=tuple(row), root=self.root, mode=self.mode, M=self.M)
+            for row in self.rows.tolist()
+        )
 
 
 def _bfs_order(g: Graph, v0: int) -> list[int]:
@@ -39,15 +57,28 @@ def _bfs_order(g: Graph, v0: int) -> list[int]:
     return sorted(range(g.n), key=lambda v: (dist[v], v)), dist
 
 
+def _value_dtype(bound: int) -> np.dtype:
+    """The smallest signed integer type holding values in [-bound, bound]."""
+    for dt in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    return np.dtype(np.int64)
+
+
 def enumerate_functions(
     g: Graph, v0: int, mode: str, M: int | None = None, cap: int = 10_000_000
 ) -> EnumerationResult:
-    """All height functions in the family, by depth-first assignment in BFS
-    vertex order with constraint propagation.
+    """All height functions in the family, level by level in BFS vertex order.
 
-    A vertex value is confined to the intersection of the windows of its
-    already-assigned neighbors and to |value| <= M * dist(v0, vertex)
-    (slope 1 with parity for hom mode).  Raises CapExceeded beyond ``cap``.
+    Level k holds every assignment of the first k vertices that satisfies the
+    edges among them.  The next vertex's value is confined to the intersection
+    of the windows of its already-assigned neighbors and to
+    |value| <= M * dist(v0, vertex) (slope 1 with parity for hom mode); each
+    row is repeated once per allowed value, in increasing value order, so the
+    rows come out in depth-first order.  Raises CapExceeded as soon as a level
+    would hold more than ``cap`` rows: the last level is the family, so every
+    family larger than ``cap`` raises, and so can a smaller family whose
+    partial assignments outnumber ``cap`` at some level.
     """
     if mode == "hom" and g.bipartition is None:
         raise GraphError("hom enumeration requires a bipartite graph")
@@ -57,49 +88,32 @@ def enumerate_functions(
         raise ValueError("cap must be positive")
     order, dist = _bfs_order(g, v0)
     slope = M if mode == "lipschitz" else 1
-    values = [0] * g.n
-    assigned = [False] * g.n
-    out: list[tuple[int, ...]] = []
-
-    def assign(pos: int) -> None:
-        if pos == len(order):
-            out.append(tuple(values))
-            if len(out) > cap:
-                raise CapExceeded(f"enumeration exceeded cap {cap}")
-            return
+    step = 2 if mode == "hom" else 1
+    position = [0] * g.n
+    for pos, v in enumerate(order):
+        position[v] = pos
+    rows = np.zeros((1, g.n), dtype=_value_dtype(slope * max(dist)))  # v0 is pinned to 0
+    for pos in range(1, g.n):
         v = order[pos]
         radius = slope * dist[v]
-        lo, hi = -radius, radius
-        for w in g.adj[v]:
-            if assigned[w]:
-                lo = max(lo, values[w] - slope)
-                hi = min(hi, values[w] + slope)
-        assigned[v] = True
-        for x in range(lo, hi + 1):
-            if mode == "hom":
-                if (x - dist[v]) % 2 != 0:
-                    continue
-                ok = all(
-                    not assigned[w] or abs(values[w] - x) == 1 for w in g.adj[v]
-                )
-                if not ok:
-                    continue
-            values[v] = x
-            assign(pos + 1)
-        assigned[v] = False
-
-    # root is pinned
-    assigned[v0] = True
-    values[v0] = 0
-    first = order.index(v0)
-    assert first == 0
-    assign(1)
-
-    make = (
-        (lambda t: lipschitz(t, v0, M)) if mode == "lipschitz" else (lambda t: homomorphism(t, v0))
-    )
-    funcs = tuple(make(t) for t in out)
-    return EnumerationResult(functions=funcs, count=len(funcs))
+        # in BFS order every vertex but v0 has an earlier neighbor
+        prev = [w for w in g.adj[v] if position[w] < pos]
+        near = rows[:, prev]
+        lo = np.maximum(near.max(axis=1).astype(np.int64) - slope, -radius)
+        hi = np.minimum(near.min(axis=1).astype(np.int64) + slope, radius)
+        if mode == "hom":
+            # values of parity dist(v); an earlier neighbor w has the other
+            # parity, so x in [w-1, w+1] of that parity is w +- 1
+            lo += (lo - dist[v]) % 2
+        counts = np.maximum((hi - lo) // step + 1, 0)
+        total = int(counts.sum())
+        if total > cap:
+            raise CapExceeded(f"enumeration exceeded cap {cap}")
+        # offset of each new row within its parent's run of values
+        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.repeat(rows, counts, axis=0)
+        rows[:, v] = np.repeat(lo, counts) + step * offsets
+    return EnumerationResult(rows=rows, root=v0, mode=mode, M=M if mode == "lipschitz" else None)
 
 
 def allowed_values(g: Graph, values, v: int, mode: str, M: int | None = None) -> list[int]:

@@ -8,9 +8,11 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .expansion import CheckResult
 from .graphs import Graph, GraphError, ball, boundary, component_in_square
-from .heights import HeightFunction, Phase, phase_hom, phase_lipschitz, validate
+from .heights import HeightFunction, phases_hom, phases_lipschitz, validate
 from .samplers import enumerate_functions
 
 __all__ = [
@@ -202,18 +204,6 @@ class VerifyReport:
         }
 
 
-def _threshold_level(
-    g: Graph, f: HeightFunction, k_strategy: str, lam: float | None
-) -> int:
-    if k_strategy == "zero":
-        return 0
-    if k_strategy != "phase":
-        raise ValueError(f"unknown k strategy {k_strategy!r}")
-    if f.mode == "lipschitz":
-        return phase_lipschitz(g, f, lam).lo
-    return phase_hom(g, f, lam).lo
-
-
 def verify_counting(
     g: Graph,
     v0: int,
@@ -236,10 +226,20 @@ def verify_counting(
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    res = enumerate_functions(g, v0, mode, M=M, cap=cap)
-    family = res.functions
-    codomain = {f.values for f in family}
+    fam = enumerate_functions(g, v0, mode, M=M, cap=cap)
+    rows = fam.rows
+    if k_strategy == "zero":
+        k_all = np.zeros(rows.shape[0], dtype=np.int64)
+    elif k_strategy == "phase":
+        if mode == "lipschitz":
+            k_all = phases_lipschitz(g, rows, lam, M)[0]
+        else:
+            k_all = phases_hom(g, rows, lam, v0)[0]
+    else:
+        raise ValueError(f"unknown k strategy {k_strategy!r}")
     slope = M if mode == "lipschitz" else 1
+    high = np.flatnonzero(rows[:, v] > k_all + t * slope)
+    codomain = set(map(tuple, rows.tolist()))
 
     names = [
         "context_claims",
@@ -261,10 +261,8 @@ def verify_counting(
 
     # the high-deviation event and its partition by (A, S)
     omega: list[tuple[HeightFunction, TransformContext]] = []
-    for f in family:
-        k = _threshold_level(g, f, k_strategy, lam)
-        if f.values[v] <= k + t * slope:
-            continue
+    for i, k in zip(high.tolist(), k_all[high].tolist()):
+        f = HeightFunction(values=tuple(rows[i].tolist()), root=v0, mode=mode, M=fam.M)
         try:
             ctx = build_context(g, f, v, k)
         except ContextError as exc:
@@ -291,7 +289,7 @@ def verify_counting(
         by_a.setdefault(ctx.A, []).append((f, ctx))
 
     images_by_group: dict[tuple, set] = {}
-    q_size = len(family)
+    q_size = rows.shape[0]
 
     for key, members in groups.items():
         union_image: set = set()

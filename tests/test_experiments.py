@@ -5,7 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from liphom import ExperimentConfig, GraphError, emit_report, parse_config, run_experiment, tree_dp
+from liphom import (
+    ExperimentConfig,
+    GraphError,
+    emit_report,
+    enumerate_functions,
+    experiments,
+    homomorphism,
+    lipschitz,
+    mcmc_sample_array,
+    parse_config,
+    phase_hom,
+    phase_lipschitz,
+    run_experiment,
+    tree_dp,
+)
 from liphom.cli import main
 from liphom.graphs import tree_level_offsets
 from liphom.experiments import HYPOTHESES_NOT_MET, result_to_text
@@ -194,3 +208,92 @@ def test_report_column_order():
     text = result_to_text(run_experiment(hom_cfg()), "csv")
     header = text.splitlines()[0]
     assert header.startswith("vertex,t,estimate,exact,bound,ball_size,n_samples,seed,config_hash")
+
+
+def loop_tails(g, rows, lam, cfg):
+    """hits[(v, t)] by a plain loop: one scalar phase per sample, then each
+    target's deviation compared with each t's cut."""
+    devs = []
+    for row in rows:
+        if cfg.mode == "lipschitz":
+            ph = phase_lipschitz(g, lipschitz(row, cfg.v0, cfg.M), lam)
+        else:
+            ph = phase_hom(g, homomorphism(row, cfg.v0), lam)
+        devs.append([ph.dist(x) for x in row])
+    hits = {}
+    for v in range(g.n):
+        for t in range(cfg.t_min, cfg.t_max + 1):
+            cut = (t - 1) * cfg.M if cfg.mode == "lipschitz" else t
+            hits[v, t] = sum(1 for dv in devs if dv[v] > cut)
+    return hits
+
+
+DEVIATION_CASES = [
+    dict(sampler="exact", graph_type="regular", n=10, d=3, targets="all", lambda_source="exhaustive"),
+    dict(sampler="exact", graph_type="regular", n=8, d=3, M=2, targets="0,3,7", lambda_source="exhaustive"),
+    dict(sampler="exact", graph_type="bipartite", n=5, d=3, mode="hom", targets="all", lambda_source="exhaustive"),
+    dict(sampler="mcmc", graph_type="regular", n=16, d=3, targets="2,1,2,9", n_samples=300),
+    dict(sampler="mcmc", graph_type="bipartite", n=8, d=3, mode="hom", targets="all", n_samples=300),
+]
+
+
+@pytest.mark.parametrize("block_values", [None, 40])
+@pytest.mark.parametrize("case", DEVIATION_CASES)
+def test_deviation_tails_match_per_sample_loop(case, block_values, monkeypatch):
+    if block_values is not None:  # several blocks per run
+        monkeypatch.setattr(experiments, "BLOCK_VALUES", block_values)
+    cfg = ExperimentConfig(
+        kind="deviation", t_min=0, t_max=4, burnin=200, thin=3, seed=4, **case
+    )
+    res = run_experiment(cfg)
+    g = experiments._build_graph_from_config(cfg)
+    M = cfg.M if cfg.mode == "lipschitz" else None
+    if cfg.sampler == "exact":
+        rows = enumerate_functions(g, cfg.v0, cfg.mode, M=M).rows
+    else:
+        rows = mcmc_sample_array(
+            g, cfg.v0, cfg.mode, M=M, burnin=cfg.burnin, thin=cfg.thin,
+            n_samples=cfg.n_samples, seed=cfg.seed,
+        )
+    hits = loop_tails(g, rows.tolist(), res.summary["lambda"], cfg)
+    targets = sorted(set(experiments._target_vertices(g.n, cfg)))
+    assert [(r["vertex"], r["t"]) for r in res.rows] == [
+        (v, t) for v in targets for t in range(cfg.t_min, cfg.t_max + 1)
+    ]
+    n_s = len(rows)
+    for r in res.rows:
+        want = hits[r["vertex"], r["t"]]
+        assert r["n_samples"] == n_s
+        assert r["estimate"] == want / n_s and type(r["estimate"]) is float
+        if cfg.sampler == "exact":
+            q = Fraction(want, n_s)
+            assert r["exact"] == f"{q.numerator}/{q.denominator}"
+        else:
+            assert r["exact"] is None
+    assert any(0 < h < n_s for h in hits.values())  # a tail strictly inside (0, 1)
+
+
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"graph_type": "regular", "d": 3}, "n"),
+        ({"graph_type": "regular", "n": 8}, "d"),
+        ({"graph_type": "bipartite", "d": 3}, "n"),
+        ({"graph_type": "bipartite", "n": 8}, "d"),
+        ({"graph_type": "tree", "h": 2}, "d"),
+        ({"graph_type": "tree", "d": 3}, "h"),
+        ({"kind": "tree", "h": 2}, "d"),
+        ({"kind": "tree", "d": 3}, "h"),
+        ({"graph_type": "complete_bipartite"}, "m"),
+    ],
+)
+def test_config_rejects_missing_graph_field(fields, key, tmp_path, capsys):
+    kwargs = {"kind": "deviation", **fields}
+    with pytest.raises(ValueError, match=f"needs {key}$"):
+        ExperimentConfig(**kwargs)
+    path = tmp_path / "e.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in kwargs.items()))
+    assert main(["experiment", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith(f"needs {key}\n")
+    assert not (tmp_path / "r.csv").exists()

@@ -169,11 +169,43 @@ def test_text_roundtrip():
         assert h.adj == g.adj
 
 
+@st.composite
+def text_graphs(draw):
+    """A graph with no bipartition, or with a random (often non-contiguous)
+    one and random edges across it."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return build_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    part0 = draw(st.sets(st.integers(0, n - 1)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u in part0) != (v in part0)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph(n, edges, bipartition=(part0, set(range(n)) - part0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_graphs())
+def test_text_roundtrip_property(g):
+    text = graph_to_text(g)
+    assert graph_from_text(text) == g
+    assert graph_to_text(graph_from_text(text)) == text
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["bipartite", "bipartite 2 0", "bipartite 2 0 0", "bipartite 2 0 9", "bipartite 5", "bipartite x"],
+)
+def test_text_rejects_bad_bipartite_line(line):
+    with pytest.raises(ValueError):
+        graph_from_text(f"4 1\n{line}\n0 1\n")
+
+
 def test_text_bipartite_header():
     g = c4()
     text = graph_to_text(g)
-    # V0 = {0,2} is not contiguous, so no bipartite header is written
-    assert "bipartite" not in text
+    # V0 = {0,2} is not contiguous, so the header lists it
+    assert text.splitlines()[1] == "bipartite 2 0 2"
+    assert graph_from_text(text).bipartition == g.bipartition
     from .conftest import k33
 
-    assert "bipartite 3" in graph_to_text(k33())
+    assert graph_to_text(k33()).splitlines()[1] == "bipartite 3"

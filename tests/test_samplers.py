@@ -14,9 +14,10 @@ from liphom import (
     validate,
 )
 from liphom import _kernels
+from liphom.graphs import distances_from
 from liphom.samplers import _draw_words, allowed_values, split_chain_diagnostic
 
-from .conftest import brute_force_count, brute_force_functions, c4, k4, q3
+from .conftest import brute_force_count, brute_force_functions, c4, c6, k33, k4, q3
 
 
 def test_enumeration_matches_brute_force_k4():
@@ -46,6 +47,54 @@ def test_enumeration_all_valid():
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         enumerate_functions(k4(), 0, "lipschitz", M=1, cap=10)
+
+
+def k3():
+    return build_graph(3, [(0, 1), (0, 2), (1, 2)])
+
+
+# (graph, root, mode, M, brute-force radius, dtype of the rows)
+ENUMERATION_CASES = [
+    (k4(), 0, "lipschitz", 1, 1, np.int8),
+    (k4(), 2, "lipschitz", 2, 2, np.int8),
+    (c6(), 0, "lipschitz", 1, 3, np.int8),
+    (c6(), 3, "lipschitz", 2, 6, np.int8),
+    (k33(), 0, "lipschitz", 2, 4, np.int8),
+    (c4(), 0, "hom", None, 2, np.int8),
+    (c6(), 1, "hom", None, 3, np.int8),
+    (k33(), 4, "hom", None, 2, np.int8),
+    (q3(), 0, "hom", None, 3, np.int8),
+    # dtype edges: slope * max(dist) = 127 still fits int8, 128 does not;
+    # a window [-M, M] spans 2M > 127 values
+    (k3(), 0, "lipschitz", 127, 127, np.int8),
+    (k3(), 1, "lipschitz", 128, 128, np.int16),
+]
+
+
+@pytest.mark.parametrize("g, v0, mode, M, radius, dtype", ENUMERATION_CASES)
+def test_enumeration_rows_match_brute_force_in_dfs_order(g, v0, mode, M, radius, dtype):
+    res = enumerate_functions(g, v0, mode, M=M)
+    assert res.rows.dtype == dtype and res.rows.shape == (res.count, g.n)
+    rows = [tuple(r) for r in res.rows.tolist()]
+    assert set(rows) == brute_force_functions(g, {v0: 0}, mode, M, radius)
+    assert len(set(rows)) == len(rows)
+    # depth-first order: increasing in the values at BFS positions
+    dist = distances_from(g, v0)
+    order = sorted(range(g.n), key=lambda v: (dist[v], v))
+    keys = [tuple(r[v] for v in order) for r in rows]
+    assert keys == sorted(keys)
+    assert [f.values for f in res.functions] == rows
+    assert all(f.root == v0 and f.mode == mode and f.M == M for f in res.functions)
+
+
+@pytest.mark.parametrize("g, v0, mode, M, radius, dtype", ENUMERATION_CASES[:9])
+def test_enumeration_cap_fires_on_every_larger_family(g, v0, mode, M, radius, dtype):
+    count = enumerate_functions(g, v0, mode, M=M).count
+    for cap in sorted({1, count // 2, count - 1} - {0}):
+        with pytest.raises(CapExceeded):
+            enumerate_functions(g, v0, mode, M=M, cap=cap)
+    # no partial level of these families outnumbers the family itself
+    assert enumerate_functions(g, v0, mode, M=M, cap=count).count == count
 
 
 def test_allowed_values():

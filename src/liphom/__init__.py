@@ -35,11 +35,8 @@ from .heights import (
 )
 from .samplers import (
     CapExceeded,
-    ChainState,
     EnumerationResult,
     enumerate_functions,
-    glauber_step,
-    initial_state,
     mcmc_sample_array,
 )
 from .transform import (
@@ -88,11 +85,8 @@ __all__ = [
     "phase_lipschitz",
     "validate",
     "CapExceeded",
-    "ChainState",
     "EnumerationResult",
     "enumerate_functions",
-    "glauber_step",
-    "initial_state",
     "mcmc_sample_array",
     "ContextError",
     "TransformContext",

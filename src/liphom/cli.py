@@ -19,13 +19,14 @@ from . import expansion, transform
 from .experiments import emit_report, parse_config, result_to_text, run_experiment
 from .graphs import (
     GraphError,
+    check_vertex,
     gen_random_bipartite_regular,
     gen_random_regular,
     gen_tree,
     graph_to_text,
     read_graph,
 )
-from .heights import homomorphism, lipschitz, phase_hom, phase_lipschitz
+from .heights import homomorphism, lipschitz, phase_hom, phase_lipschitz, validate
 from .samplers import CapExceeded, enumerate_functions, mcmc_sample_array
 from .treedp import tree_dp, tree_sample
 
@@ -229,13 +230,18 @@ def _read_function(path: str) -> list[int]:
 def _cmd_phase(args) -> int:
     g = read_graph(args.graph)
     vals = _read_function(args.function)
+    f = lipschitz(vals, args.v0, args.M) if args.mode == "lipschitz" else homomorphism(vals, args.v0)
+    problems = validate(g, f)
+    if problems:
+        raise ValueError(f"{args.function}: {problems[0]}")
+    vertices = [int(v) for v in args.vertices.split(",")] if args.vertices else []
+    for v in vertices:
+        check_vertex(g, v)
     lam = _lam(g, args)
     if args.mode == "lipschitz":
-        f = lipschitz(vals, args.v0, args.M)
         ph = phase_lipschitz(g, f, lam)
         payload = {"k": ph.lo, "hi": ph.hi, "lambda": lam, "seed": args.seed}
     else:
-        f = homomorphism(vals, args.v0)
         ph = phase_hom(g, f, lam)
         payload = {
             "k": ph.lo,
@@ -243,10 +249,8 @@ def _cmd_phase(args) -> int:
             "lambda": lam,
             "seed": args.seed,
         }
-    if args.vertices:
-        payload["deviation"] = {
-            int(v): ph.dist(f.values[int(v)]) for v in args.vertices.split(",")
-        }
+    if vertices:
+        payload["deviation"] = {v: ph.dist(f.values[v]) for v in vertices}
     _write_out(args, json.dumps(payload, sort_keys=True) + "\n")
     return 0
 

@@ -350,7 +350,7 @@ def _run_max(cfg: ExperimentConfig) -> ExperimentResult:
                 "t": q,
                 "estimate": float(np.percentile(mx, q)),
                 "exact": None,
-                "bound": cfg.M * loglog,
+                "bound": None,  # the paper gives no constant for M log log n
                 "ball_size": g.n,
                 "n_samples": len(mx),
                 "seed": cfg.seed,

@@ -22,6 +22,7 @@ __all__ = [
     "gen_tree",
     "tree_level_offsets",
     "tree_ball_size",
+    "check_vertex",
     "ball",
     "boundary",
     "component_in_square",
@@ -68,42 +69,18 @@ class Graph:
         return sum(len(a) for a in self.adj) // 2
 
 
-def _two_color(n: int, adj) -> tuple[frozenset[int], frozenset[int]]:
-    color = [-1] * n
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    raise GraphError("graph has an odd cycle; no bipartition exists")
-    return (
-        frozenset(v for v in range(n) if color[v] == 0),
-        frozenset(v for v in range(n) if color[v] == 1),
-    )
-
-
 def build_graph(
     n: int,
     edges,
     *,
-    bipartite: bool = False,
     bipartition: tuple | None = None,
     root: int | None = None,
     leaves=None,
 ) -> Graph:
     """Validate an edge list and assemble a Graph.
 
-    Rejects self-loops and duplicate edges.  With ``bipartite=True`` the
-    bipartition is computed by 2-coloring (error on odd cycles) unless an
-    explicit ``bipartition`` is supplied.  A uniform degree is recorded
-    automatically.
+    Rejects self-loops and duplicate edges, and a ``bipartition`` that some
+    edge does not cross.  A uniform degree is recorded automatically.
     """
     adj = [[] for _ in range(n)]
     seen = set()
@@ -129,8 +106,6 @@ def build_graph(
             for w in adj_t[u]:
                 if (u in part[0]) == (w in part[0]):
                     raise GraphError(f"edge ({u},{w}) does not cross the bipartition")
-    elif bipartite:
-        part = _two_color(n, adj_t)
 
     return Graph(
         n=n,
@@ -330,10 +305,15 @@ def _is_connected(g: Graph) -> bool:
     return len(ball(g, 0, g.n)) == g.n
 
 
+def check_vertex(g: Graph, v: int) -> None:
+    """Raise GraphError unless v is a vertex of g."""
+    if not 0 <= v < g.n:
+        raise GraphError(f"vertex {v} out of range")
+
+
 def ball(g: Graph, v: int, t: int) -> frozenset[int]:
     """Vertices at graph distance at most t from v (exact BFS)."""
-    if not (0 <= v < g.n):
-        raise GraphError(f"vertex {v} out of range")
+    check_vertex(g, v)
     if t < 0:
         raise GraphError("radius must be non-negative")
     seen = {v}

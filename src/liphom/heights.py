@@ -19,8 +19,6 @@ __all__ = [
     "phase_hom",
     "phases_lipschitz",
     "phases_hom",
-    "hom_far_count",
-    "deviation",
 ]
 
 
@@ -86,6 +84,8 @@ def validate(g: Graph, f: HeightFunction) -> list[str]:
     out = []
     if len(f.values) != g.n:
         return [f"value vector has length {len(f.values)}, graph has {g.n} vertices"]
+    if not 0 <= f.root < g.n:
+        return [f"root vertex {f.root} out of range"]
     if f.values[f.root] != 0:
         out.append(f"root vertex {f.root} has value {f.values[f.root]}, expected 0")
     if f.mode == "hom" and g.bipartition is None:
@@ -105,97 +105,6 @@ def validate(g: Graph, f: HeightFunction) -> list[str]:
             if f.values[v] % 2 != 0:
                 out.append(f"vertex {v} in the root's color class has odd value")
     return out
-
-
-def phase_lipschitz(g: Graph, f: HeightFunction, lam: float) -> Phase:
-    """Phase interval of a Lipschitz function, constructed so that
-    phase(-f) = -phase(f).
-
-    For the lexicographically larger of {f, -f}, the interval base is the
-    minimal k with |{v : f(v) outside {k..k+M}}| <= 2*lambda*n/d; the other
-    sign gets the negated interval.  The zero function has phase {0}.
-
-    f is the larger of {f, -f} iff its first nonzero value is positive.  The
-    scan then runs windows {x-M..x} upward from min(f); otherwise it runs
-    windows {x..x+M} downward from max(f), which is the negated scan of -f.
-    Each value x is counted once, and the scan stops at the first window
-    that meets the bound or once every vertex has been counted: later
-    windows only lose values.
-    """
-    if f.mode != "lipschitz":
-        raise ValueError("phase_lipschitz requires a Lipschitz function")
-    d = g.degree
-    if d is None:
-        raise GraphError("phase requires a regular graph")
-    vals = f.values
-    first = next(filter(None, vals), 0)
-    if not first:
-        return Phase(0, 0)
-    M = f.M
-    budget = 2 * lam * g.n / d
-    n = len(vals)
-    step = 1 if first > 0 else -1
-    x = min(vals) if first > 0 else max(vals)
-    counts = []  # counts[i] = |{v : f(v) = x_i}| for the values x_i scanned so far
-    seen = inside = 0  # vertices counted so far; vertices in the current window
-    while seen < n:
-        c = vals.count(x)
-        counts.append(c)
-        seen += c
-        inside += c - (counts[-M - 2] if len(counts) > M + 1 else 0)
-        if n - inside <= budget:
-            base = x - M if step > 0 else x
-            return Phase(base, base + M)
-        x += step
-    raise PhaseError(
-        "no interval satisfies the count bound; lambda is not a valid "
-        "expansion parameter for this graph"
-    )
-
-
-def phase_hom(g: Graph, f: HeightFunction, lam: float) -> Phase:
-    """Phase (level, class index) of a homomorphism height function.
-
-    The class index is the smallest i (0 = class of the root) admitting a
-    level k with |{v in V_i : f(v) != k}| <= 2*lambda*n/d.  The level is the
-    smallest such k for the lexicographically larger of {f, -f}; the other
-    sign gets the negated level, so that phase(-f) = -phase(f) holds exactly
-    (the smallest-k rule alone breaks the antisymmetry when several levels
-    qualify).  When lambda < d/3 the refinement bound
-    |{v : |f(v)-k| >= 2}| <= 3*lambda*n/d is asserted as well.
-    """
-    if f.mode != "hom":
-        raise ValueError("phase_hom requires a homomorphism function")
-    d = g.degree
-    if d is None or g.bipartition is None:
-        raise GraphError("phase requires a regular bipartite graph")
-    n = g.n // 2
-    budget = 2 * lam * n / d
-    root_side = 0 if f.root in g.bipartition[0] else 1
-    classes = [
-        sorted(g.bipartition[root_side]),
-        sorted(g.bipartition[1 - root_side]),
-    ]
-    neg = tuple(-x for x in f.values)
-    flip = f.values < neg  # scan the canonical representative
-    big = neg if flip else f.values
-    for i in (0, 1):
-        vals = [big[v] for v in classes[i]]
-        for k in sorted(set(vals)):
-            if sum(1 for x in vals if x != k) <= budget:
-                level = -k if flip else k
-                ph = Phase(level, level, class_index=i)
-                if lam < d / 3:
-                    far = hom_far_count(f, ph)
-                    if far > 3 * lam * n / d:
-                        raise PhaseError(
-                            f"refinement bound violated: {far} > 3*lambda*n/d"
-                        )
-                return ph
-    raise PhaseError(
-        "no (class, level) satisfies the count bound; lambda is not a valid "
-        "expansion parameter for this graph"
-    )
 
 
 def _signs(rows: np.ndarray) -> np.ndarray:
@@ -224,14 +133,20 @@ def _canonical(hist: np.ndarray, sign: np.ndarray) -> np.ndarray:
 
 
 def phases_lipschitz(g: Graph, rows, lam: float, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """``phase_lipschitz`` of every row of a (count, n) integer array, as
-    (lo, hi) int64 arrays.
+    """Phase interval of every row of a (count, n) integer array of
+    M-Lipschitz functions, as (lo, hi) int64 arrays, constructed so that
+    phase(-f) = -phase(f).
+
+    For the larger of {f, -f} (the one whose first nonzero value is
+    positive), the interval is {k..k+M} for the minimal k >= min(f) - M with
+    |{v : f(v) outside {k..k+M}}| <= 2*lambda*n/d; the other sign gets the
+    negated interval, and the zero function has phase {0}.
 
     Each row's value counts are taken in its canonical sign, and the number
-    of values in {x-M..x} is a difference of their cumulative sums.  A row's
-    base is the smallest x from its minimum to its maximum whose window meets
-    the bound, minus M; the other sign gets the negated interval.  Raises
-    PhaseError if some nonzero row has no such x.
+    of values in {x-M..x} is a difference of their cumulative sums, so the
+    base is the smallest x from the row's minimum to its maximum whose window
+    meets the bound, minus M.  Raises PhaseError if some nonzero row has no
+    such x.
     """
     d = g.degree
     if d is None:
@@ -260,14 +175,18 @@ def phases_lipschitz(g: Graph, rows, lam: float, M: int) -> tuple[np.ndarray, np
 
 
 def phases_hom(g: Graph, rows, lam: float, root: int) -> tuple[np.ndarray, np.ndarray]:
-    """``phase_hom`` of every row of a (count, n) integer array of
-    homomorphisms pinned at ``root``, as (level, class_index) int64 arrays.
+    """Phase (level, class index) of every row of a (count, n) integer array
+    of homomorphisms pinned at ``root``, as int64 arrays.
 
-    From each row's value counts per color class, in its canonical sign,
-    class i (0 = the root's) qualifies at the smallest value k it takes with
-    |{v in V_i : f(v) != k}| <= 2*lambda*n/d.  Raises PhaseError if some row
-    has no qualifying class or, when lambda < d/3, violates the refinement
-    bound.
+    The class index is the smallest i (0 = class of the root) admitting a
+    level k with |{v in V_i : f(v) != k}| <= 2*lambda*n/d.  The level is the
+    smallest such k for the larger of {f, -f}; the other sign gets the
+    negated level, so that phase(-f) = -phase(f) holds exactly (the
+    smallest-k rule alone breaks the antisymmetry when several levels
+    qualify).  Each row's value counts per color class are taken in its
+    canonical sign.  Raises PhaseError if some row has no qualifying class
+    or, when lambda < d/3, violates the refinement bound
+    |{v : |f(v)-k| >= 2}| <= 3*lambda*n/d.
     """
     d = g.degree
     if d is None or g.bipartition is None:
@@ -304,12 +223,17 @@ def phases_hom(g: Graph, rows, lam: float, root: int) -> tuple[np.ndarray, np.nd
     return level, class_index
 
 
-def hom_far_count(f: HeightFunction, phase: Phase) -> int:
-    """|{v : |f(v) - phase level| >= 2}|."""
-    k = phase.lo
-    return sum(1 for x in f.values if abs(x - k) >= 2)
+def phase_lipschitz(g: Graph, f: HeightFunction, lam: float) -> Phase:
+    """Phase interval of one Lipschitz function (see ``phases_lipschitz``)."""
+    if f.mode != "lipschitz":
+        raise ValueError("phase_lipschitz requires a Lipschitz function")
+    lo, hi = phases_lipschitz(g, np.array([f.values], dtype=np.int64), lam, f.M)
+    return Phase(int(lo[0]), int(hi[0]))
 
 
-def deviation(f: HeightFunction, v: int, phase: Phase) -> int:
-    """Distance of f(v) from the phase set."""
-    return phase.dist(f.values[v])
+def phase_hom(g: Graph, f: HeightFunction, lam: float) -> Phase:
+    """Phase (level, class index) of one homomorphism (see ``phases_hom``)."""
+    if f.mode != "hom":
+        raise ValueError("phase_hom requires a homomorphism function")
+    level, class_index = phases_hom(g, np.array([f.values], dtype=np.int64), lam, f.root)
+    return Phase(int(level[0]), int(level[0]), class_index=int(class_index[0]))

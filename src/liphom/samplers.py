@@ -2,23 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
-from .graphs import Graph, GraphError, _is_connected, distances_from
-from .heights import HeightFunction, homomorphism, lipschitz
+from .graphs import Graph, GraphError, _is_connected, check_vertex, distances_from
+from .heights import HeightFunction
 
 __all__ = [
     "EnumerationResult",
     "CapExceeded",
-    "ChainState",
     "enumerate_functions",
     "allowed_values",
-    "glauber_step",
-    "initial_state",
     "mcmc_sample_array",
 ]
 
@@ -86,6 +83,7 @@ def enumerate_functions(
         raise ValueError("lipschitz enumeration needs a positive M")
     if cap <= 0:
         raise ValueError("cap must be positive")
+    check_vertex(g, v0)
     order, dist = _bfs_order(g, v0)
     slope = M if mode == "lipschitz" else 1
     step = 2 if mode == "hom" else 1
@@ -134,53 +132,14 @@ def allowed_values(g: Graph, values, v: int, mode: str, M: int | None = None) ->
     return list(range(lo, hi + 1))
 
 
-@dataclass(frozen=True)
-class ChainState:
-    """State of one Glauber chain: current function, steps taken (each step
-    consumes two words of its RNG stream) and the stream's seed and chain id."""
-
-    f: HeightFunction
-    step: int
-    seed: int
-    chain: int
-
-
-def initial_state(g: Graph, v0: int, mode: str, M: int | None, seed: int, chain: int = 0) -> ChainState:
-    """Minimal-oscillation start: all zeros (Lipschitz), or 0/1 by color
-    class relative to the root's side (hom)."""
-    if mode == "hom":
-        if g.bipartition is None:
-            raise GraphError("hom mode requires a bipartite graph")
-        side0 = g.bipartition[0] if v0 in g.bipartition[0] else g.bipartition[1]
-        values = tuple(0 if v in side0 else 1 for v in range(g.n))
-        f = homomorphism(values, v0)
-    else:
-        f = lipschitz((0,) * g.n, v0, M)
-    return ChainState(f=f, step=0, seed=seed, chain=chain)
-
-
-def _draw_words(seed: int, chain: int, skip: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw_words(seed: int, chain: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``count`` (vertex, value) word pairs of chain ``chain``'s
+    stream under ``seed``."""
     gen = np.random.Generator(
         np.random.Philox(key=np.random.SeedSequence((seed, chain)).generate_state(2, np.uint64))
     )
-    if skip:
-        gen.integers(0, 2**63, size=2 * skip, dtype=np.uint64)
     words = gen.integers(0, 2**63, size=2 * count, dtype=np.uint64)
     return words[0::2], words[1::2]
-
-
-def glauber_step(g: Graph, state: ChainState) -> ChainState:
-    """One heat-bath move: uniform vertex != root, value resampled uniformly
-    on its allowed set.  Consumes exactly two RNG words."""
-    f = state.f
-    rnd_v, rnd_x = _draw_words(state.seed, state.chain, state.step, 1)
-    free = [v for v in range(g.n) if v != f.root]
-    v = free[int(rnd_v[0]) % len(free)]
-    opts = allowed_values(g, f.values, v, f.mode, f.M)
-    x = opts[int(rnd_x[0]) % len(opts)]
-    values = list(f.values)
-    values[v] = x
-    return replace(state, f=replace(f, values=tuple(values)), step=state.step + 1)
 
 
 def mcmc_sample_array(
@@ -197,21 +156,34 @@ def mcmc_sample_array(
 ) -> np.ndarray:
     """Deterministic Glauber sampling; returns (n_samples, n) int64 states.
 
-    Starts from the minimal-oscillation state, discards ``burnin`` steps,
-    then records every ``thin``-th state.  Raises GraphError on a graph with
-    an isolated vertex or more than one component, where the chain cannot
-    move or cannot mix.
+    Starts from the minimal-oscillation state (all zeros for Lipschitz, 0
+    on the root's color class and 1 on the other for hom), discards
+    ``burnin`` steps, then records every ``thin``-th state.  Each step
+    resamples a uniform vertex other than v0 uniformly on
+    ``allowed_values``.  Raises GraphError on a root that is not a vertex,
+    and on a graph with an isolated vertex or more than one component,
+    where the chain cannot move or cannot mix.
     """
     if burnin < 0 or thin <= 0 or n_samples <= 0:
         raise ValueError("burnin must be >= 0, thin and n_samples positive")
+    check_vertex(g, v0)
     if any(not nbrs for nbrs in g.adj):
         raise GraphError("MCMC requires every vertex to have a neighbor")
     if not _is_connected(g):
         raise GraphError("MCMC requires a connected graph")
-    state = initial_state(g, v0, mode, M, seed, chain)
-    values = np.array(state.f.values, dtype=np.int64)
+    if mode == "lipschitz":
+        if M is None or M < 1:
+            raise ValueError("lipschitz mode needs a positive slope M")
+        values = np.zeros(g.n, dtype=np.int64)
+    elif mode == "hom":
+        if g.bipartition is None:
+            raise GraphError("hom mode requires a bipartite graph")
+        side0 = g.bipartition[0] if v0 in g.bipartition[0] else g.bipartition[1]
+        values = np.array([v not in side0 for v in range(g.n)], dtype=np.int64)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     free = [v for v in range(g.n) if v != v0]
-    rnd_v, rnd_x = _draw_words(seed, chain, 0, burnin + thin * n_samples)
+    rnd_v, rnd_x = _draw_words(seed, chain, burnin + thin * n_samples)
     out = np.empty((n_samples, g.n), dtype=np.int64)
     n_rec = _kernels.glauber_run(
         g.adj, values, free, M if M is not None else 1, mode == "hom",
@@ -219,13 +191,3 @@ def mcmc_sample_array(
     )
     assert n_rec == n_samples
     return out
-
-
-def split_chain_diagnostic(samples: np.ndarray, vertex: int) -> float:
-    """Crude mixing diagnostic: absolute difference between the mean of
-    f(vertex) over the first and second halves of the chain."""
-    col = samples[:, vertex].astype(float)
-    half = len(col) // 2
-    if half == 0:
-        return 0.0
-    return abs(col[:half].mean() - col[half:].mean())

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .expansion import CheckResult
-from .graphs import Graph, GraphError, ball, boundary, component_in_square
+from .graphs import Graph, GraphError, ball, boundary, check_vertex, component_in_square
 from .heights import HeightFunction, phases_hom, phases_lipschitz, validate
 from .samplers import enumerate_functions
 
@@ -226,6 +226,8 @@ def verify_counting(
     """
     if t < 1:
         raise ValueError("t must be at least 1")
+    for u in (v0, v):
+        check_vertex(g, u)
     fam = enumerate_functions(g, v0, mode, M=M, cap=cap)
     rows = fam.rows
     if k_strategy == "zero":

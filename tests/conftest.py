@@ -1,8 +1,9 @@
 """Shared fixtures: small named graphs and independent brute-force oracles.
 
-The oracles here deliberately avoid the library's enumeration machinery:
-they are plain assignment searches over explicit value ranges, used as
-ground truth.
+The oracles here deliberately avoid the library's enumeration and phase
+machinery: they are plain assignment searches over explicit value ranges
+and by-definition phase scans of one function at a time, used as ground
+truth.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import pytest
 
 from liphom import build_graph
+from liphom.graphs import GraphError
+from liphom.heights import Phase, PhaseError
 
 
 def k4():
@@ -153,3 +156,70 @@ def brute_force_functions(g, pins: dict[int, int], mode: str, M: int, radius: in
 
     rec(0)
     return out
+
+
+def reference_phase_lipschitz(g, f, lam):
+    """Phase by definition: canonical sign by comparing f with -f as
+    tuples, then the excluded count of every candidate base k in turn."""
+    if all(x == 0 for x in f.values):
+        return Phase(0, 0)
+    M = f.M
+    budget = 2 * lam * g.n / g.degree
+    neg = tuple(-x for x in f.values)
+    big = f.values if f.values >= neg else neg
+    for k in range(min(big) - M, max(big) + 1):
+        if sum(1 for x in big if x < k or x > k + M) <= budget:
+            ph = Phase(k, k + M)
+            return ph if big is f.values else ph.negate()
+    raise PhaseError("no interval satisfies the count bound")
+
+
+def reference_phase_hom(g, f, lam):
+    """Phase (level, class index) of a homomorphism height function.
+
+    The class index is the smallest i (0 = class of the root) admitting a
+    level k with |{v in V_i : f(v) != k}| <= 2*lambda*n/d.  The level is the
+    smallest such k for the lexicographically larger of {f, -f}; the other
+    sign gets the negated level, so that phase(-f) = -phase(f) holds exactly
+    (the smallest-k rule alone breaks the antisymmetry when several levels
+    qualify).  When lambda < d/3 the refinement bound
+    |{v : |f(v)-k| >= 2}| <= 3*lambda*n/d is asserted as well.
+    """
+    if f.mode != "hom":
+        raise ValueError("phase_hom requires a homomorphism function")
+    d = g.degree
+    if d is None or g.bipartition is None:
+        raise GraphError("phase requires a regular bipartite graph")
+    n = g.n // 2
+    budget = 2 * lam * n / d
+    root_side = 0 if f.root in g.bipartition[0] else 1
+    classes = [
+        sorted(g.bipartition[root_side]),
+        sorted(g.bipartition[1 - root_side]),
+    ]
+    neg = tuple(-x for x in f.values)
+    flip = f.values < neg  # scan the canonical representative
+    big = neg if flip else f.values
+    for i in (0, 1):
+        vals = [big[v] for v in classes[i]]
+        for k in sorted(set(vals)):
+            if sum(1 for x in vals if x != k) <= budget:
+                level = -k if flip else k
+                ph = Phase(level, level, class_index=i)
+                if lam < d / 3:
+                    far = hom_far_count(f, ph)
+                    if far > 3 * lam * n / d:
+                        raise PhaseError(
+                            f"refinement bound violated: {far} > 3*lambda*n/d"
+                        )
+                return ph
+    raise PhaseError(
+        "no (class, level) satisfies the count bound; lambda is not a valid "
+        "expansion parameter for this graph"
+    )
+
+
+def hom_far_count(f, phase):
+    """|{v : |f(v) - phase level| >= 2}|."""
+    k = phase.lo
+    return sum(1 for x in f.values if abs(x - k) >= 2)

@@ -30,10 +30,9 @@ from liphom.experiments import (
     run_experiment,
 )
 from liphom.graphs import count_connected_sets
-from liphom.heights import hom_far_count
 from liphom.samplers import allowed_values
 
-from .conftest import brute_force_count, c4, c6, k33, k4, kmm, q3
+from .conftest import brute_force_count, c4, c6, hom_far_count, k33, k4, kmm, q3
 
 
 def report(num: int, name: str, ok: bool) -> None:

@@ -150,12 +150,29 @@ def test_experiment_seed_override(tmp_path, argv, seed):
         (["experiment", "{bad_cfg}"], "sampler = 'exakt'"),
         (["certify", "{k4}", "--workers", "2"], "--workers"),
         (["certify", "{k4}", "--format", "jsonl"], "--format"),
+        (["sample", "--sampler", "mcmc", "--graph", "{k4}", "--v0", "9"], "vertex 9 out of range"),
+        (["experiment", "{v0_cfg}"], "vertex 99 out of range"),
+        (["enumerate", "{k4}", "--mode", "lipschitz", "--v0", "9"], "vertex 9 out of range"),
+        (["verify-transform", "{k4}", "--mode", "lipschitz", "--v", "9"], "vertex 9 out of range"),
+        (["verify-transform", "{k4}", "--mode", "lipschitz", "--v", "1", "--v0", "7"], "vertex 7 out of range"),
+        (["phase", "{k4}", "{flat}", "--mode", "lipschitz", "--vertices", "1,9"], "vertex 9 out of range"),
+        (["phase", "{k4}", "{short}", "--mode", "lipschitz"], "length 2, graph has 4"),
+        (["phase", "{k4}", "{steep}", "--mode", "lipschitz", "--M", "1"], "|0 - 3| > M=1"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):
-    bad_cfg = tmp_path / "bad.cfg"
-    bad_cfg.write_text("kind = deviation\ngraph_type = complete_bipartite\nsampler = exakt\n")
-    paths = {"{k4}": k4_file, "{missing}": str(tmp_path / "missing.txt"), "{bad_cfg}": str(bad_cfg)}
+    files = {
+        "bad_cfg": "kind = deviation\ngraph_type = complete_bipartite\nsampler = exakt\n",
+        "v0_cfg": f"kind = deviation\ngraph_path = {k4_file}\nv0 = 99\ntargets = 1,2\n"
+        "t_max = 2\nsampler = mcmc\nburnin = 10\nthin = 1\nn_samples = 5\n",
+        "flat": "0\n0\n0\n0\n",
+        "short": "0\n1\n",
+        "steep": "0\n3\n0\n0\n",
+    }
+    paths = {"{k4}": k4_file, "{missing}": str(tmp_path / "missing.txt")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        paths["{" + name + "}"] = str(tmp_path / name)
     try:
         rc = main([paths.get(a, a) for a in argv])
     except SystemExit as exc:  # argparse rejects at entry
@@ -164,3 +181,5 @@ def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):
     err = capsys.readouterr().err
     assert expect in err
     assert "Traceback" not in err
+    if not err.startswith("usage:"):  # argparse prints its usage line first
+        assert err.count("\n") == 1

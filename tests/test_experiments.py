@@ -15,14 +15,14 @@ from liphom import (
     lipschitz,
     mcmc_sample_array,
     parse_config,
-    phase_hom,
-    phase_lipschitz,
     run_experiment,
     tree_dp,
 )
 from liphom.cli import main
 from liphom.graphs import tree_level_offsets
 from liphom.experiments import HYPOTHESES_NOT_MET, result_to_text
+
+from .conftest import reference_phase_hom, reference_phase_lipschitz
 
 
 def test_parse_config_roundtrip():
@@ -191,6 +191,11 @@ def test_max_kind():
     res = run_experiment(cfg)
     assert len(res.rows) == 4
     assert res.summary["loglog_n"] == math.log(math.log(32))
+    # M log log n is a scale with no constant from the paper, not a bound
+    assert all(r["bound"] is None for r in res.rows)
+    lines = result_to_text(res, "csv").splitlines()
+    col = lines[0].split(",").index("bound")
+    assert [line.split(",")[col] for line in lines[1:]] == [""] * 4
 
 
 def test_emit_report_deterministic(tmp_path):
@@ -211,14 +216,14 @@ def test_report_column_order():
 
 
 def loop_tails(g, rows, lam, cfg):
-    """hits[(v, t)] by a plain loop: one scalar phase per sample, then each
-    target's deviation compared with each t's cut."""
+    """hits[(v, t)] by a plain loop: one reference phase per sample, then
+    each target's deviation compared with each t's cut."""
     devs = []
     for row in rows:
         if cfg.mode == "lipschitz":
-            ph = phase_lipschitz(g, lipschitz(row, cfg.v0, cfg.M), lam)
+            ph = reference_phase_lipschitz(g, lipschitz(row, cfg.v0, cfg.M), lam)
         else:
-            ph = phase_hom(g, homomorphism(row, cfg.v0), lam)
+            ph = reference_phase_hom(g, homomorphism(row, cfg.v0), lam)
         devs.append([ph.dist(x) for x in row])
     hits = {}
     for v in range(g.n):

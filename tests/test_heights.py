@@ -15,9 +15,18 @@ from liphom import (
     phase_lipschitz,
     validate,
 )
-from liphom.heights import Phase, deviation, hom_far_count, phases_hom, phases_lipschitz
+from liphom.heights import Phase, phases_hom, phases_lipschitz
 
-from .conftest import brute_force_functions, c6, k33, k4, q3
+from .conftest import (
+    brute_force_functions,
+    c6,
+    hom_far_count,
+    k33,
+    k4,
+    q3,
+    reference_phase_hom,
+    reference_phase_lipschitz,
+)
 
 
 def test_validate_lipschitz():
@@ -89,30 +98,6 @@ def test_phase_error_on_bad_lambda():
         phase_lipschitz(g, f, -1.0)
 
 
-def test_deviation():
-    g = k4()
-    lam = exhaustive_lambda(g)
-    f = lipschitz((0, 1, 1, 0), 0, 1)
-    ph = phase_lipschitz(g, f, lam)
-    assert deviation(f, 0, ph) == ph.dist(0)
-
-
-def reference_phase_lipschitz(g, f, lam):
-    """Phase by definition: canonical sign by comparing f with -f as
-    tuples, then the excluded count of every candidate base k in turn."""
-    if all(x == 0 for x in f.values):
-        return Phase(0, 0)
-    M = f.M
-    budget = 2 * lam * g.n / g.degree
-    neg = tuple(-x for x in f.values)
-    big = f.values if f.values >= neg else neg
-    for k in range(min(big) - M, max(big) + 1):
-        if sum(1 for x in big if x < k or x > k + M) <= budget:
-            ph = Phase(k, k + M)
-            return ph if big is f.values else ph.negate()
-    raise PhaseError("no interval satisfies the count bound")
-
-
 def cycle(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -161,16 +146,16 @@ def test_phase_lipschitz_reference_edge_cases():
 
 
 def scalar_phases(g, rows, lam, mode, root, M=None):
-    """Row-by-row scalar phases: (lo, hi) or (level, class index) lists, or
-    the PhaseError the first failing row raises."""
+    """Row-by-row reference phases: (lo, hi) or (level, class index) lists,
+    or the PhaseError the first failing row raises."""
     out = []
     for row in rows:
         try:
             if mode == "lipschitz":
-                ph = phase_lipschitz(g, lipschitz(row, root, M), lam)
+                ph = reference_phase_lipschitz(g, lipschitz(row, root, M), lam)
                 out.append((ph.lo, ph.hi))
             else:
-                ph = phase_hom(g, homomorphism(row, root), lam)
+                ph = reference_phase_hom(g, homomorphism(row, root), lam)
                 out.append((ph.lo, ph.class_index))
         except PhaseError as exc:
             return exc
@@ -274,6 +259,6 @@ def test_batched_phase_errors():
     lam = 0.4  # budget 0.8 per class, refinement bound 1.2 over all vertices
     far = [0, 0, 0, 3, 3, -3]
     with pytest.raises(PhaseError, match="refinement"):
-        phase_hom(h, homomorphism(far, 0), lam)
+        reference_phase_hom(h, homomorphism(far, 0), lam)
     with pytest.raises(PhaseError, match="refinement"):
         phases_hom(h, np.array([[0, 0, 0, 1, 1, 1], far]), lam, 0)

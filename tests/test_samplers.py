@@ -7,15 +7,14 @@ from liphom import (
     build_graph,
     enumerate_functions,
     gen_tree,
-    glauber_step,
     homomorphism,
-    initial_state,
+    lipschitz,
     mcmc_sample_array,
     validate,
 )
 from liphom import _kernels
 from liphom.graphs import distances_from
-from liphom.samplers import _draw_words, allowed_values, split_chain_diagnostic
+from liphom.samplers import _draw_words, allowed_values
 
 from .conftest import brute_force_count, brute_force_functions, c4, c6, k33, k4, q3
 
@@ -108,22 +107,12 @@ def test_allowed_values():
     assert allowed_values(g, [0, 1, 2, 1], 1, "hom") == [1]
 
 
-def test_glauber_step_preserves_validity():
-    g = k4()
-    state = initial_state(g, 0, "lipschitz", 1, seed=3)
-    for _ in range(50):
-        state = glauber_step(g, state)
-        assert validate(g, state.f) == []
-        assert state.f.values[0] == 0
-
-
-def test_glauber_step_matches_kernel():
-    g = c4()
-    state = initial_state(g, 0, "hom", None, seed=9)
-    for _ in range(25):
-        state = glauber_step(g, state)
-    arr = mcmc_sample_array(g, 0, "hom", burnin=0, thin=25, n_samples=1, seed=9)
-    assert tuple(int(x) for x in arr[0]) == state.f.values
+def minimal_start(g, root, hom):
+    """All zeros, or 0 on the root's color class and 1 on the other."""
+    if not hom:
+        return (0,) * g.n
+    side0 = g.bipartition[0] if root in g.bipartition[0] else g.bipartition[1]
+    return tuple(0 if v in side0 else 1 for v in range(g.n))
 
 
 def replay_glauber(g, values, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out):
@@ -155,9 +144,9 @@ def replay_glauber(g, values, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out):
 )
 def test_glauber_run_rows_match_python_replay(g, mode, M, n_steps, thin, burnin, n_out):
     hom = mode == "hom"
-    start = initial_state(g, 0, mode, None if hom else M, seed=11).f.values
+    start = minimal_start(g, 0, hom)
     free = [v for v in range(g.n) if v != 0]
-    rnd_v, rnd_x = _draw_words(11, 0, 0, n_steps)
+    rnd_v, rnd_x = _draw_words(11, 0, n_steps)
     want = replay_glauber(g, start, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out)
     out = np.full((n_out, g.n), 99, dtype=np.int64)
     n_rec = _kernels.glauber_run(
@@ -165,6 +154,27 @@ def test_glauber_run_rows_match_python_replay(g, mode, M, n_steps, thin, burnin,
     )
     assert n_rec == len(want) == min(n_out, (n_steps - burnin) // thin)
     assert [tuple(r) for r in out[:n_rec].tolist()] == want
+
+
+@pytest.mark.parametrize(
+    "g, root, mode, M, burnin, thin, n_samples, seed, chain",
+    [
+        (c4(), 0, "hom", None, 0, 25, 1, 9, 0),
+        (q3(), 5, "hom", None, 30, 4, 40, 2, 1),
+        (k4(), 2, "lipschitz", 2, 17, 3, 30, 4, 0),
+    ],
+)
+def test_mcmc_rows_match_python_replay(g, root, mode, M, burnin, thin, n_samples, seed, chain):
+    hom = mode == "hom"
+    free = [v for v in range(g.n) if v != root]
+    rnd_v, rnd_x = _draw_words(seed, chain, burnin + thin * n_samples)
+    want = replay_glauber(
+        g, minimal_start(g, root, hom), free, M, hom, rnd_v, rnd_x, thin, burnin, n_samples
+    )
+    arr = mcmc_sample_array(
+        g, root, mode, M=M, burnin=burnin, thin=thin, n_samples=n_samples, seed=seed, chain=chain
+    )
+    assert [tuple(r) for r in arr.tolist()] == want
 
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -197,6 +207,14 @@ def test_mcmc_samples_are_valid():
         assert validate(g, homomorphism(row.tolist(), 0)) == []
 
 
+def test_glauber_step_preserves_validity():
+    # every state of the first 50 steps, root pinned at 0
+    g = k4()
+    for row in mcmc_sample_array(g, 0, "lipschitz", M=1, burnin=0, thin=1, n_samples=50, seed=3):
+        assert validate(g, lipschitz(row.tolist(), 0, 1)) == []
+        assert row[0] == 0
+
+
 def test_mcmc_tv_small_instance():
     g = c4()
     fam = enumerate_functions(g, 0, "hom")
@@ -222,12 +240,6 @@ def test_detailed_balance_symmetry():
             pa = 1 / len(allowed_values(g, a, v, "lipschitz", 1))
             pb = 1 / len(allowed_values(g, b, v, "lipschitz", 1))
             assert pa == pb  # uniform resampling on a shared allowed set
-
-
-def test_split_chain_diagnostic():
-    g = k4()
-    arr = mcmc_sample_array(g, 0, "lipschitz", M=1, burnin=1000, thin=5, n_samples=4000, seed=0)
-    assert split_chain_diagnostic(arr, 1) < 0.1
 
 
 def test_grounded_tree_counts_via_glued_enumeration():

@@ -185,6 +185,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_sample(args) -> int:
     if args.sampler == "tree":
+        if args.n_samples < 0:
+            raise ValueError(f"--n-samples must be non-negative, got {args.n_samples}")
         dp = tree_dp(args.d, args.h, mode=args.mode, M=args.M if args.mode == "lipschitz" else None)
         lines = [
             f"# sample sampler=tree d={args.d} h={args.h} mode={args.mode} "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphError, ball, boundary, distances_from, neighborhood
+from .graphs import Graph, GraphError, ball, distances_from, neighborhood
 
 __all__ = [
     "ExpansionReport",

@@ -28,7 +28,7 @@ from .graphs import (
     tree_level_offsets,
 )
 from .heights import phases_hom, phases_lipschitz
-from .samplers import enumerate_functions, mcmc_sample_array
+from .samplers import BLOCK_VALUES, enumerate_functions, mcmc_sample_array
 from .treedp import tree_dp
 
 __all__ = [
@@ -218,12 +218,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         return _run_tree(cfg)
     # "hom-exact": kind was checked against _CHOICES when cfg was built
     return _run_hom_exact(cfg)
-
-
-# rows of a sample array taken at a time: a block of (rows, n) holds about
-# this many values, so no temporary of the deviation pass approaches the
-# size of the sample array (32 rows at n = 4096)
-BLOCK_VALUES = 1 << 17
 
 
 def _deviation_counts(g, cfg, lam, rows, targets, top) -> np.ndarray:

@@ -8,7 +8,6 @@ they preserve the glue vertex's degree).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np

@@ -47,6 +47,12 @@ class EnumerationResult:
         )
 
 
+# rows of an array taken at a time by the blocked passes over sample arrays
+# and families: a block holds about this many values, so no temporary
+# approaches the size of the whole array (32 rows at n = 4096)
+BLOCK_VALUES = 1 << 17
+
+
 def _bfs_order(g: Graph, v0: int) -> list[int]:
     dist = distances_from(g, v0)
     if any(x < 0 for x in dist):

@@ -158,6 +158,7 @@ def test_experiment_seed_override(tmp_path, argv, seed):
         (["phase", "{k4}", "{flat}", "--mode", "lipschitz", "--vertices", "1,9"], "vertex 9 out of range"),
         (["phase", "{k4}", "{short}", "--mode", "lipschitz"], "length 2, graph has 4"),
         (["phase", "{k4}", "{steep}", "--mode", "lipschitz", "--M", "1"], "|0 - 3| > M=1"),
+        (["sample", "--sampler", "tree", "--d", "3", "--h", "2", "--n-samples", "-1"], "--n-samples"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):

@@ -1,18 +1,39 @@
+import dataclasses
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liphom import (
     ContextError,
+    HeightFunction,
     apply_transform,
     build_context,
+    build_graph,
+    enumerate_functions,
     exhaustive_lambda,
+    gen_random_regular,
     gen_tree,
     lipschitz,
     transform,
     validate,
     verify_counting,
 )
+from liphom.graphs import distances_from
+from liphom.heights import phases_lipschitz
+from liphom.transform import build_contexts
 
-from .conftest import k33, k4, q3
+from . import conftest
+from .conftest import (
+    c6,
+    k33,
+    k4,
+    q3,
+    reference_apply_transform,
+    reference_build_context,
+    reference_verify_counting,
+)
 
 
 def tree_spike():
@@ -137,12 +158,309 @@ def test_invalid_image_member_is_reported(monkeypatch):
     lam = exhaustive_lambda(g)
     bad_member = (0, 5, 0, 0)  # edge (0,1) has gap 5 > M
 
-    def bad_image(g, f, ctx, *, guard):
-        return frozenset({f.values, bad_member})
+    def bad_image(ctxs, idx, root):
+        # each image is {f, bad_member}
+        values = ctxs.values[idx].astype(np.int64)
+        members = np.vstack([values, np.tile(bad_member, (len(idx), 1))])
+        return members, np.tile(np.arange(len(idx)), 2)
 
-    monkeypatch.setattr(transform, "apply_transform", bad_image)
+    monkeypatch.setattr(transform, "image_rows", bad_image)
     rep = verify_counting(g, 0, 1, 1, "lipschitz", M=1, lam=lam)
     check = rep.checks["image_members_valid"]
     assert check.checked > 0 and not check.passed and not rep.all_passed
     _, member, violation = check.witness
     assert member == bad_member and "edge (0,1)" in violation
+
+
+def regular(n, seed):
+    return gen_random_regular(n, 3, seed)
+
+
+def assert_matches_reference(g, v0, v, t, mode, M=None, **kw):
+    """verify_counting's report equals the per-member oracle's; returns it."""
+    if kw.get("k_strategy", "phase") == "phase":
+        kw["lam"] = exhaustive_lambda(g, "bipartite" if mode == "hom" else "general")
+    got = verify_counting(g, v0, v, t, mode, M, **kw).as_dict()
+    assert got == reference_verify_counting(g, v0, v, t, mode, M, **kw).as_dict()
+    return got
+
+
+GLUED = gen_tree(3, 2, glued=True)
+_RING = [9, 7, 5, 3, 1, 0, 2, 4, 6, 8]  # a 10-cycle with 0 opposite 9
+CYCLE = build_graph(
+    10, list(zip(_RING, _RING[1:] + _RING[:1])), bipartition=(_RING[::2], _RING[1::2])
+)
+VERIFY_CASES = (
+    [pytest.param(k4, 0, v, 1, "lipschitz", 1, {}, id=f"k4-v{v}") for v in (1, 2, 3)]
+    + [
+        pytest.param(graph, 0, v, 1, "hom", None, {}, id=f"{graph.__name__}-v{v}")
+        for graph in (q3, k33)
+        for v in range(1, graph().n)
+    ]
+    + [
+        pytest.param(graph, 0, v, 1, "hom", None, {"k_strategy": "zero"}, id=f"{graph.__name__}-v{v}-zero")
+        for graph in (q3, k33, c6)
+        for v in range(1, graph().n)
+    ]
+    + [pytest.param(lambda: GLUED, GLUED.glue, GLUED.root, 1, "lipschitz", 1,
+                    {"k_strategy": "zero"}, id="glued-tree")]
+    + [
+        pytest.param(lambda n=n, s=s: regular(n, s), 0, v, t, "lipschitz", M, {},
+                     id=f"regular{n}-M{M}-t{t}")
+        for n, s, v in ((6, 0, 1), (8, 1, 3), (10, 0, 5))
+        for M in (1, 2)
+        for t in (1, 2)
+        if (n, M) != (10, 2)  # ~240k functions: minutes for the oracle
+    ]
+    # A's first vertex in iteration order (0, the vertex opposite v0) lies
+    # inside A, off X: reconstruction must anchor on a vertex next to X
+    + [pytest.param(lambda: CYCLE, 9, 0, 1, "hom", None, {"k_strategy": "zero"}, id="c10-zero")]
+    # several S per A, so disjoint_images ticks
+    + [
+        pytest.param(lambda n=n, s=s: regular(n, s), 0, v, 1, "lipschitz", M,
+                     {"k_strategy": "zero"}, id=f"regular{n}-M{M}-zero")
+        for n, s, v, M in ((6, 0, 1, 3), (8, 1, 6, 2))
+    ]
+)
+
+
+@pytest.mark.parametrize("graph, v0, v, t, mode, M, kw", VERIFY_CASES)
+def test_verify_counting_matches_reference(graph, v0, v, t, mode, M, kw):
+    assert_matches_reference(graph(), v0, v, t, mode, M, **kw)
+
+
+def test_verify_counting_one_member_blocks(monkeypatch):
+    # every image in a block of its own: block edges cannot change the report
+    monkeypatch.setattr(transform, "BLOCK_VALUES", 1)
+    assert_matches_reference(regular(8, 1), 0, 3, 2, "lipschitz", 2)
+    assert_matches_reference(q3(), 0, 5, 1, "hom")
+
+
+def test_apply_transform_matches_reference_order():
+    # same members in the same frozenset iteration order: the verifier's
+    # witnesses follow this order
+    g = regular(8, 1)
+    lam = exhaustive_lambda(g)
+    rows = enumerate_functions(g, 0, "lipschitz", M=2).rows
+    k_all = phases_lipschitz(g, rows, lam, 2)[0]
+    seen = 0
+    for row, k in zip(rows[::97].tolist(), k_all[::97].tolist()):
+        f = lipschitz(row, 0, 2)
+        try:
+            ctx = reference_build_context(g, f, 3, k)
+        except ContextError:
+            continue
+        assert list(apply_transform(g, f, ctx)) == list(reference_apply_transform(g, f, ctx))
+        seen += 1
+    assert seen > 10
+
+
+GRAPHS = {"k4": k4(), "q3": q3(), "k33": k33(), "c6": c6(), "r8": regular(8, 0),
+          "tree": gen_tree(3, 2, glued=True)}
+FAMILY_ROWS = {
+    (name, mode): enumerate_functions(g, 0, mode, M=1 if mode == "lipschitz" else None).rows.tolist()
+    for name, g in GRAPHS.items()
+    for mode in ("lipschitz", "hom")
+    if mode == "lipschitz" or g.bipartition is not None
+}
+
+
+@st.composite
+def omega_blocks(draw):
+    name, mode = draw(st.sampled_from(sorted(FAMILY_ROWS)))
+    g = GRAPHS[name]
+    M = draw(st.integers(1, 3)) if mode == "lipschitz" else None
+    family = st.sampled_from(FAMILY_ROWS[name, mode])
+    scaled = family.map(lambda r: [x * M for x in r]) if M else family
+    noise = st.lists(st.integers(-3, 5), min_size=g.n, max_size=g.n)
+    rows = draw(st.lists(st.one_of(scaled, noise), min_size=1, max_size=8))
+    ks = draw(st.lists(st.integers(-3, 2), min_size=len(rows), max_size=len(rows)))
+    v = draw(st.integers(0, g.n - 1))
+    return g, mode, M, rows, ks, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(omega_blocks())
+def test_build_contexts_match_reference(case):
+    g, mode, M, rows, ks, v = case
+    ctxs = build_contexts(g, np.array(rows), v, ks, mode, M)
+    for i, (row, k) in enumerate(zip(rows, ks)):
+        f = HeightFunction(values=tuple(row), root=0, mode=mode, M=M)
+        try:
+            want = reference_build_context(g, f, v, k)
+        except ContextError as exc:
+            assert ctxs.errors.get(i) == str(exc)
+            with pytest.raises(ContextError) as info:
+                build_context(g, f, v, k)
+            assert str(info.value) == str(exc)
+            continue
+        assert i not in ctxs.errors
+        got = ctxs.context(i)
+        assert got == want
+        # witnesses print A and X in iteration order
+        assert (list(got.A), list(got.X)) == (list(want.A), list(want.X))
+        assert ctxs.image_sizes([i])[0] == want.image_size
+        assert build_context(g, f, v, k) == want
+
+
+def test_build_context_edgeless_graph():
+    # no vertex has a neighbour: the gathers still have a padding column
+    g = build_graph(3, [])
+    f = lipschitz([0, 3, 0], 0, 1)
+    assert build_context(g, f, 1, 0) == reference_build_context(g, f, 1, 0)
+
+
+# Injected failures: the same fault goes into verify_counting and the oracle.
+
+
+# (0, 256, 0, 0) wraps to the zero function in the family's int8 dtype
+@pytest.mark.parametrize("bad_member", [(0, 5, 0, 0), (0, 256, 0, 0)])
+def test_invalid_image_member_matches_reference(monkeypatch, bad_member):
+    real = transform.image_rows
+
+    def with_bad(ctxs, idx, root):
+        members, owner = real(ctxs, idx, root)
+        extra = np.tile(bad_member, (len(idx), 1))
+        return np.vstack([members, extra]), np.concatenate([owner, np.arange(len(idx))])
+
+    real_ref = conftest.reference_image_members
+    monkeypatch.setattr(transform, "image_rows", with_bad)
+    monkeypatch.setattr(
+        conftest, "reference_image_members", lambda f, ctx: real_ref(f, ctx) + [bad_member]
+    )
+    rep = assert_matches_reference(k4(), 0, 1, 1, "lipschitz", 1)
+    for name in ("image_members_valid", "image_size", "image_in_family"):
+        assert not rep["checks"][name]["passed"]
+    assert "edge (0,1)" in rep["checks"]["image_members_valid"]["witness"]
+
+
+def test_sparse_failures_follow_group_order(monkeypatch):
+    # a bad member in the images of a few scattered functions: the witness is
+    # the first of them in group order, not in family order
+    bad_member = (0, 5, 0, 0, 0, 0, 0, 0)
+
+    def marked(values):
+        return sum(values) % 11 == 3
+
+    real = transform.image_rows
+    real_ref = conftest.reference_image_members
+
+    def with_bad(ctxs, idx, root):
+        members, owner = real(ctxs, idx, root)
+        hit = np.flatnonzero([marked(r) for r in ctxs.values[idx].tolist()])
+        extra = np.tile(bad_member, (hit.size, 1))
+        return np.vstack([members, extra]), np.concatenate([owner, hit])
+
+    monkeypatch.setattr(transform, "image_rows", with_bad)
+    monkeypatch.setattr(
+        conftest,
+        "reference_image_members",
+        lambda f, ctx: real_ref(f, ctx) + ([bad_member] if marked(f.values) else []),
+    )
+    rep = assert_matches_reference(regular(8, 1), 0, 3, 1, "lipschitz", 2)
+    assert not rep["checks"]["image_members_valid"]["passed"]
+
+
+def test_u_recovery_failure_matches_reference(monkeypatch):
+    # u_x one too large in every context: no member gives it back
+    real = transform.build_contexts
+
+    def wider(*args):
+        ctxs = real(*args)
+        ctxs.u[ctxs.u > 0] += 1
+        return ctxs
+
+    real_ref = conftest.reference_build_context
+
+    def wider_ref(g, f, v, k):
+        ctx = real_ref(g, f, v, k)
+        return dataclasses.replace(ctx, u={x: ux + 1 for x, ux in ctx.u.items()})
+
+    monkeypatch.setattr(transform, "build_contexts", wider)
+    monkeypatch.setattr(conftest, "reference_build_context", wider_ref)
+    for g, v, M in ((k4(), 1, 1), (regular(8, 1), 3, 1)):
+        rep = assert_matches_reference(g, 0, v, 1, "lipschitz", M)
+        assert not rep["checks"]["u_recovery"]["passed"]
+        # one member checked per function: each fails at its first
+        assert rep["checks"]["u_recovery"]["checked"] == rep["omega_size"]
+
+
+def bump(members: np.ndarray, col: int) -> np.ndarray:
+    """Raise col's value in every member whose value sum is divisible by 3."""
+    members = members.copy()
+    members[members.sum(axis=1) % 3 == 0, col] += 1
+    return members
+
+
+@pytest.mark.parametrize("mode, M, v", [("lipschitz", 1, 1), ("hom", None, 3)])
+def test_reconstruction_failure_matches_reference(monkeypatch, mode, M, v):
+    g = regular(8, 1) if mode == "lipschitz" else q3()
+    dist = distances_from(g, v)
+    far = max(range(g.n), key=lambda w: dist[w])  # outside A u X, and not the root 0
+    real = transform.image_rows
+    real_ref = conftest.reference_image_members
+
+    def bumped(ctxs, idx, root):
+        members, owner = real(ctxs, idx, root)
+        return bump(members, far), owner
+
+    monkeypatch.setattr(transform, "image_rows", bumped)
+    monkeypatch.setattr(
+        conftest,
+        "reference_image_members",
+        lambda f, ctx: list(map(tuple, bump(np.array(real_ref(f, ctx)), far).tolist())),
+    )
+    rep = assert_matches_reference(g, 0, v, 1, mode, M, k_strategy="zero")
+    check = rep["checks"]["reconstruction"]
+    assert not check["passed"]
+    # some functions pass members before their first failing one
+    assert check["checked"] > rep["omega_size"]
+
+
+def test_disjoint_images_failure_matches_reference(monkeypatch):
+    # every image is {0}: the images of all S of one A meet
+    def zeros(ctxs, idx, root):
+        members, owner = real(ctxs, idx, root)
+        return np.zeros_like(members), owner
+
+    real = transform.image_rows
+    real_ref = conftest.reference_image_members
+    monkeypatch.setattr(transform, "image_rows", zeros)
+    monkeypatch.setattr(
+        conftest, "reference_image_members", lambda f, ctx: [(0,) * len(f.values)] * len(real_ref(f, ctx))
+    )
+    for n, s, v, M in ((6, 0, 1, 3), (8, 1, 6, 2)):
+        rep = assert_matches_reference(regular(n, s), 0, v, 1, "lipschitz", M, k_strategy="zero")
+        assert not rep["checks"]["disjoint_images"]["passed"]
+
+
+def test_image_in_family_failure_matches_reference(monkeypatch):
+    # a family missing every fifth row misses image members of the rest
+    def thinned(*args, **kw):
+        fam = enumerate_functions(*args, **kw)
+        return dataclasses.replace(fam, rows=np.delete(fam.rows, np.s_[1::5], axis=0))
+
+    monkeypatch.setattr(transform, "enumerate_functions", thinned)
+    monkeypatch.setattr(conftest, "enumerate_functions", thinned)
+    rep = assert_matches_reference(regular(8, 1), 0, 3, 1, "lipschitz", 1)
+    assert not rep["checks"]["image_in_family"]["passed"]
+    assert rep["checks"]["image_members_valid"]["passed"]
+
+
+@pytest.mark.parametrize("mode, M", [("lipschitz", 1), ("lipschitz", 2), ("hom", None)])
+def test_context_failure_matches_reference(monkeypatch, mode, M):
+    # the family plus copies of its rows with one vertex pushed up or down:
+    # these break the claims on A, X and Y
+    def spiked(*args, **kw):
+        fam = enumerate_functions(*args, **kw)
+        rows = fam.rows.astype(np.int64)
+        extra = np.repeat(rows[::7], 2, axis=0)
+        cols = np.arange(extra.shape[0]) % (rows.shape[1] - 1) + 1
+        extra[np.arange(extra.shape[0]), cols] += np.where(np.arange(extra.shape[0]) % 2, 3, -3)
+        return dataclasses.replace(fam, rows=np.vstack([rows, extra]))
+
+    monkeypatch.setattr(transform, "enumerate_functions", spiked)
+    monkeypatch.setattr(conftest, "enumerate_functions", spiked)
+    g = regular(8, 1) if mode == "lipschitz" else q3()
+    rep = assert_matches_reference(g, 0, 1, 1, mode, M, k_strategy="zero")
+    assert not rep["checks"]["context_claims"]["passed"]

@@ -108,6 +108,14 @@ class ExperimentConfig:
             if getattr(self, key) is None:
                 what = "kind = tree" if tree else f"graph_type = {self.graph_type}"
                 raise ValueError(f"config {what} needs {key}")
+        explicit = self.lambda_source == "explicit"
+        if explicit and self.lambda_value is None:
+            raise ValueError("config lambda_source = explicit needs lambda_value")
+        if not explicit and self.lambda_value is not None:
+            raise ValueError(
+                f"config lambda_value = {self.lambda_value} is read only with "
+                f"lambda_source = explicit, not {self.lambda_source}"
+            )
 
     def canonical_text(self) -> str:
         lines = []

@@ -3,10 +3,11 @@
 The enumeration and phase oracles here deliberately avoid the library's
 enumeration and phase machinery: they are plain assignment searches over
 explicit value ranges and by-definition phase scans of one function at a
-time, used as ground truth.  The flattening-map oracles build each context,
-image and check one function and one image member at a time in Python; the
-verifier oracle shares only the family enumeration and the phases with the
-library.
+time, used as ground truth.  The exhaustive-lambda oracle scores every set
+pair (S, T), not only the extreme T of each S.  The flattening-map oracles
+build each context, image and check one function and one image member at a
+time in Python; the verifier oracle shares only the family enumeration and
+the phases with the library.
 """
 
 from __future__ import annotations
@@ -233,6 +234,41 @@ def hom_far_count(f, phase):
     """|{v : |f(v) - phase level| >= 2}|."""
     k = phase.lo
     return sum(1 for x in f.values if abs(x - k) >= 2)
+
+
+def reference_exhaustive_lambda(g, mode):
+    """Exact lambda by a direct scan over every nonempty (S, T): S of the
+    left side, T of the right side (all of V twice in general mode, the two
+    colour classes in bipartite mode), e(S,T) = 1_S' B 1_T from the
+    edge-count matrix B, and |e - (d/n)|S||T|| / sqrt(|S||T|) in the float
+    expression order of ``exhaustive_lambda``."""
+    if mode == "general":
+        left = right = list(range(g.n))
+        n = g.n
+    else:
+        left, right = (sorted(part) for part in g.bipartition)
+        n = len(left)
+    norm = g.degree / n
+    lpos = {u: i for i, u in enumerate(left)}
+    rpos = {u: j for j, u in enumerate(right)}
+    b = np.zeros((len(left), len(right)), dtype=np.int64)
+    for u, w in g.edges():
+        for x, y in ((u, w), (w, u)):
+            if x in lpos and y in rpos:
+                b[lpos[x], rpos[y]] += 1
+
+    def indicators(m):
+        return (np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1
+
+    s_ind, t_ind = indicators(len(left)), indicators(len(right))
+    k = t_ind.sum(axis=1)
+    best = 0.0
+    for start in range(0, len(s_ind), 64):
+        block = s_ind[start : start + 64]
+        e = block @ b @ t_ind.T
+        s = block.sum(axis=1)[:, None]
+        best = max(best, float((np.abs(e - norm * s * k) / np.sqrt(s * k)).max()))
+    return best
 
 
 def reference_build_context(g, f, v, k):

@@ -159,6 +159,8 @@ def test_experiment_seed_override(tmp_path, argv, seed):
         (["phase", "{k4}", "{short}", "--mode", "lipschitz"], "length 2, graph has 4"),
         (["phase", "{k4}", "{steep}", "--mode", "lipschitz", "--M", "1"], "|0 - 3| > M=1"),
         (["sample", "--sampler", "tree", "--d", "3", "--h", "2", "--n-samples", "-1"], "--n-samples"),
+        (["experiment", "{lam_unread}"], "lambda_value = 0.25"),
+        (["experiment", "{lam_missing}"], "needs lambda_value"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):
@@ -169,6 +171,8 @@ def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):
         "flat": "0\n0\n0\n0\n",
         "short": "0\n1\n",
         "steep": "0\n3\n0\n0\n",
+        "lam_unread": f"kind = deviation\ngraph_path = {k4_file}\nlambda_value = 0.25\n",
+        "lam_missing": f"kind = deviation\ngraph_path = {k4_file}\nlambda_source = explicit\n",
     }
     paths = {"{k4}": k4_file, "{missing}": str(tmp_path / "missing.txt")}
     for name, text in files.items():

@@ -6,14 +6,17 @@ from liphom import (
     certify,
     check_expansion_props,
     exhaustive_lambda,
+    gen_random_bipartite_regular,
     gen_random_regular,
+    gen_tree,
     goodness,
     spectral_lambda,
 )
+from liphom import expansion
 from liphom.expansion import bi_threshold, edge_count, lipschitz_threshold, resolve_lambda
 from liphom.graphs import GraphError
 
-from .conftest import c4, k33, k4, kmm, q3
+from .conftest import c4, k33, k4, kmm, q3, reference_exhaustive_lambda
 
 
 def test_edge_count_k4():
@@ -24,21 +27,30 @@ def test_edge_count_k4():
 
 
 def test_exhaustive_lambda_k4():
-    # K4 spectrum is {3, -1, -1, -1}; the mixing-lemma sup is attained at
-    # |S| = |T| = 2 disjoint: |e - (3/4)*4| = 1, 1/sqrt(4) ... scan exactly
+    # the sup is attained at S = T = {v}: |0 - 3/4| / 1
     g = k4()
-    lam = exhaustive_lambda(g)
-    # oracle: direct scan over all subset pairs
-    best = 0.0
-    n, d = 4, 3
-    subsets = [
-        {v for v in range(4) if (mask >> v) & 1} for mask in range(1, 16)
-    ]
-    for s in subsets:
-        for t in subsets:
-            e = edge_count(g, s, t)
-            best = max(best, abs(e - d * len(s) * len(t) / n) / math.sqrt(len(s) * len(t)))
-    assert lam == pytest.approx(best)
+    assert exhaustive_lambda(g) == reference_exhaustive_lambda(g, "general") == 0.75
+
+
+def _lambda_cases():
+    cases = [(k33(), "bipartite"), (k33(), "general"), (c4(), "bipartite"), (c4(), "general")]
+    cases += [(q3(), "bipartite"), (q3(), "general")]
+    cases += [(gen_tree(3, 2, glued=True), mode) for mode in ("general", "bipartite")]
+    cases += [(gen_random_regular(n, 3, seed), "general") for n in (4, 6, 8, 10, 12) for seed in (0, 1)]
+    cases += [(gen_random_regular(n, 4, 2), "general") for n in (7, 9, 11)]
+    for m, d in ((3, 2), (4, 3), (5, 2), (6, 3), (8, 3), (10, 4), (12, 3)):
+        g = gen_random_bipartite_regular(m, d, m)
+        cases.append((g, "bipartite"))
+        if 2 * g.n <= 24:
+            cases.append((g, "general"))
+    return cases
+
+
+@pytest.mark.parametrize("g, mode", _lambda_cases())
+def test_exhaustive_lambda_matches_reference(g, mode):
+    # exact equality: every e(S,T) is a small integer, both sides share the
+    # float expression, and the extreme T of each S carry the maximum
+    assert exhaustive_lambda(g, mode) == reference_exhaustive_lambda(g, mode)
 
 
 def test_spectral_lambda_k4():
@@ -103,6 +115,21 @@ def test_props_exhaustive_small():
         checks = check_expansion_props(g, lam, mode)
         for name, c in checks.items():
             assert c.passed, (name, c.witness)
+
+
+@pytest.mark.parametrize("g, mode", [(kmm(7), "bipartite"), (gen_random_regular(14, 3, 0), "general")])
+def test_props_guard(g, mode, monkeypatch):
+    def no_subsets(items):
+        raise AssertionError("subsets listed before the size guard")
+
+    monkeypatch.setattr(expansion, "_subset_iter", no_subsets)
+    with pytest.raises(GraphError, match="too large"):
+        check_expansion_props(g, 1.0, mode)
+
+
+def test_props_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode"):
+        check_expansion_props(k4(), 1.0, "bipartitte")
 
 
 def test_props_lambda_zero_bipartite():

@@ -67,6 +67,19 @@ def test_config_rejects_unknown_choice(key, value):
         parse_config("".join(f"{k} = {v}\n" for k, v in kwargs.items()))
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("lambda_source = explicit\n", "lambda_value"),
+        ("lambda_value = 0.25\n", "lambda_value = 0.25"),
+        ("lambda_source = exhaustive\nlambda_value = 0.25\n", "lambda_value = 0.25"),
+    ],
+)
+def test_config_rejects_contradictory_lambda(text, key):
+    with pytest.raises(ValueError, match=key):
+        parse_config("kind = deviation\n" + text)
+
+
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ValueError, match="'n_sample'"):
         parse_config("kind = deviation\nn_sample = 5\n")

@@ -127,11 +127,19 @@ def gen_random_regular(
 
     Stubs are paired one at a time; pairs forming a loop or a repeated edge
     are re-drawn, and the whole pairing restarts when no legal pair remains
-    or the result is disconnected.
+    or the result is disconnected.  Raises GraphError at entry for n < 1,
+    d < 1, d >= n, odd n*d and d = 1 with n > 2 (a perfect matching on more
+    than two vertices is not connected), and after ``max_restarts`` restarts.
     Deterministic for a fixed (n, d, seed).
     """
+    if n < 1:
+        raise GraphError(f"vertex count n={n} must be at least 1")
+    if d < 1:
+        raise GraphError(f"degree d={d} must be at least 1")
     if d >= n:
         raise GraphError(f"degree d={d} must be smaller than n={n}")
+    if d == 1 and n > 2:
+        raise GraphError(f"degree d=1 with n={n} > 2: a perfect matching is not connected")
     if (n * d) % 2 != 0:
         raise GraphError(f"n*d = {n * d} is odd; no d-regular graph exists")
     rng = np.random.default_rng(np.random.SeedSequence((seed, n, d)))
@@ -178,28 +186,34 @@ def gen_random_regular(
 def gen_random_bipartite_regular(n: int, d: int, seed: int, *, max_restarts: int = 100_000) -> Graph:
     """Random simple d-regular bipartite graph on classes {0..n-1}, {n..2n-1}.
 
-    Built as the union of d random perfect matchings; a matching colliding
-    with an earlier one is re-drawn.  Deterministic per (n, d, seed).
+    Built as the union of d random perfect matchings, held as the rows of one
+    (d, n) array of right-class partners: a drawn permutation that gives some
+    left vertex a partner an earlier matching already gave it is re-drawn, at
+    the cost of one array comparison.  The edge list is built once, at the
+    end.  Raises GraphError for n < 1, d < 1 or d > n, and after
+    ``max_restarts`` re-draws.  Deterministic per (n, d, seed).
     """
+    if n < 1:
+        raise GraphError(f"class size n={n} must be at least 1")
+    if d < 1:
+        raise GraphError(f"degree d={d} must be at least 1")
     if d > n:
         raise GraphError(f"degree d={d} cannot exceed class size n={n}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, n, d, 1)))
-    edges: set[tuple[int, int]] = set()
-    matchings = 0
+    partners = np.empty((d, n), dtype=np.int64)
     restarts = 0
-    while matchings < d:
+    for k in range(d):
         perm = rng.permutation(n)
-        new = [(i, n + int(perm[i])) for i in range(n)]
-        if any(e in edges for e in new):
+        while (partners[:k] == perm).any():
             restarts += 1
             if restarts > max_restarts:
                 raise GraphError("retry budget exhausted generating bipartite regular graph")
-            continue
-        edges.update(new)
-        matchings += 1
-    return build_graph(
-        2 * n, sorted(edges), bipartition=(range(n), range(n, 2 * n))
-    )
+            perm = rng.permutation(n)
+        partners[k] = perm
+    # left vertex i joins n + partners[k, i] for each k: sorted (u, v) pairs
+    right = np.sort(partners.T, axis=1) + n
+    edges = zip(np.repeat(np.arange(n), d).tolist(), right.ravel().tolist())
+    return build_graph(2 * n, edges, bipartition=(range(n), range(n, 2 * n)))
 
 
 def tree_level_offsets(d: int, h: int) -> list[int]:

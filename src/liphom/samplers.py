@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -138,14 +139,21 @@ def allowed_values(g: Graph, values, v: int, mode: str, M: int | None = None) ->
     return list(range(lo, hi + 1))
 
 
-def _draw_words(seed: int, chain: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``count`` (vertex, value) word pairs of chain ``chain``'s
-    stream under ``seed``."""
+def _draw_words(seed: int, chain: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Chain ``chain``'s stream under ``seed``: its first ``count``
+    (vertex, value) word pairs, yielded as two uint64 arrays of at most
+    ``_kernels.CHUNK_STEPS`` words each, drawn one chunk at a time.
+
+    The words are consecutive draws of one Philox generator, so any chunking
+    gives the same stream; a run never holds more than one chunk of words.
+    """
     gen = np.random.Generator(
         np.random.Philox(key=np.random.SeedSequence((seed, chain)).generate_state(2, np.uint64))
     )
-    words = gen.integers(0, 2**63, size=2 * count, dtype=np.uint64)
-    return words[0::2], words[1::2]
+    for start in range(0, count, _kernels.CHUNK_STEPS):
+        size = min(_kernels.CHUNK_STEPS, count - start)
+        words = gen.integers(0, 2**63, size=2 * size, dtype=np.uint64)
+        yield words[0::2], words[1::2]
 
 
 def mcmc_sample_array(
@@ -189,11 +197,10 @@ def mcmc_sample_array(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     free = [v for v in range(g.n) if v != v0]
-    rnd_v, rnd_x = _draw_words(seed, chain, burnin + thin * n_samples)
+    words = _draw_words(seed, chain, burnin + thin * n_samples)
     out = np.empty((n_samples, g.n), dtype=np.int64)
     n_rec = _kernels.glauber_run(
-        g.adj, values, free, M if M is not None else 1, mode == "hom",
-        rnd_v, rnd_x, thin, burnin, out,
+        g.adj, values, free, M if M is not None else 1, mode == "hom", words, thin, burnin, out
     )
     assert n_rec == n_samples
     return out

@@ -7,7 +7,8 @@ time, used as ground truth.  The exhaustive-lambda oracle scores every set
 pair (S, T), not only the extreme T of each S.  The flattening-map oracles
 build each context, image and check one function and one image member at a
 time in Python; the verifier oracle shares only the family enumeration and
-the phases with the library.
+the phases with the library.  The bipartite-generator oracle tests each drawn
+matching as a set of edge tuples.
 """
 
 from __future__ import annotations
@@ -95,6 +96,27 @@ def graph_k33():
 @pytest.fixture
 def graph_q3():
     return q3()
+
+
+def reference_bipartite_regular(n: int, d: int, seed: int, max_restarts: int):
+    """Sorted edge list of ``gen_random_bipartite_regular(n, d, seed)``, drawn
+    the way the generator first did: each matching as n tuples, re-drawn
+    when any of them is already in the edge set."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, n, d, 1)))
+    edges: set[tuple[int, int]] = set()
+    matchings = 0
+    restarts = 0
+    while matchings < d:
+        perm = rng.permutation(n)
+        new = [(i, n + int(perm[i])) for i in range(n)]
+        if any(e in edges for e in new):
+            restarts += 1
+            if restarts > max_restarts:
+                raise GraphError("retry budget exhausted generating bipartite regular graph")
+            continue
+        edges.update(new)
+        matchings += 1
+    return sorted(edges)
 
 
 def brute_force_count(g, pins: dict[int, int], mode: str, M: int, radius: int) -> int:

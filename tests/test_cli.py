@@ -161,6 +161,12 @@ def test_experiment_seed_override(tmp_path, argv, seed):
         (["sample", "--sampler", "tree", "--d", "3", "--h", "2", "--n-samples", "-1"], "--n-samples"),
         (["experiment", "{lam_unread}"], "lambda_value = 0.25"),
         (["experiment", "{lam_missing}"], "needs lambda_value"),
+        (["gen", "--type", "bipartite", "--n", "0", "--d", "0"], "class size n=0 must be at least 1"),
+        (["gen", "--type", "bipartite", "--n", "-3", "--d", "2"], "class size n=-3 must be at least 1"),
+        (["gen", "--type", "bipartite", "--n", "4", "--d", "0"], "degree d=0 must be at least 1"),
+        (["gen", "--type", "regular", "--n", "4", "--d", "0"], "degree d=0 must be at least 1"),
+        (["gen", "--type", "regular", "--n", "4", "--d", "1"], "d=1 with n=4 > 2"),
+        (["gen", "--type", "regular", "--n", "0", "--d", "3"], "vertex count n=0 must be at least 1"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):

@@ -23,7 +23,7 @@ from liphom.graphs import (
     tree_level_offsets,
 )
 
-from .conftest import c4, k4
+from .conftest import c4, k4, reference_bipartite_regular
 
 
 def test_build_rejects_self_loops_and_duplicates():
@@ -65,6 +65,75 @@ def test_gen_bipartite_regular_valid(seed):
     for u in range(g.n):
         side = v0 if u in v0 else v1
         assert all(w not in side for w in g.adj[u])
+
+
+def edges_or_error(make_edges):
+    try:
+        return make_edges()
+    except GraphError as exc:
+        return str(exc)
+
+
+@st.composite
+def bipartite_params(draw):
+    n = draw(st.integers(1, 40))
+    return n, draw(st.integers(1, min(n, 6))), draw(st.integers(0, 2**31 - 1))
+
+
+@given(bipartite_params())
+@settings(max_examples=60, deadline=None)
+def test_gen_bipartite_matches_reference(params):
+    n, d, seed = params
+    g = gen_random_bipartite_regular(n, d, seed)
+    assert g.edges() == reference_bipartite_regular(n, d, seed, 100_000)
+    assert g.degree == d and all(len(a) == d for a in g.adj)
+    assert all(u < n <= w for u, w in g.edges())
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 8) for d in (n - 1, n) if d >= 1])
+@pytest.mark.parametrize("seed", [0, 2])
+def test_gen_bipartite_dense_matches_reference(n, d, seed):
+    # d >= n - 1: the last matchings are nearly forced, so restarts are many
+    g = gen_random_bipartite_regular(n, d, seed)
+    assert g.edges() == reference_bipartite_regular(n, d, seed, 100_000)
+    assert g.degree == d
+
+
+def test_gen_bipartite_retry_budget_matches_reference():
+    # gen(4, 4, seed 0) needs a few dozen restarts: small budgets run out
+    outcomes = [
+        edges_or_error(lambda: gen_random_bipartite_regular(4, 4, 0, max_restarts=budget).edges())
+        for budget in range(60)
+    ]
+    assert outcomes == [
+        edges_or_error(lambda: reference_bipartite_regular(4, 4, 0, budget)) for budget in range(60)
+    ]
+    assert outcomes[0] == "retry budget exhausted generating bipartite regular graph"
+    assert isinstance(outcomes[-1], list)
+
+
+@pytest.mark.parametrize(
+    "gen, n, d, match",
+    [
+        (gen_random_bipartite_regular, 0, 0, "class size n=0"),
+        (gen_random_bipartite_regular, -3, 2, "class size n=-3"),
+        (gen_random_bipartite_regular, 4, 0, "degree d=0"),
+        (gen_random_bipartite_regular, 3, 4, "cannot exceed"),
+        (gen_random_regular, 0, 0, "vertex count n=0"),
+        (gen_random_regular, -3, 2, "vertex count n=-3"),
+        (gen_random_regular, 4, 0, "degree d=0"),
+        (gen_random_regular, 4, -1, "degree d=-1"),
+        (gen_random_regular, 4, 1, "d=1 with n=4"),
+        (gen_random_regular, 6, 1, "d=1 with n=6"),
+    ],
+)
+def test_generators_reject_bad_parameters_at_entry(gen, n, d, match):
+    with pytest.raises(GraphError, match=match):
+        gen(n, d, 0, max_restarts=1)
+
+
+def test_gen_regular_single_edge():
+    assert gen_random_regular(2, 1, 0).edges() == [(0, 1)]
 
 
 def test_gen_regular_determinism():

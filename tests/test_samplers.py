@@ -115,8 +115,33 @@ def minimal_start(g, root, hom):
     return tuple(0 if v in side0 else 1 for v in range(g.n))
 
 
+def philox_words(seed, chain, count):
+    """A chain's first ``count`` (vertex, value) word pairs in one draw: the
+    raw Philox outputs shifted right by one bit, which is what
+    ``integers(0, 2**63)`` returns for them."""
+    key = np.random.SeedSequence((seed, chain)).generate_state(2, np.uint64)
+    words = np.random.Philox(key=key).random_raw(2 * count) >> np.uint64(1)
+    return words[0::2], words[1::2]
+
+
+C = _kernels.CHUNK_STEPS
+
+
+@pytest.mark.parametrize("count", [1, C - 1, C, C + 1, 3 * C + 5])
+@pytest.mark.parametrize("seed, chain", [(11, 0), (3, 7)])
+def test_draw_words_match_one_shot_philox(seed, chain, count):
+    chunks = list(_draw_words(seed, chain, count))
+    sizes = [len(v) for v, _ in chunks]
+    assert sizes == [len(x) for _, x in chunks]
+    assert sum(sizes) == count and all(size == C for size in sizes[:-1]) and 0 < sizes[-1] <= C
+    want_v, want_x = philox_words(seed, chain, count)
+    assert np.array_equal(np.concatenate([v for v, _ in chunks]), want_v)
+    assert np.array_equal(np.concatenate([x for _, x in chunks]), want_x)
+
+
 def replay_glauber(g, values, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out):
-    """Plain-Python heat-bath replay of a pre-drawn word stream."""
+    """Plain-Python heat-bath replay of a pre-drawn word stream: the
+    recorded rows and the final state."""
     values = list(values)
     rows = []
     for step, (wv, wx) in enumerate(zip(rnd_v.tolist(), rnd_x.tolist())):
@@ -130,7 +155,7 @@ def replay_glauber(g, values, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out):
         post = step + 1 - burnin
         if post > 0 and post % thin == 0 and len(rows) < n_out:
             rows.append(tuple(values))
-    return rows
+    return rows, tuple(values)
 
 
 @pytest.mark.parametrize(
@@ -139,21 +164,30 @@ def replay_glauber(g, values, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out):
         (k4(), "lipschitz", 2, 300, 7, 20, 25),  # more rows than room: stops at n_out
         (q3(), "hom", 1, 400, 3, 0, 200),  # room to spare
         # several word chunks; burn-in and recorded steps off chunk boundaries
-        (q3(), "lipschitz", 2, 2 * _kernels.CHUNK_STEPS + 777, 13, 1001, 1000),
+        (q3(), "lipschitz", 2, 2 * C + 777, 13, 1001, 1000),
+        (c6(), "hom", 1, 500, 1, 0, 600),  # no burn-in, every state recorded
+        (q3(), "hom", 1, C + 50, 1, C, 100),  # burn-in ends at a chunk end
+        (k4(), "lipschitz", 2, 2 * C, 5, C - 1, 2000),  # one step short of a chunk end
+        (q3(), "lipschitz", 1, 300, 1, 300, 10),  # burn-in takes every step: no rows
+        (q3(), "hom", 1, 100, 2, 5000, 10),  # burn-in longer than the run
+        (gen_tree(3, 2), "lipschitz", 1, 700, 3, 10, 100),  # degree-1 leaves
     ],
 )
 def test_glauber_run_rows_match_python_replay(g, mode, M, n_steps, thin, burnin, n_out):
     hom = mode == "hom"
     start = minimal_start(g, 0, hom)
     free = [v for v in range(g.n) if v != 0]
-    rnd_v, rnd_x = _draw_words(11, 0, n_steps)
-    want = replay_glauber(g, start, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out)
+    rnd_v, rnd_x = philox_words(11, 0, n_steps)
+    want, final = replay_glauber(g, start, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out)
     out = np.full((n_out, g.n), 99, dtype=np.int64)
+    values = np.array(start, dtype=np.int64)
     n_rec = _kernels.glauber_run(
-        g.adj, np.array(start, dtype=np.int64), free, M, hom, rnd_v, rnd_x, thin, burnin, out,
+        g.adj, values, free, M, hom, _draw_words(11, 0, n_steps), thin, burnin, out,
     )
-    assert n_rec == len(want) == min(n_out, (n_steps - burnin) // thin)
+    assert n_rec == len(want) == min(n_out, max(0, (n_steps - burnin) // thin))
     assert [tuple(r) for r in out[:n_rec].tolist()] == want
+    assert (out[n_rec:] == 99).all()
+    assert tuple(values.tolist()) == final
 
 
 @pytest.mark.parametrize(
@@ -167,8 +201,8 @@ def test_glauber_run_rows_match_python_replay(g, mode, M, n_steps, thin, burnin,
 def test_mcmc_rows_match_python_replay(g, root, mode, M, burnin, thin, n_samples, seed, chain):
     hom = mode == "hom"
     free = [v for v in range(g.n) if v != root]
-    rnd_v, rnd_x = _draw_words(seed, chain, burnin + thin * n_samples)
-    want = replay_glauber(
+    rnd_v, rnd_x = philox_words(seed, chain, burnin + thin * n_samples)
+    want, _ = replay_glauber(
         g, minimal_start(g, root, hom), free, M, hom, rnd_v, rnd_x, thin, burnin, n_samples
     )
     arr = mcmc_sample_array(

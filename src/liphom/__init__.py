@@ -1,5 +1,5 @@
 """Random M-Lipschitz functions and graph homomorphisms on expander graphs:
-generation, expansion certification, exact counting, sampling, phases and
+generation, expansion parameters, exact counting, sampling, phases and
 verification of the flattening-map counting machinery."""
 
 from .expansion import (
@@ -21,7 +21,6 @@ from .graphs import (
     graph_from_text,
     graph_to_text,
     read_graph,
-    write_graph,
 )
 from .heights import (
     HeightFunction,
@@ -69,7 +68,6 @@ __all__ = [
     "graph_from_text",
     "graph_to_text",
     "read_graph",
-    "write_graph",
     "ExpansionReport",
     "certify",
     "check_expansion_props",

@@ -55,7 +55,7 @@ _CAP_HELP = (
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="liphom",
-        description="Height functions on expanders: generation, certification, "
+        description="Height functions on expanders: generation, expansion parameters, "
         "exact counting, sampling and verification.",
     )
     sp = p.add_subparsers(dest="command", required=True)
@@ -67,10 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--h", type=int)
     _common(g)
 
-    c = sp.add_parser("certify", help="expansion certificate for a graph file")
+    c = sp.add_parser("certify", help="expansion parameters and predicates for a graph file")
     c.add_argument("graph")
     c.add_argument("--M", type=int, default=None)
-    c.add_argument("--tol", type=float, default=1e-9)
     _common(c)
 
     e = sp.add_parser("enumerate", help="enumerate a height-function family")
@@ -156,7 +155,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_certify(args) -> int:
     g = read_graph(args.graph)
-    rep = expansion.certify(g, args.M, tol=args.tol)
+    rep = expansion.certify(g, args.M)
     payload = {
         "lambda_spectral": rep.lambda_spectral,
         "lambda_exhaustive": rep.lambda_exhaustive,

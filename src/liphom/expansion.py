@@ -1,10 +1,11 @@
-"""Expansion parameter computation and certification.
+"""Expansion parameter computation and the expansion-property checks.
 
 Two routes to the mixing-lemma parameter lambda: an exact search over all
 admissible set pairs (tiny graphs only; every S is enumerated as a bitmask,
 and for each S and |T| only the two extreme T are scored) and a spectral
-certificate from power iteration with the known all-ones top vector
-deflated.
+estimate from power iteration with the known all-ones top vector deflated.
+The estimate is a Rayleigh quotient, so it can fall below the true value:
+it is not an upper bound.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphError, ball, distances_from, neighborhood
+from .graphs import Graph, GraphError, ball, distances_from
 
 __all__ = [
     "ExpansionReport",
@@ -28,6 +29,8 @@ __all__ = [
 ]
 
 EXHAUSTIVE_GUARD_BITS = 24  # bits in a set pair: 2n, or n0 + n1 for bipartite lambda
+SPECTRAL_TOL = 1e-9  # power iteration's relative stopping tolerance, added to its value
+SPECTRAL_MAX_ITER = 100_000
 
 
 def edge_count(g: Graph, s, t) -> int:
@@ -43,13 +46,15 @@ def _require_regular(g: Graph) -> int:
     return g.degree
 
 
-def _all_subset_sums(c: np.ndarray) -> np.ndarray:
-    """sums[mask] = sum of the rows c[w] over bits w set in mask; O(m 2^m)."""
+def _all_subset_sums(c: np.ndarray, op=np.add) -> np.ndarray:
+    """sums[mask] = the rows c[w] over bits w set in mask, combined with the
+    ufunc op (whose identity must be 0; mask 0 gets 0); O(m 2^m)."""
     m = len(c)
     sums = np.zeros((1 << m, *c.shape[1:]), dtype=c.dtype)
     for w in range(m):
         b = 1 << w
-        sums.reshape(-1, 2 * b, *c.shape[1:])[:, b:] += c[w]
+        upper = sums.reshape(-1, 2 * b, *c.shape[1:])[:, b:]
+        op(upper, c[w], out=upper)
     return sums
 
 
@@ -102,13 +107,12 @@ def exhaustive_lambda(g: Graph, mode: str = "general") -> float:
     return float((np.maximum(hi - expected, expected - lo) / np.sqrt(s * k)).max(initial=0.0))
 
 
-def spectral_lambda(
-    g: Graph, mode: str = "general", tol: float = 1e-9, max_iter: int = 100_000
-) -> float:
+def spectral_lambda(g: Graph, mode: str = "general", tol: float = SPECTRAL_TOL) -> float:
     """Second-largest absolute adjacency eigenvalue (general) or second
     singular value of the biadjacency (bipartite), by power iteration with
-    the all-ones top vector deflated.  The result plus tol upper-bounds the
-    mixing-lemma lambda.
+    the all-ones top vector deflated.  The result is an estimate of the
+    mixing-lemma lambda: a Rayleigh quotient can fall below the eigenvalue,
+    by more than tol, so neither it nor it plus tol is an upper bound.
     """
     d = _require_regular(g)
     indptr = np.cumsum([0, *map(len, g.adj)])
@@ -151,7 +155,7 @@ def spectral_lambda(
         return 0.0
     x /= nrm
     est = 0.0
-    for it in range(max_iter):
+    for it in range(SPECTRAL_MAX_ITER):
         y = deflate(op(x))
         nrm = np.linalg.norm(y)
         if nrm <= 1e-14 * (d * d):
@@ -169,7 +173,8 @@ def resolve_lambda(g: Graph, height_mode: str, source: str, value: float | None 
     """The lambda used for phases of height functions in ``height_mode``.
 
     ``source`` is "explicit" (returns ``value``), "exhaustive" (exact
-    lambda) or "spectral" (power-iteration value plus its tolerance 1e-9).
+    lambda) or "spectral" (the power-iteration estimate plus its tolerance
+    SPECTRAL_TOL).
     Lipschitz functions use general-mode lambda, homomorphisms bipartite.
     """
     if source == "explicit":
@@ -180,8 +185,7 @@ def resolve_lambda(g: Graph, height_mode: str, source: str, value: float | None 
     if source == "exhaustive":
         return exhaustive_lambda(g, lam_mode)
     if source == "spectral":
-        tol = 1e-9
-        return spectral_lambda(g, lam_mode, tol=tol) + tol
+        return spectral_lambda(g, lam_mode) + SPECTRAL_TOL
     raise ValueError(f"unknown lambda source {source!r}")
 
 
@@ -230,6 +234,17 @@ class CheckResult:
             if self.witness is None:
                 self.witness = witness
 
+    def tick_all(self, ok, witness, ticks=None) -> None:
+        """Record outcomes ok[0], ok[1], ... in order: one tick each, or
+        ticks[i] for entry i when given.  witness(i) gives entry i's witness
+        and is called for the first failing entry only."""
+        ok = np.asarray(ok, dtype=bool)
+        self.checked += int(ok.size if ticks is None else np.sum(ticks))
+        if not ok.all():
+            self.passed = False
+            if self.witness is None:
+                self.witness = witness(int(np.argmin(ok)))
+
 
 @dataclass
 class ExpansionReport:
@@ -241,12 +256,13 @@ class ExpansionReport:
     predicates: dict[str, bool]
 
 
-def certify(g: Graph, M: int | None = None, *, tol: float = 1e-9) -> ExpansionReport:
+def certify(g: Graph, M: int | None = None) -> ExpansionReport:
     """Compute spectral (always) and exhaustive (when feasible) lambda and
-    evaluate the goodness predicates at the certified spectral value."""
+    evaluate the goodness predicates at the spectral estimate plus
+    SPECTRAL_TOL, the value ``resolve_lambda`` uses."""
     d = _require_regular(g)
     mode = "bipartite" if g.bipartition is not None else "general"
-    lam_s = spectral_lambda(g, mode, tol=tol)
+    lam_s = spectral_lambda(g, mode)
     try:
         lam_e = exhaustive_lambda(g, mode)
     except GraphError:
@@ -258,14 +274,13 @@ def certify(g: Graph, M: int | None = None, *, tol: float = 1e-9) -> ExpansionRe
         d=d,
         n=n,
         mode=mode,
-        predicates=goodness(d, lam_s + tol, M),
+        predicates=goodness(d, lam_s + SPECTRAL_TOL, M),
     )
 
 
-def _subset_iter(items):
-    items = list(items)
-    for mask in range(1 << len(items)):
-        yield [items[i] for i in range(len(items)) if (mask >> i) & 1]
+def _members(mask: int, items) -> list:
+    """The items at the bits set in mask, in order."""
+    return [x for i, x in enumerate(items) if mask >> i & 1]
 
 
 def check_expansion_props(g: Graph, lam: float, mode: str = "general") -> dict[str, CheckResult]:
@@ -275,17 +290,26 @@ def check_expansion_props(g: Graph, lam: float, mode: str = "general") -> dict[s
     boundary growth, ball volume growth and the diameter bound, for all
     admissible sets (tiny graphs only).  Division-by-zero cases use the
     convention min{n/2, inf}.
+
+    Sets are bitmasks over a sorted vertex list, checked in mask order, and
+    N(A) of every A comes from one bitwise-or pass over all masks.  A pair
+    (A, B) with |A|, |B| > lambda*n/d fails connectivity iff B avoids N(A):
+    such an A fails iff more than lambda*n/d vertices of B's side avoid N(A),
+    and its first failing B is the lowest floor(lambda*n/d) + 1 of them.
     """
     if mode not in ("general", "bipartite"):
         raise ValueError(f"unknown mode {mode!r}")
     d = _require_regular(g)
     if 2 * g.n > EXHAUSTIVE_GUARD_BITS:  # both modes list all 2^n subsets of V
         raise GraphError("graph too large for exhaustive checks")
+    vertices = list(range(g.n))
     if mode == "bipartite":
         if g.bipartition is None:
             raise GraphError("bipartite mode requires a bipartition")
-        n = len(g.bipartition[0])
+        left, right = (sorted(part) for part in g.bipartition)
+        n = len(left)
     else:
+        left = right = vertices
         n = g.n
 
     ratio = math.inf if lam == 0 else (d * d) / (4 * lam * lam)
@@ -293,34 +317,42 @@ def check_expansion_props(g: Graph, lam: float, mode: str = "general") -> dict[s
         name: CheckResult(name)
         for name in ("connectivity", "expansion", "boundary", "volume_growth", "diameter")
     }
+    size = _all_subset_sums(np.ones(g.n, dtype=np.int64))  # popcount of every mask
 
-    all_sets = [frozenset(s) for s in _subset_iter(range(g.n))]
-    if mode == "general":
-        pairs = ((a, b) for a in all_sets for b in all_sets)
-    else:
-        sets0 = [frozenset(s) for s in _subset_iter(sorted(g.bipartition[0]))]
-        sets1 = [frozenset(s) for s in _subset_iter(sorted(g.bipartition[1]))]
-        pairs = ((a, b) for a in sets0 for b in sets1)
+    def reach(items, targets) -> np.ndarray:
+        """N(A) as a mask over targets, for every mask A over items."""
+        pos = {w: j for j, w in enumerate(targets)}
+        rows = [sum(1 << pos[w] for w in set(g.adj[u]) if w in pos) for u in items]
+        return _all_subset_sums(np.array(rows, dtype=np.int64), np.bitwise_or)
 
     # connectivity: min(|A|,|B|) > lam*n/d forces an edge between A and B
     thresh = lam * n / d
-    con = checks["connectivity"]
-    for a, b in pairs:
-        if min(len(a), len(b)) > thresh:
-            con.tick(edge_count(g, a, b) != 0, (sorted(a), sorted(b)))
+    big_a = np.flatnonzero(size[: 1 << len(left)] > thresh)
+    big_b = int(np.count_nonzero(size[: 1 << len(right)] > thresh))
+    avoid = ((1 << len(right)) - 1) & ~reach(left, right)[big_a]
 
-    # expansion and boundary
-    exp_c = checks["expansion"]
-    bd_c = checks["boundary"]
-    for a in all_sets:
-        if not a:
-            continue
-        na = neighborhood(g, a)
-        bound = min(n / 2, ratio * len(a))
-        exp_c.tick(len(na) >= bound - 1e-12, sorted(a))
-        if len(a) <= n / 4:
-            bbound = min(n / 4, (ratio - 1) * len(a)) if ratio != math.inf else n / 4
-            bd_c.tick(len(na - a) >= bbound - 1e-12, sorted(a))
+    def con_witness(i):
+        b_size = max(0, math.floor(thresh) + 1)
+        return _members(int(big_a[i]), left), _members(int(avoid[i]), right)[:b_size]
+
+    checks["connectivity"].tick_all(
+        size[avoid] <= thresh, con_witness, np.full(big_a.size, big_b)
+    )
+
+    # expansion and boundary, over every nonempty A
+    a = np.arange(1, 1 << g.n)
+    a_size = size[1:]
+    na = reach(vertices, vertices)[1:]
+    checks["expansion"].tick_all(
+        size[na] >= np.minimum(n / 2, ratio * a_size) - 1e-12,
+        lambda i: _members(i + 1, vertices),
+    )
+    small = np.flatnonzero(a_size <= n / 4)
+    bbound = np.minimum(n / 4, (ratio - 1) * a_size[small]) if ratio != math.inf else n / 4
+    checks["boundary"].tick_all(
+        size[na[small] & ~a[small]] >= bbound - 1e-12,
+        lambda i: _members(int(small[i]) + 1, vertices),
+    )
 
     # volume growth and diameter
     vg = checks["volume_growth"]

@@ -116,6 +116,19 @@ class ExperimentConfig:
                 f"config lambda_value = {self.lambda_value} is read only with "
                 f"lambda_source = explicit, not {self.lambda_source}"
             )
+        # checked here so that a bad value fails before any graph is built
+        if self.kind == "max" and self.sampler != "mcmc":
+            raise ValueError("config kind = max needs sampler = mcmc")
+        lows = {"t_min": 0, "cap": 1}
+        if self.mode == "lipschitz":
+            lows["M"] = 1
+        if self.sampler == "mcmc":
+            lows.update(burnin=0, thin=1, n_samples=1)
+        for key, low in lows.items():
+            if getattr(self, key) < low:
+                raise ValueError(f"config {key} = {getattr(self, key)} must be at least {low}")
+        if self.t_max is not None and self.t_max < self.t_min:
+            raise ValueError(f"config t_max = {self.t_max} is below t_min = {self.t_min}")
 
     def canonical_text(self) -> str:
         lines = []
@@ -328,8 +341,6 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_max(cfg: ExperimentConfig) -> ExperimentResult:
     g = _build_graph_from_config(cfg)
     mode = cfg.mode
-    if cfg.sampler != "mcmc":
-        raise ValueError("max experiment uses the mcmc sampler")
     arr = mcmc_sample_array(
         g,
         cfg.v0,

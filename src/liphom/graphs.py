@@ -27,9 +27,11 @@ __all__ = [
     "component_in_square",
     "count_connected_sets",
     "read_graph",
-    "write_graph",
     "graph_to_text",
 ]
+
+
+CONNECTED_SETS_BUDGET = 10_000_000  # search states before count_connected_sets gives up
 
 
 class GraphError(ValueError):
@@ -404,11 +406,12 @@ def component_in_square(g: Graph, v: int, s) -> frozenset[int]:
     return frozenset(comp)
 
 
-def count_connected_sets(g: Graph, v: int, a: int, *, budget: int = 10_000_000) -> int:
+def count_connected_sets(g: Graph, v: int, a: int) -> int:
     """Exact number of connected vertex sets of size a containing v.
 
     Uses exhaustive growth with an exclusion set, so it is feasible only for
-    small a; aborts when the search touches more than ``budget`` states.
+    small a; aborts when the search touches more than
+    ``CONNECTED_SETS_BUDGET`` states.
     """
     if a < 1:
         raise GraphError("set size must be at least 1")
@@ -419,7 +422,7 @@ def count_connected_sets(g: Graph, v: int, a: int, *, budget: int = 10_000_000) 
     def grow(current: set, frontier: list, forbidden: set) -> int:
         nonlocal visited
         visited += 1
-        if visited > budget:
+        if visited > CONNECTED_SETS_BUDGET:
             raise GraphError("search budget exceeded")
         if len(current) == a:
             return 1
@@ -457,11 +460,6 @@ def graph_to_text(g: Graph) -> str:
     for u, v in g.edges():
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
-
-
-def write_graph(g: Graph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(graph_to_text(g))
 
 
 def read_graph(path) -> Graph:

@@ -16,7 +16,6 @@ __all__ = [
     "EnumerationResult",
     "CapExceeded",
     "enumerate_functions",
-    "allowed_values",
     "mcmc_sample_array",
 ]
 
@@ -121,24 +120,6 @@ def enumerate_functions(
     return EnumerationResult(rows=rows, root=v0, mode=mode, M=M if mode == "lipschitz" else None)
 
 
-def allowed_values(g: Graph, values, v: int, mode: str, M: int | None = None) -> list[int]:
-    """Values the heat-bath move may assign at v given its neighbors."""
-    nbr = [values[w] for w in g.adj[v]]
-    if not nbr:
-        raise GraphError(f"vertex {v} has no neighbors")
-    mn, mx = min(nbr), max(nbr)
-    if mode == "hom":
-        if mx - mn == 2:
-            return [mn + 1]
-        if mx == mn:
-            return [mn - 1, mn + 1]
-        raise ValueError("state is not a valid homomorphism around this vertex")
-    lo, hi = mx - M, mn + M
-    if lo > hi:
-        raise ValueError("state is not M-Lipschitz around this vertex")
-    return list(range(lo, hi + 1))
-
-
 def _draw_words(seed: int, chain: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Chain ``chain``'s stream under ``seed``: its first ``count``
     (vertex, value) word pairs, yielded as two uint64 arrays of at most
@@ -173,8 +154,9 @@ def mcmc_sample_array(
     Starts from the minimal-oscillation state (all zeros for Lipschitz, 0
     on the root's color class and 1 on the other for hom), discards
     ``burnin`` steps, then records every ``thin``-th state.  Each step
-    resamples a uniform vertex other than v0 uniformly on
-    ``allowed_values``.  Raises GraphError on a root that is not a vertex,
+    resamples a uniform vertex other than v0 uniformly on the values its
+    neighbours allow: within M of each in Lipschitz mode, 1 from each in hom
+    mode.  Raises GraphError on a root that is not a vertex,
     and on a graph with an isolated vertex or more than one component,
     where the chain cannot move or cannot mix.
     """

@@ -356,14 +356,7 @@ def apply_transform(
             f"image has {ctx.image_size} members, beyond the guard {guard}"
         )
     members, _ = image_rows(Contexts.of(ctx, f.values), [0], f.root)
-    return _image_set(members)
-
-
-def _image_set(members: np.ndarray) -> frozenset[tuple[int, ...]]:
-    # Collected into a set first: a frozenset copied from a set iterates in
-    # another order than one built straight from the rows, and the
-    # verifier's first-failure witnesses follow this order.
-    return frozenset(set(map(tuple, members.tolist())))
+    return frozenset(map(tuple, members.tolist()))
 
 
 @dataclass
@@ -398,18 +391,6 @@ class VerifyReport:
         }
 
 
-def _tick_all(check: CheckResult, ok, witness, ticks=None) -> None:
-    """Record outcomes ok[0], ok[1], ... on check in order: one tick each, or
-    ticks[i] for entry i when given.  witness(i) gives entry i's witness and
-    is called for the first failing entry only."""
-    ok = np.asarray(ok, dtype=bool)
-    check.checked += int(ok.size if ticks is None else np.sum(ticks))
-    if not ok.all():
-        check.passed = False
-        if check.witness is None:
-            check.witness = witness(int(np.argmin(ok)))
-
-
 def verify_counting(
     g: Graph,
     v0: int,
@@ -431,14 +412,15 @@ def verify_counting(
     counterexample on failure.
 
     Checks tick once per function of the event, per (A, S) group or per A;
-    u_recovery and reconstruction tick once per image member, up to a
-    function's first failing one.  disjoint_images ticks once per pair of
+    u_recovery and reconstruction tick once per distinct image member of
+    every function, failing or not.  disjoint_images ticks once per pair of
     (A, S) groups that share an A, so it reads checked 0 when every A has a
     single S, as on the phase-strategy instances tried so far (the
     benchmark's n=12 one among them); k_strategy "zero" instances give such
-    pairs.  Groups and A's are walked in order of first occurrence, each
-    group's functions in family order, and each image in the iteration
-    order of ``apply_transform``'s frozenset.
+    pairs.  Functions are checked in family order, groups and A's in order
+    of first occurrence.  A per-function witness is the first failing
+    function; when it names an image member, that is the function's first
+    failing member in ``image_rows`` order.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -485,66 +467,54 @@ def verify_counting(
 
     holds = np.ones(high.size, dtype=bool)
     holds[list(ctxs.errors)] = False
-    _tick_all(checks["context_claims"], holds, lambda i: (values(i), ctxs.errors[i]))
+    checks["context_claims"].tick_all(holds, lambda i: (values(i), ctxs.errors[i]))
     omega = np.flatnonzero(holds)
     a_id = ctxs.a_id[omega]
     a_sets, x_sets = ctxs.a_sets, ctxs.x_sets
     near = ball(g, v, t - 1)
     in_a = np.array([near <= a for a in a_sets], dtype=bool)
-    _tick_all(checks["ball_in_A"], in_a[a_id], lambda j: values(omega[j]))
+    checks["ball_in_A"].tick_all(in_a[a_id], lambda j: values(omega[j]))
     if g.glue is not None:
         avoids = np.array([g.glue not in a | x for a, x in zip(a_sets, x_sets)], dtype=bool)
         expands = np.array(
             [len(x) > (g.degree - 2) * len(a) for a, x in zip(a_sets, x_sets)], dtype=bool
         )
-        _tick_all(checks["tree_avoids_leaves"], avoids[a_id], lambda j: values(omega[j]))
-        _tick_all(
-            checks["tree_expansion"],
+        checks["tree_avoids_leaves"].tick_all(avoids[a_id], lambda j: values(omega[j]))
+        checks["tree_expansion"].tick_all(
             expands[a_id],
             lambda j: (values(omega[j]), len(a_sets[a_id[j]]), len(x_sets[a_id[j]])),
         )
 
-    # the partition by (A, S) (by A in hom mode), walked group by group
+    sizes = ctxs.image_sizes(omega)
+    over = np.flatnonzero(sizes > guard)
+    if over.size:
+        raise GraphError(f"image has {sizes[over[0]]} members, beyond the guard {guard}")
+    sizes = sizes.astype(np.int64)
+
+    found = _check_images(g, ctxs, omega, v0, sizes, rows)
+    checks["image_size"].tick_all(found.distinct == sizes, lambda j: values(omega[j]))
+    checks["image_members_valid"].tick_all(
+        found.ok["image_members_valid"], lambda j: found.invalid_witness(g, values(omega[j]), fam)
+    )
+    checks["image_in_family"].tick_all(found.in_family, lambda j: values(omega[j]))
+    for name in ("u_recovery", "reconstruction"):
+        if name in checks:
+            checks[name].tick_all(
+                found.ok[name],
+                lambda j, name=name: (values(omega[j]), found.first_bad[name]),
+                found.distinct,
+            )
+
+    # the partition by (A, S) (by A in hom mode)
     if mode == "lipschitz":
         group, group_first = _first_occurrence_labels(
             np.column_stack([a_id, ctxs.u[omega]]), axis=0
         )
     else:
         group, group_first = _first_occurrence_labels(a_id)
-    walk = np.argsort(group, kind="stable")
-    sizes = ctxs.image_sizes(omega)
-    over = np.flatnonzero(sizes[walk] > guard)
-    if over.size:
-        raise GraphError(f"image has {sizes[walk[over[0]]]} members, beyond the guard {guard}")
-    sizes = sizes.astype(np.int64)
 
     def key(ctx):
         return (ctx.A, ctx.s_signature()) if mode == "lipschitz" else (ctx.A,)
-
-    def walked(name, ok, witness, ticks=None):
-        _tick_all(
-            checks[name],
-            ok[walk],
-            lambda i: witness(int(walk[i])),
-            None if ticks is None else ticks[walk],
-        )
-
-    found = _check_images(g, ctxs, omega, v0, sizes, rows)
-    walked("image_size", found.distinct == sizes, lambda j: values(omega[j]))
-    walked(
-        "image_members_valid",
-        found.ok["image_members_valid"],
-        lambda j: found.invalid_witness(g, values(omega[j]), j, fam),
-    )
-    walked("image_in_family", found.in_family, lambda j: values(omega[j]))
-    for name in ("u_recovery", "reconstruction"):
-        if name in checks:
-            walked(
-                name,
-                found.ok[name],
-                lambda j, name=name: (values(omega[j]), found.stop[name][j][1]),
-                found.ticks(name),
-            )
 
     # per group: the preimage bound alpha, the double-counting ratio and the
     # ratio to |union of images|, from the distinct (group, member) pairs
@@ -618,21 +588,14 @@ class _ImageChecks:
     distinct: np.ndarray  # distinct image members
     in_family: np.ndarray  # every member is a family row
     ok: dict[str, np.ndarray]  # every member passes the check
-    # for each function with a failing member: (1-based position of its
-    # first failing member in the image frozenset's order, that member)
-    stop: dict[str, dict[int, tuple[int, tuple[int, ...]]]]
+    # per failed check: the first failing function's first failing member
+    first_bad: dict[str, tuple[int, ...]]
     pairs: tuple[np.ndarray, np.ndarray]  # distinct (function, member key) pairs
 
-    def ticks(self, name: str) -> np.ndarray:
-        """Members checked per function: all of them, or up to the first failure."""
-        out = self.distinct.copy()
-        for j, (position, _) in self.stop[name].items():
-            out[j] = position
-        return out
-
-    def invalid_witness(self, g: Graph, values, j: int, fam) -> tuple:
-        """(f, first invalid member, its first violation) of function j."""
-        h = self.stop["image_members_valid"][j][1]
+    def invalid_witness(self, g: Graph, values, fam) -> tuple:
+        """(f, its first invalid member, that member's first violation) for
+        the first function with an invalid member."""
+        h = self.first_bad["image_members_valid"]
         return values, h, validate(g, HeightFunction(values=h, root=fam.root, mode=fam.mode, M=fam.M))[0]
 
 
@@ -647,7 +610,7 @@ def _check_images(g: Graph, ctxs: Contexts, omega, root: int, sizes, family) -> 
     M, v = ctxs.M, ctxs.v
     names = ["image_members_valid", "reconstruction"] + (["u_recovery"] if lip else [])
     ok = {name: np.ones(omega.size, dtype=bool) for name in names}
-    stop: dict[str, dict] = {name: {} for name in names}
+    first_bad: dict[str, tuple[int, ...]] = {}
     in_family = np.ones(omega.size, dtype=bool)
     pairs = [(np.zeros(0, dtype=np.int64),) * 2]
 
@@ -704,19 +667,13 @@ def _check_images(g: Graph, ctxs: Contexts, omega, root: int, sizes, family) -> 
         in_family[pos[key >= q]] = False
         pairs.append(_distinct_pairs(pos, key)[:2])
 
-        every = np.logical_and.reduce(list(flags.values()))
         for name, flag in flags.items():
-            ok[name][pos[~flag]] = False
-        for j in np.unique(pos[~every]).tolist():
-            mine = pos == j
-            image = _image_set(members[mine])
-            flag_of = dict(
-                zip(map(tuple, members[mine].tolist()), zip(*(flags[name][mine] for name in names)))
-            )
-            for c, name in enumerate(names):
-                bad = next(((i, h) for i, h in enumerate(image, 1) if not flag_of[h][c]), None)
-                if bad is not None:
-                    stop[name][j] = bad
+            bad = np.flatnonzero(~flag)
+            ok[name][pos[bad]] = False
+            # blocks follow Omega's order, so the first block with a failure
+            # holds the first failing function; argmin finds its first member
+            if bad.size and name not in first_bad:
+                first_bad[name] = tuple(members[bad[np.argmin(pos[bad])]].tolist())
         start = end
 
     pairs = tuple(map(np.concatenate, zip(*pairs)))
@@ -724,6 +681,6 @@ def _check_images(g: Graph, ctxs: Contexts, omega, root: int, sizes, family) -> 
         distinct=np.bincount(pairs[0], minlength=omega.size),
         in_family=in_family,
         ok=ok,
-        stop=stop,
+        first_bad=first_bad,
         pairs=pairs,
     )

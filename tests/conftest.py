@@ -4,24 +4,36 @@ The enumeration and phase oracles here deliberately avoid the library's
 enumeration and phase machinery: they are plain assignment searches over
 explicit value ranges and by-definition phase scans of one function at a
 time, used as ground truth.  The exhaustive-lambda oracle scores every set
-pair (S, T), not only the extreme T of each S.  The flattening-map oracles
-build each context, image and check one function and one image member at a
-time in Python; the verifier oracle shares only the family enumeration and
-the phases with the library.  The bipartite-generator oracle tests each drawn
-matching as a set of edge tuples.
+pair (S, T), not only the extreme T of each S, and the expansion-property
+oracle walks every subset, and every (A, B) pair, as frozensets.  The
+heat-bath rule ``allowed_values`` lists one vertex's values for the Glauber
+tests.  The flattening-map oracles build each context, image and check one
+function and one image member at a time in Python; the verifier oracle
+shares only the family enumeration and the phases with the library.  The
+bipartite-generator oracle tests each drawn matching as a set of edge
+tuples.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from liphom import build_graph
-from liphom.expansion import CheckResult
-from liphom.graphs import GraphError, ball, boundary, check_vertex, component_in_square
+from liphom.expansion import CheckResult, edge_count
+from liphom.graphs import (
+    GraphError,
+    ball,
+    boundary,
+    check_vertex,
+    component_in_square,
+    distances_from,
+    neighborhood,
+)
 from liphom.heights import HeightFunction, Phase, PhaseError, phases_hom, phases_lipschitz, validate
 from liphom.samplers import enumerate_functions
 from liphom.transform import ContextError, TransformContext, VerifyReport
@@ -96,6 +108,25 @@ def graph_k33():
 @pytest.fixture
 def graph_q3():
     return q3()
+
+
+def allowed_values(g, values, v, mode, M=None):
+    """Values the heat-bath move may assign at v given its neighbors: the
+    Glauber kernel's update rule, one vertex at a time."""
+    nbr = [values[w] for w in g.adj[v]]
+    if not nbr:
+        raise GraphError(f"vertex {v} has no neighbors")
+    mn, mx = min(nbr), max(nbr)
+    if mode == "hom":
+        if mx - mn == 2:
+            return [mn + 1]
+        if mx == mn:
+            return [mn - 1, mn + 1]
+        raise ValueError("state is not a valid homomorphism around this vertex")
+    lo, hi = mx - M, mn + M
+    if lo > hi:
+        raise ValueError("state is not M-Lipschitz around this vertex")
+    return list(range(lo, hi + 1))
 
 
 def reference_bipartite_regular(n: int, d: int, seed: int, max_restarts: int):
@@ -293,6 +324,66 @@ def reference_exhaustive_lambda(g, mode):
     return best
 
 
+def reference_check_expansion_props(g, lam, mode="general"):
+    """check_expansion_props by the direct walk: every subset as a
+    frozenset, in mask order, and connectivity by edge_count over all
+    (A, B) pairs of the two sides (4^n pairs in general mode)."""
+    if mode not in ("general", "bipartite"):
+        raise ValueError(f"unknown mode {mode!r}")
+    d = g.degree
+    n = len(g.bipartition[0]) if mode == "bipartite" else g.n
+
+    def subsets(items):
+        items = list(items)
+        return [
+            frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
+            for mask in range(1 << len(items))
+        ]
+
+    ratio = math.inf if lam == 0 else (d * d) / (4 * lam * lam)
+    checks = {
+        name: CheckResult(name)
+        for name in ("connectivity", "expansion", "boundary", "volume_growth", "diameter")
+    }
+    all_sets = subsets(range(g.n))
+    if mode == "general":
+        pairs = ((a, b) for a in all_sets for b in all_sets)
+    else:
+        sides = [subsets(sorted(part)) for part in g.bipartition]
+        pairs = ((a, b) for a in sides[0] for b in sides[1])
+
+    thresh = lam * n / d
+    for a, b in pairs:
+        if min(len(a), len(b)) > thresh:
+            checks["connectivity"].tick(edge_count(g, a, b) != 0, (sorted(a), sorted(b)))
+
+    for a in all_sets:
+        if not a:
+            continue
+        na = neighborhood(g, a)
+        bound = min(n / 2, ratio * len(a))
+        checks["expansion"].tick(len(na) >= bound - 1e-12, sorted(a))
+        if len(a) <= n / 4:
+            bbound = min(n / 4, (ratio - 1) * len(a)) if ratio != math.inf else n / 4
+            checks["boundary"].tick(len(na - a) >= bbound - 1e-12, sorted(a))
+
+    growth = math.inf if lam == 0 else (d / (2 * lam)) ** 2
+    diam = max(max(distances_from(g, v)) for v in range(g.n))
+    for v in range(g.n):
+        for t in range(diam + 2):
+            bound = min(n / 2, growth**t) if growth != math.inf else (n / 2 if t > 0 else 1)
+            checks["volume_growth"].tick(len(ball(g, v, t)) >= bound - 1e-12, (v, t))
+
+    if lam > 0 and (lam < d / 2 if mode == "general" else lam <= d / 8):
+        dbound = math.log(n) / math.log(d / (2 * lam))
+        if mode == "bipartite":
+            dbound += 1
+        checks["diameter"].tick(diam <= dbound + 1e-12, ("diameter", diam, dbound))
+    else:
+        checks["diameter"].note = "not applicable (lambda outside the corollary's range)"
+    return checks
+
+
 def reference_build_context(g, f, v, k):
     """The flattening map's context for f at vertex v and threshold k, built
     with set operations, asserting the structural claims."""
@@ -370,24 +461,28 @@ def reference_image_members(f, ctx):
     return out
 
 
-def reference_apply_transform(g, f, ctx, *, guard=1 << 20):
-    """The image set of f, added to a set member by member."""
+def reference_image(f, ctx, *, guard=1 << 20):
+    """f's distinct image members, in order of first occurrence in
+    ``reference_image_members``."""
     if ctx.image_size > guard:
         raise GraphError(
             f"image has {ctx.image_size} members, beyond the guard {guard}"
         )
-    out = set()
-    for h in reference_image_members(f, ctx):
-        out.add(h)
-    return frozenset(out)
+    return list(dict.fromkeys(reference_image_members(f, ctx)))
+
+
+def reference_apply_transform(g, f, ctx, *, guard=1 << 20):
+    """The image set of f."""
+    return frozenset(reference_image(f, ctx, guard=guard))
 
 
 def reference_verify_counting(
     g, v0, v, t, mode, M=None, *, k_strategy="phase", lam=None, cap=10_000_000, guard=1 << 20
 ):
     """verify_counting one function and one image member at a time, with
-    the contexts and images of ``reference_build_context`` and
-    ``reference_apply_transform``."""
+    the contexts of ``reference_build_context`` and the images of
+    ``reference_image``: per-function checks in family order, each image's
+    members in order, every member checked."""
     if t < 1:
         raise ValueError("t must be at least 1")
     for u in (v0, v):
@@ -425,7 +520,7 @@ def reference_verify_counting(
         names += ["tree_avoids_leaves", "tree_expansion"]
     checks = {name: CheckResult(name) for name in names}
 
-    # the high-deviation event and its partition by (A, S)
+    # the high-deviation event
     omega = []
     for i, k in zip(high.tolist(), k_all[high].tolist()):
         f = HeightFunction(values=tuple(rows[i].tolist()), root=v0, mode=mode, M=fam.M)
@@ -445,14 +540,26 @@ def reference_verify_counting(
             )
         omega.append((f, ctx))
 
+    # the images, and the checks of each function's image
+    images = [reference_image(f, ctx, guard=guard) for f, ctx in omega]
+    for (f, ctx), image in zip(omega, images):
+        checks["image_size"].tick(len(image) == ctx.image_size, f.values)
+        bad = _reference_first_invalid(g, f, image)
+        checks["image_members_valid"].tick(bad is None, bad)
+        checks["image_in_family"].tick(all(h in codomain for h in image), f.values)
+        if mode == "lipschitz":
+            _reference_check_u_recovery(g, f, ctx, image, checks["u_recovery"])
+        _reference_check_reconstruction(g, f, ctx, image, checks["reconstruction"])
+
+    # the partition by (A, S), by A in hom mode
     groups = {}
-    for f, ctx in omega:
+    for (f, ctx), image in zip(omega, images):
         key = (ctx.A, ctx.s_signature()) if mode == "lipschitz" else (ctx.A,)
-        groups.setdefault(key, []).append((f, ctx))
+        groups.setdefault(key, []).append((ctx, image))
 
     by_a = {}
     for f, ctx in omega:
-        by_a.setdefault(ctx.A, []).append((f, ctx))
+        by_a.setdefault(ctx.A, []).append(ctx)
 
     images_by_group = {}
     q_size = rows.shape[0]
@@ -460,21 +567,11 @@ def reference_verify_counting(
     for key, members in groups.items():
         union_image = set()
         preimage_count = {}
-        ctx0 = members[0][1]
-        for f, ctx in members:
-            image = reference_apply_transform(g, f, ctx, guard=guard)
-            checks["image_size"].tick(len(image) == ctx.image_size, f.values)
-            bad = _reference_first_invalid(g, f, image)
-            checks["image_members_valid"].tick(bad is None, bad)
-            checks["image_in_family"].tick(
-                all(h in codomain for h in image), f.values
-            )
+        ctx0 = members[0][0]
+        for ctx, image in members:
             union_image.update(image)
             for h in image:
                 preimage_count[h] = preimage_count.get(h, 0) + 1
-            if mode == "lipschitz":
-                _reference_check_u_recovery(g, f, ctx, image, checks["u_recovery"])
-            _reference_check_reconstruction(g, f, ctx, image, checks["reconstruction"])
         images_by_group[key] = union_image
 
         # preimage bound alpha and the double-counting ratio
@@ -483,7 +580,7 @@ def reference_verify_counting(
             alpha = M * (2 * a_size + 1) * (2 * M + 1) ** a_size * ctx0.s_minus_size
         else:
             alpha = 2
-        beta = min(ctx.image_size for _, ctx in members)
+        beta = min(ctx.image_size for ctx, _ in members)
         worst = max(preimage_count.values())
         checks["preimage_bound"].tick(worst <= alpha, (key, worst, alpha))
         checks["double_counting"].tick(
@@ -498,7 +595,7 @@ def reference_verify_counting(
     # bound on P(Omega_A^+) per A, and image disjointness across S
     for a_set, members in by_a.items():
         checks["ratio_bound_A"].tick(
-            Fraction(len(members), q_size) <= members[0][1].ratio_bound,
+            Fraction(len(members), q_size) <= members[0].ratio_bound,
             (sorted(a_set), len(members)),
         )
 
@@ -522,8 +619,8 @@ def reference_verify_counting(
 
 
 def _reference_first_invalid(g, f, image):
-    """(f, member, first violation) for an image member outside f's family,
-    or None when every member is valid."""
+    """(f, member, first violation) for the first image member outside f's
+    family, or None when every member is valid."""
     for h in image:
         bad = validate(g, HeightFunction(values=h, root=f.root, mode=f.mode, M=f.M))
         if bad:
@@ -543,8 +640,6 @@ def _reference_check_u_recovery(g, f, ctx, image, check):
                 ok = False
                 break
         check.tick(ok, (f.values, h))
-        if not ok:
-            return
 
 
 def _reference_check_reconstruction(g, f, ctx, image, check):
@@ -566,5 +661,3 @@ def _reference_check_reconstruction(g, f, ctx, image, check):
             else:
                 rec[w] = h[w] + shift
         check.tick(tuple(rec) == vals, (f.values, h))
-        if tuple(rec) != vals:
-            return

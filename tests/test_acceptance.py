@@ -14,6 +14,7 @@ from liphom import (
     check_expansion_props,
     enumerate_functions,
     exhaustive_lambda,
+    gen_random_bipartite_regular,
     gen_random_regular,
     gen_tree,
     mcmc_sample_array,
@@ -30,9 +31,8 @@ from liphom.experiments import (
     run_experiment,
 )
 from liphom.graphs import count_connected_sets
-from liphom.samplers import allowed_values
 
-from .conftest import brute_force_count, c4, c6, hom_far_count, k33, k4, kmm, q3
+from .conftest import allowed_values, brute_force_count, c4, c6, hom_far_count, k33, k4, kmm, q3
 
 
 def report(num: int, name: str, ok: bool) -> None:
@@ -201,6 +201,14 @@ def test_criterion_08_expansion_toolkit():
         ls = spectral_lambda(g)
         ok &= le <= ls + 1e-9
         checks = check_expansion_props(g, le)
+        ok &= all(c.passed for c in checks.values())
+    # the propositions at exhaustive lambda on the largest enumerable sizes
+    larger = [(gen_random_regular(n, 3, seed), "general") for n in (10, 12) for seed in range(5)]
+    larger += [
+        (gen_random_bipartite_regular(6, d, seed), "bipartite") for d in (2, 3, 4) for seed in range(5)
+    ]
+    for g, mode in larger:
+        checks = check_expansion_props(g, exhaustive_lambda(g, mode), mode)
         ok &= all(c.passed for c in checks.values())
     for seed in range(20):
         n, d = 14, 3

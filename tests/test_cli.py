@@ -167,6 +167,7 @@ def test_experiment_seed_override(tmp_path, argv, seed):
         (["gen", "--type", "regular", "--n", "4", "--d", "0"], "degree d=0 must be at least 1"),
         (["gen", "--type", "regular", "--n", "4", "--d", "1"], "d=1 with n=4 > 2"),
         (["gen", "--type", "regular", "--n", "0", "--d", "3"], "vertex count n=0 must be at least 1"),
+        (["certify", "{k4}", "--tol", "1e-6"], "--tol"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from liphom import (
+    build_graph,
     certify,
     check_expansion_props,
     exhaustive_lambda,
@@ -16,7 +17,16 @@ from liphom import expansion
 from liphom.expansion import bi_threshold, edge_count, lipschitz_threshold, resolve_lambda
 from liphom.graphs import GraphError
 
-from .conftest import c4, k33, k4, kmm, q3, reference_exhaustive_lambda
+from .conftest import (
+    c4,
+    c6,
+    k33,
+    k4,
+    kmm,
+    q3,
+    reference_check_expansion_props,
+    reference_exhaustive_lambda,
+)
 
 
 def test_edge_count_k4():
@@ -119,12 +129,45 @@ def test_props_exhaustive_small():
 
 @pytest.mark.parametrize("g, mode", [(kmm(7), "bipartite"), (gen_random_regular(14, 3, 0), "general")])
 def test_props_guard(g, mode, monkeypatch):
-    def no_subsets(items):
+    def no_subsets(c, op=None):
         raise AssertionError("subsets listed before the size guard")
 
-    monkeypatch.setattr(expansion, "_subset_iter", no_subsets)
+    monkeypatch.setattr(expansion, "_all_subset_sums", no_subsets)
     with pytest.raises(GraphError, match="too large"):
         check_expansion_props(g, 1.0, mode)
+
+
+def _props_cases():
+    cases = [(k4(), "general"), (kmm(5), "bipartite"), (gen_tree(3, 2, glued=True), "general")]
+    cases += [(g, mode) for g in (c4(), c6(), k33(), gen_tree(3, 2, glued=True)) for mode in ("general", "bipartite")]
+    cases += [(g, "bipartite") for g in (q3(), kmm(4))]
+    cases += [(gen_random_regular(6, 3, seed), "general") for seed in (0, 1, 2)]
+    cases += [(gen_random_regular(n, 4, 2), "general") for n in (5, 7)]
+    cases += [(gen_random_bipartite_regular(m, d, m), "bipartite") for m, d in ((3, 2), (4, 2), (5, 2), (6, 3))]
+    return cases
+
+
+@pytest.mark.parametrize("g, mode", _props_cases())
+def test_props_match_reference(g, mode):
+    # every check's count, outcome, first witness and note, at lambda values
+    # that pass, fail and are out of every corollary's range
+    lam = exhaustive_lambda(g, mode)
+    for x in (lam, lam / 2, lam / 4, 0.1, 0.0, 2 * lam):
+        got = check_expansion_props(g, x, mode)
+        want = reference_check_expansion_props(g, x, mode)
+        assert list(got) == list(want)
+        for name, c in want.items():
+            assert (got[name].checked, got[name].passed, got[name].witness, got[name].note) == (
+                c.checked, c.passed, c.witness, c.note
+            ), (x, name)
+
+
+def test_props_boundary_counts_outer_vertices_only():
+    # C12 at d^2 / (4 lam^2) = 2: three consecutive vertices have two outer
+    # neighbours, below min(n/4, (2 - 1) * 3) = 3, while N(A) has five
+    g = build_graph(12, [(i, (i + 1) % 12) for i in range(12)])
+    boundary = check_expansion_props(g, math.sqrt(0.5))["boundary"]
+    assert not boundary.passed and boundary.witness == [0, 1, 2]
 
 
 def test_props_unknown_mode():

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -306,12 +307,45 @@ def test_deviation_tails_match_per_sample_loop(case, block_values, monkeypatch):
     ],
 )
 def test_config_rejects_missing_graph_field(fields, key, tmp_path, capsys):
-    kwargs = {"kind": "deviation", **fields}
-    with pytest.raises(ValueError, match=f"needs {key}$"):
+    assert_rejected_at_entry({"kind": "deviation", **fields}, f"needs {key}", tmp_path, capsys)
+
+
+def assert_rejected_at_entry(kwargs, message, tmp_path, capsys):
+    """The config raises ValueError ending in message, and `liphom
+    experiment` on it exits 2 with that one stderr line and no report."""
+    with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
         ExperimentConfig(**kwargs)
     path = tmp_path / "e.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in kwargs.items()))
     assert main(["experiment", str(path), "--out", str(tmp_path / "r.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.endswith(f"needs {key}\n")
+    assert err.count("\n") == 1 and err.endswith(f"{message}\n")
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"t_min": 2, "t_max": 1}, "t_max = 1 is below t_min = 2"),
+        ({"t_min": -1}, "t_min = -1 must be at least 0"),
+        ({"M": 0}, "M = 0 must be at least 1"),
+        ({"sampler": "mcmc", "burnin": -1}, "burnin = -1 must be at least 0"),
+        ({"sampler": "mcmc", "thin": 0}, "thin = 0 must be at least 1"),
+        ({"sampler": "mcmc", "n_samples": 0}, "n_samples = 0 must be at least 1"),
+        ({"kind": "max", "sampler": "mcmc", "thin": -2}, "thin = -2 must be at least 1"),
+        ({"kind": "max"}, "kind = max needs sampler = mcmc"),
+        ({"cap": 0}, "cap = 0 must be at least 1"),
+    ],
+)
+def test_config_rejects_out_of_range(fields, message, tmp_path, capsys):
+    kwargs = {"kind": "deviation", "graph_type": "complete_bipartite", "m": 2, **fields}
+    assert_rejected_at_entry(kwargs, message, tmp_path, capsys)
+
+
+def test_config_range_checks_follow_mode_and_sampler():
+    # M is read only in Lipschitz mode, the chain settings only by MCMC runs,
+    # and t = 0 is a legal first row
+    base = {"kind": "deviation", "graph_type": "complete_bipartite", "m": 2}
+    ExperimentConfig(**base, mode="hom", M=0)
+    ExperimentConfig(**base, burnin=-1, thin=0, n_samples=0)
+    ExperimentConfig(**base, t_min=0, t_max=0)

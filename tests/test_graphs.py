@@ -44,14 +44,33 @@ def test_k4_degree_and_edges():
     assert g.n_edges == 6
 
 
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_gen_random_regular_valid(seed):
-    g = gen_random_regular(8, 3, seed)
-    assert g.degree == 3
-    assert all(len(set(g.adj[v])) == 3 for v in range(g.n))
+# every (n, d) with n <= 40 and d <= 8 that gen_random_regular accepts
+REGULAR_SIZES = [
+    (n, d) for n in range(2, 41) for d in range(1, 9) if d < n and n * d % 2 == 0 and (d > 1 or n == 2)
+]
+
+
+def assert_random_regular(n, d, seed):
+    """gen_random_regular(n, d, seed) is simple, d-regular, connected and
+    the same on a repeat call."""
+    g = gen_random_regular(n, d, seed)
+    assert g.n == n and g.degree == d
+    assert all(len(set(g.adj[v])) == d == len(g.adj[v]) for v in range(g.n))
     assert all(v not in g.adj[v] for v in range(g.n))
     assert min(distances_from(g, 0)) >= 0  # connected
+    assert gen_random_regular(n, d, seed).edges() == g.edges()
+
+
+@given(st.sampled_from(REGULAR_SIZES), st.integers(0, 2**31 - 1))
+@settings(max_examples=200, deadline=None)
+def test_gen_random_regular_valid(size, seed):
+    assert_random_regular(*size, seed)
+
+
+def test_gen_random_regular_every_size():
+    for n, d in REGULAR_SIZES:
+        for seed in range(3):
+            assert_random_regular(n, d, seed)
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -14,9 +14,9 @@ from liphom import (
 )
 from liphom import _kernels
 from liphom.graphs import distances_from
-from liphom.samplers import _draw_words, allowed_values
+from liphom.samplers import _draw_words
 
-from .conftest import brute_force_count, brute_force_functions, c4, c6, k33, k4, q3
+from .conftest import allowed_values, brute_force_count, brute_force_functions, c4, c6, k33, k4, q3
 
 
 def test_enumeration_matches_brute_force_k4():

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -229,6 +231,95 @@ def test_verify_counting_matches_reference(graph, v0, v, t, mode, M, kw):
     assert_matches_reference(graph(), v0, v, t, mode, M, **kw)
 
 
+# sha1 (first 12 hex digits) of json.dumps(verify_counting(...).as_dict(),
+# sort_keys=True) on all-passing instances, as recorded before the checks
+# ticked in family order: a report with no failure has no witness, so its
+# bytes must not depend on the order of the checks
+REPORT_SHA1 = {
+    "r10-s0-v1-phase": "295ff90d209b",
+    "r10-s0-v1-zero": "44bde18c620c",
+    "r10-s0-v5-phase": "4124873f5cb8",
+    "r10-s0-v5-zero": "e92b9ddebecb",
+    "r10-s1-v1-phase": "2220b658539b",
+    "r10-s1-v1-zero": "c1fc2b56bb8c",
+    "r10-s1-v5-phase": "95e44826d389",
+    "r10-s1-v5-zero": "1f0a60270f08",
+    "r10-s2-v1-phase": "7e89c2e04f2c",
+    "r10-s2-v1-zero": "08c59ad70d81",
+    "r10-s2-v5-phase": "7d2ef885f0fb",
+    "r10-s2-v5-zero": "a56b8a9937ac",
+    "r10-s3-v1-phase": "b0ab7c0d9e83",
+    "r10-s3-v1-zero": "4deb47a7dfad",
+    "r10-s3-v5-phase": "f3eaaa7acba2",
+    "r10-s3-v5-zero": "80de79938f7b",
+    "r10-s4-v1-phase": "13ec0b8e3a72",
+    "r10-s4-v1-zero": "47df80214913",
+    "r10-s4-v5-phase": "a38dbd67b2d1",
+    "r10-s4-v5-zero": "e41183b587db",
+    "r10-s5-v1-phase": "1c6155169d8b",
+    "r10-s5-v1-zero": "eeaccf02d871",
+    "r10-s5-v5-phase": "eb0d013b1340",
+    "r10-s5-v5-zero": "80de79938f7b",
+    "r12-v1": "11593b10c080",
+    "q3-v1-phase": "02a8d676a8c8",
+    "q3-v1-zero": "02a8d676a8c8",
+    "q3-v2-phase": "4030444466a3",
+    "q3-v2-zero": "4030444466a3",
+    "q3-v3-phase": "9696f69d289f",
+    "q3-v3-zero": "86a59d00d83d",
+    "q3-v4-phase": "f0a8d07f9a2b",
+    "q3-v4-zero": "f0a8d07f9a2b",
+    "q3-v5-phase": "f45f19aa7969",
+    "q3-v5-zero": "fcc45a667470",
+    "q3-v6-phase": "f50692c35744",
+    "q3-v6-zero": "f0c0c2c2be6d",
+    "q3-v7-phase": "5ad6f7af4075",
+    "q3-v7-zero": "43cd7842277b",
+    "k33-v1-phase": "7c878aed24f6",
+    "k33-v1-zero": "e513e12b69b6",
+    "k33-v2-phase": "9eb49e406341",
+    "k33-v2-zero": "e8c40c87d2d7",
+    "k33-v3-phase": "ce5d23f477ea",
+    "k33-v3-zero": "ce5d23f477ea",
+    "k33-v4-phase": "a9625073450e",
+    "k33-v4-zero": "a9625073450e",
+    "k33-v5-phase": "94f51b985bf8",
+    "k33-v5-zero": "94f51b985bf8",
+    "glued-lipschitz-zero": "c2c73d4cbdcc",
+    "glued-hom-zero": "e788eaaca280",
+    "glued-hom-phase": "e788eaaca280",
+}
+
+
+def _report_cases():
+    for seed in range(6):
+        for v in (1, 5):
+            for ks in ("phase", "zero"):
+                yield f"r10-s{seed}-v{v}-{ks}", lambda seed=seed: regular(10, seed), 0, v, "lipschitz", 1, ks
+    yield "r12-v1", lambda: regular(12, 0), 0, 1, "lipschitz", 1, "phase"
+    for graph in (q3, k33):
+        for v in range(1, graph().n):
+            for ks in ("phase", "zero"):
+                yield f"{graph.__name__}-v{v}-{ks}", graph, 0, v, "hom", None, ks
+    for mode, M, strategies in (("lipschitz", 1, ("zero",)), ("hom", None, ("zero", "phase"))):
+        for ks in strategies:
+            yield f"glued-{mode}-{ks}", lambda: GLUED, GLUED.glue, GLUED.root, mode, M, ks
+
+
+@pytest.mark.parametrize(
+    "graph, v0, v, mode, M, k_strategy, digest",
+    [pytest.param(*case, REPORT_SHA1[name], id=name) for name, *case in _report_cases()],
+)
+def test_all_passing_reports_keep_their_bytes(graph, v0, v, mode, M, k_strategy, digest):
+    g = graph()
+    kw = {"k_strategy": k_strategy}
+    if k_strategy == "phase":
+        kw["lam"] = exhaustive_lambda(g, "bipartite" if mode == "hom" else "general")
+    rep = verify_counting(g, v0, v, 1, mode, M, **kw).as_dict()
+    assert rep["all_passed"]
+    assert hashlib.sha1(json.dumps(rep, sort_keys=True).encode()).hexdigest()[:12] == digest
+
+
 def test_verify_counting_one_member_blocks(monkeypatch):
     # every image in a block of its own: block edges cannot change the report
     monkeypatch.setattr(transform, "BLOCK_VALUES", 1)
@@ -236,9 +327,7 @@ def test_verify_counting_one_member_blocks(monkeypatch):
     assert_matches_reference(q3(), 0, 5, 1, "hom")
 
 
-def test_apply_transform_matches_reference_order():
-    # same members in the same frozenset iteration order: the verifier's
-    # witnesses follow this order
+def test_apply_transform_matches_reference():
     g = regular(8, 1)
     lam = exhaustive_lambda(g)
     rows = enumerate_functions(g, 0, "lipschitz", M=2).rows
@@ -250,7 +339,7 @@ def test_apply_transform_matches_reference_order():
             ctx = reference_build_context(g, f, 3, k)
         except ContextError:
             continue
-        assert list(apply_transform(g, f, ctx)) == list(reference_apply_transform(g, f, ctx))
+        assert apply_transform(g, f, ctx) == reference_apply_transform(g, f, ctx)
         seen += 1
     assert seen > 10
 
@@ -334,9 +423,9 @@ def test_invalid_image_member_matches_reference(monkeypatch, bad_member):
     assert "edge (0,1)" in rep["checks"]["image_members_valid"]["witness"]
 
 
-def test_sparse_failures_follow_group_order(monkeypatch):
+def test_sparse_failures_follow_family_order(monkeypatch):
     # a bad member in the images of a few scattered functions: the witness is
-    # the first of them in group order, not in family order
+    # the first of them in family order, whatever their groups
     bad_member = (0, 5, 0, 0, 0, 0, 0, 0)
 
     def marked(values):
@@ -381,8 +470,11 @@ def test_u_recovery_failure_matches_reference(monkeypatch):
     for g, v, M in ((k4(), 1, 1), (regular(8, 1), 3, 1)):
         rep = assert_matches_reference(g, 0, v, 1, "lipschitz", M)
         assert not rep["checks"]["u_recovery"]["passed"]
-        # one member checked per function: each fails at its first
-        assert rep["checks"]["u_recovery"]["checked"] == rep["omega_size"]
+        # every distinct member is checked, failing or not: as many as
+        # reconstruction, which passes here, checks
+        check = rep["checks"]["u_recovery"]
+        assert check["checked"] == rep["checks"]["reconstruction"]["checked"] > rep["omega_size"]
+        assert rep["checks"]["reconstruction"]["passed"]
 
 
 def bump(members: np.ndarray, col: int) -> np.ndarray:
@@ -413,7 +505,7 @@ def test_reconstruction_failure_matches_reference(monkeypatch, mode, M, v):
     rep = assert_matches_reference(g, 0, v, 1, mode, M, k_strategy="zero")
     check = rep["checks"]["reconstruction"]
     assert not check["passed"]
-    # some functions pass members before their first failing one
+    # every distinct member is checked, not only up to a function's first failure
     assert check["checked"] > rep["omega_size"]
 
 

@@ -40,7 +40,6 @@ from .samplers import (
 )
 from .transform import (
     ContextError,
-    TransformContext,
     VerifyReport,
     apply_transform,
     build_context,
@@ -87,7 +86,6 @@ __all__ = [
     "enumerate_functions",
     "mcmc_sample_array",
     "ContextError",
-    "TransformContext",
     "VerifyReport",
     "apply_transform",
     "build_context",

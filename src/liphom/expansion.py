@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphError, ball, distances_from
+from .graphs import Graph, GraphError, distances_from
 
 __all__ = [
     "ExpansionReport",
     "edge_count",
     "exhaustive_lambda",
     "spectral_lambda",
+    "check_lambda",
     "resolve_lambda",
     "goodness",
     "check_expansion_props",
@@ -169,6 +170,13 @@ def spectral_lambda(g: Graph, mode: str = "general", tol: float = SPECTRAL_TOL) 
     return math.sqrt(max(est, 0.0))
 
 
+def check_lambda(value: float, name: str) -> float:
+    """value, when it is a finite lambda >= 0; name labels the error."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} = {value} must be finite and at least 0")
+    return value
+
+
 def resolve_lambda(g: Graph, height_mode: str, source: str, value: float | None = None) -> float:
     """The lambda used for phases of height functions in ``height_mode``.
 
@@ -180,7 +188,7 @@ def resolve_lambda(g: Graph, height_mode: str, source: str, value: float | None 
     if source == "explicit":
         if value is None:
             raise ValueError("an explicit lambda needs a value")
-        return value
+        return check_lambda(value, "explicit lambda")
     lam_mode = "bipartite" if height_mode == "hom" else "general"
     if source == "exhaustive":
         return exhaustive_lambda(g, lam_mode)
@@ -355,15 +363,19 @@ def check_expansion_props(g: Graph, lam: float, mode: str = "general") -> dict[s
     )
 
     # volume growth and diameter
-    vg = checks["volume_growth"]
     growth = math.inf if lam == 0 else (d / (2 * lam)) ** 2
-    dist_all = [distances_from(g, v) for v in range(g.n)]
-    diam = max(max(row) for row in dist_all)
-    tmax = diam + 1
-    for v in range(g.n):
-        for t in range(tmax + 1):
-            bound = min(n / 2, growth**t) if growth != math.inf else (n / 2 if t > 0 else 1)
-            vg.tick(len(ball(g, v, t)) >= bound - 1e-12, (v, t))
+    dist = np.array([distances_from(g, v) for v in range(g.n)])
+    diam = int(dist.max())
+    bounds = [
+        min(n / 2, growth**t) if growth != math.inf else (n / 2 if t > 0 else 1)
+        for t in range(diam + 2)
+    ]
+    radii = np.arange(len(bounds))
+    # |ball(v, t)| = #{w : 0 <= dist(v, w) <= t}, for every v and t
+    volume = ((dist[:, None, :] >= 0) & (dist[:, None, :] <= radii[:, None])).sum(axis=2)
+    checks["volume_growth"].tick_all(
+        (volume >= np.array(bounds) - 1e-12).ravel(), lambda i: divmod(i, radii.size)
+    )
 
     dm = checks["diameter"]
     applicable = lam > 0 and (lam < d / 2 if mode == "general" else lam <= d / 8)

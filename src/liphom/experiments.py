@@ -116,6 +116,8 @@ class ExperimentConfig:
                 f"config lambda_value = {self.lambda_value} is read only with "
                 f"lambda_source = explicit, not {self.lambda_source}"
             )
+        if explicit:
+            expansion.check_lambda(self.lambda_value, "config lambda_value")
         # checked here so that a bad value fails before any graph is built
         if self.kind == "max" and self.sampler != "mcmc":
             raise ValueError("config kind = max needs sampler = mcmc")
@@ -197,6 +199,7 @@ def _build_graph_from_config(cfg: ExperimentConfig) -> Graph:
 
 
 def _target_vertices(n: int, cfg: ExperimentConfig) -> list[int]:
+    """The config's target vertices, sorted and distinct."""
     if cfg.targets == "all":
         return list(range(n))
     if cfg.targets == "v0":
@@ -206,7 +209,7 @@ def _target_vertices(n: int, cfg: ExperimentConfig) -> list[int]:
     for v in targets:
         if not (0 <= v < n):
             raise GraphError(f"target vertex {v} out of range")
-    return targets
+    return sorted(set(targets))
 
 
 def _t_range(g: Graph, cfg: ExperimentConfig, lam: float, d: int, n_norm: int) -> range:
@@ -293,7 +296,7 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
         exact = False
     n_s = rows.shape[0]
 
-    targets = sorted(set(_target_vertices(g.n, cfg)))
+    targets = _target_vertices(g.n, cfg)
     trange = _t_range(g, cfg, lam, d, n_norm)
     cuts = [(t - 1) * cfg.M if mode == "lipschitz" else t for t in trange]
     # deviations above every cut share the last bin
@@ -393,7 +396,7 @@ def _run_tree(cfg: ExperimentConfig) -> ExperimentResult:
     slope = M if mode == "lipschitz" else 1
     hyp_ok = mode == "lipschitz" and d > 40 * (M + 1) * math.log(M + 1)
     result = ExperimentResult(config=cfg)
-    for v in sorted(targets):
+    for v in targets:
         depth = bisect.bisect_right(offsets, v) - 1
         for t in trange:
             p = dp.tail_probability(depth, (t - 1) * slope)

@@ -83,6 +83,8 @@ def enumerate_functions(
     family larger than ``cap`` raises, and so can a smaller family whose
     partial assignments outnumber ``cap`` at some level.
     """
+    if mode not in ("lipschitz", "hom"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "hom" and g.bipartition is None:
         raise GraphError("hom enumeration requires a bipartite graph")
     if mode == "lipschitz" and (M is None or M < 1):

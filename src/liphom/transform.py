@@ -5,8 +5,9 @@ instances.
 Everything works on arrays: ``build_contexts`` builds the contexts of a
 block of rows, ``image_rows`` lays the image members of a batch of contexts
 out as the rows of one int array, and ``verify_counting`` checks them with
-column operations.  ``build_context`` and ``apply_transform`` are the
-one-row wrappers.
+column operations.  ``Contexts`` is the one context type:
+``build_context`` returns the one-row ``Contexts`` of a single function,
+and ``apply_transform`` takes it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .heights import HeightFunction, phases_hom, phases_lipschitz, validate
 from .samplers import BLOCK_VALUES, enumerate_functions
 
 __all__ = [
-    "TransformContext",
     "ContextError",
     "Contexts",
     "build_context",
@@ -43,59 +43,12 @@ class ContextError(ValueError):
 
 
 @dataclass(frozen=True)
-class TransformContext:
-    """The data underlying one application of the flattening map: threshold
-    level k, the component A of v above the threshold in the distance-<=2
-    graph, its shells X and Y, and (Lipschitz only) the per-boundary-vertex
-    bounds ell_x <= f(x)-k <= u_x."""
-
-    mode: str
-    k: int
-    v: int
-    A: frozenset[int]
-    X: frozenset[int]
-    Y: frozenset[int]
-    ell: dict[int, int]
-    u: dict[int, int]
-    M: int | None
-
-    @property
-    def image_size(self) -> int:
-        if self.mode == "hom":
-            return 2 ** len(self.X)
-        out = 1
-        for x in self.X:
-            out *= self.u[x] + 1
-        return out
-
-    @property
-    def s_minus_size(self) -> int:
-        if self.mode == "hom":
-            return 1
-        out = 1
-        for x in self.X:
-            out *= self.u[x]
-        return out
-
-    @property
-    def ratio_bound(self) -> Fraction:
-        """The corollary's bound for the component A, on both
-        |Omega_{A,S}| / |image of Omega_{A,S}| and P(Omega_A^+)."""
-        if self.mode == "hom":
-            return Fraction(2, 2 ** len(self.X))
-        M, a_size = self.M, len(self.A)
-        return M * (2 * a_size + 1) * (2 * M + 1) ** a_size * Fraction(M, M + 1) ** len(self.X)
-
-    def s_signature(self) -> tuple:
-        """Hashable identity of the product set S (for partitioning)."""
-        if self.mode == "hom":
-            return tuple(sorted(self.X))
-        return tuple(sorted(self.u.items()))
-
-
-@dataclass(frozen=True)
 class Contexts:
-    """The contexts (see TransformContext) of a batch of rows, as arrays.
+    """The contexts of a batch of rows, as arrays.  A row's context holds
+    the data of one application of the flattening map: threshold level k,
+    the component A of v above the threshold in the distance-<=2 graph, its
+    shells X and Y, and (Lipschitz only) the bounds ell_x <= f(x)-k <= u_x
+    on X; S is the product of {0..u_x} (hom: {-1, 1}) over X.
 
     Row i's A is ``a_sets[a_id[i]]``, and its X and Y sit at the same index;
     ``a_mask`` / ``x_mask`` hold A and X as vertex masks.  ell and u are
@@ -120,37 +73,6 @@ class Contexts:
     u: np.ndarray
     errors: dict[int, str]
 
-    @classmethod
-    def of(cls, ctx: TransformContext, values) -> "Contexts":
-        """The one-row batch holding ctx, for the function with these values."""
-        n = len(values)
-        a_mask, x_mask = np.zeros((2, 1, n), dtype=bool)
-        a_mask[0, list(ctx.A)] = True
-        x_mask[0, list(ctx.X)] = True
-        ell, u = np.zeros((2, 1, n if ctx.mode == "lipschitz" else 0), dtype=np.int64)
-        for x in ctx.u:
-            ell[0, x], u[0, x] = ctx.ell[x], ctx.u[x]
-        return cls(
-            mode=ctx.mode, M=ctx.M, v=ctx.v, values=np.array([values], dtype=np.int64),
-            k=np.array([ctx.k], dtype=np.int64), a_id=np.zeros(1, dtype=np.int64),
-            a_sets=[ctx.A], x_sets=[ctx.X], y_sets=[ctx.Y], a_mask=a_mask, x_mask=x_mask,
-            ell=ell, u=u, errors={},
-        )
-
-    def context(self, i: int) -> TransformContext:
-        """Row i's context (the row must have no error)."""
-        a = self.a_id[i]
-        x_set = self.x_sets[a]
-        ell: dict[int, int] = {}
-        u: dict[int, int] = {}
-        if self.mode == "lipschitz":
-            for x in x_set:
-                ell[x], u[x] = int(self.ell[i, x]), int(self.u[i, x])
-        return TransformContext(
-            mode=self.mode, k=int(self.k[i]), v=self.v, A=self.a_sets[a], X=x_set,
-            Y=self.y_sets[a], ell=ell, u=u, M=self.M,
-        )
-
     def radices(self, idx) -> np.ndarray:
         """(len(idx), n) int64: the number of values S allows at each vertex
         of rows idx (u_x + 1, or 2 in hom mode, on X; 1 elsewhere)."""
@@ -163,6 +85,34 @@ class Contexts:
         """|S| of rows idx as exact Python ints (object array): a product
         over X may pass int64 before the guard has been checked."""
         return np.prod(self.radices(idx).astype(object), axis=1)
+
+    def s_minus_sizes(self, idx) -> np.ndarray:
+        """|S^-| of rows idx, the product of u_x over X (1 in hom mode), as
+        exact Python ints (object array)."""
+        in_x = self.x_mask[self.a_id[idx]]
+        return np.prod(np.where(in_x, self.radices(idx) - 1, 1).astype(object), axis=1)
+
+    def group_key(self, i: int) -> tuple:
+        """Row i's (A, S) as witnesses print it: (A, ((x, u_x), ...)) over
+        sorted X, or (A,) in hom mode."""
+        a = self.a_id[i]
+        if self.mode == "hom":
+            return (self.a_sets[a],)
+        return (self.a_sets[a], tuple((x, int(self.u[i, x])) for x in sorted(self.x_sets[a])))
+
+
+def _preimage_bound(mode: str, M: int | None, a_size: int, s_minus):
+    """alpha, the most preimages an image member of one (A, S) group has."""
+    return 2 if mode == "hom" else M * (2 * a_size + 1) * (2 * M + 1) ** a_size * s_minus
+
+
+def _ratio_bound(mode: str, M: int | None, a_size: int, x_size: int) -> Fraction:
+    """The corollary's bound for a component A, on both |Omega_{A,S}| /
+    |image of Omega_{A,S}| and P(Omega_A^+): alpha / |S| at the largest
+    |S^-| / |S|, (M / (M + 1))^|X| (hom: alpha / |S| = 2 / 2^|X|)."""
+    if mode == "hom":
+        return Fraction(2, 2**x_size)
+    return _preimage_bound(mode, M, a_size, Fraction(M, M + 1) ** x_size)
 
 
 def _row_keys(a: np.ndarray) -> np.ndarray:
@@ -299,15 +249,15 @@ def build_contexts(g: Graph, rows, v: int, k, mode: str, M: int | None = None) -
     )
 
 
-def build_context(g: Graph, f: HeightFunction, v: int, k: int) -> TransformContext:
-    """Assemble the context for f at vertex v and threshold k, asserting the
+def build_context(g: Graph, f: HeightFunction, v: int, k: int) -> Contexts:
+    """The one-row Contexts of f at vertex v and threshold k, asserting the
     structural claims (values on X and the 2-boundary; the ell/u chain)
     before returning."""
     M = f.M if f.mode == "lipschitz" else None
-    ctxs = build_contexts(g, np.array([f.values], dtype=np.int64), v, [k], f.mode, M)
-    if ctxs.errors:
-        raise ContextError(ctxs.errors[0])
-    return ctxs.context(0)
+    ctx = build_contexts(g, np.array([f.values], dtype=np.int64), v, [k], f.mode, M)
+    if ctx.errors:
+        raise ContextError(ctx.errors[0])
+    return ctx
 
 
 def image_rows(ctxs: Contexts, idx, root: int) -> tuple[np.ndarray, np.ndarray]:
@@ -339,23 +289,19 @@ def image_rows(ctxs: Contexts, idx, root: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_transform(
-    g: Graph,
-    f: HeightFunction,
-    ctx: TransformContext,
-    *,
-    guard: int = 1 << 20,
+    g: Graph, f: HeightFunction, ctx: Contexts, *, guard: int = 1 << 20
 ) -> frozenset[tuple[int, ...]]:
     """Materialize the full image set of f under the flattening map, shifted
-    to vanish at the root.  Members are not validated here;
-    ``verify_counting`` checks each one.
+    to vanish at the root; ctx is f's one-row Contexts from
+    ``build_context``.  Members are not validated here; ``verify_counting``
+    checks each one.
 
     Raises when the image would exceed ``guard`` members.
     """
-    if ctx.image_size > guard:
-        raise GraphError(
-            f"image has {ctx.image_size} members, beyond the guard {guard}"
-        )
-    members, _ = image_rows(Contexts.of(ctx, f.values), [0], f.root)
+    size = ctx.image_sizes([0])[0]
+    if size > guard:
+        raise GraphError(f"image has {size} members, beyond the guard {guard}")
+    members, _ = image_rows(ctx, [0], f.root)
     return frozenset(map(tuple, members.tolist()))
 
 
@@ -422,6 +368,10 @@ def verify_counting(
     function; when it names an image member, that is the function's first
     failing member in ``image_rows`` order.
     """
+    if k_strategy not in ("phase", "zero"):
+        raise ValueError(f"unknown k strategy {k_strategy!r}")
+    if k_strategy == "phase" and lam is None:
+        raise ValueError("k strategy 'phase' needs lam")
     if t < 1:
         raise ValueError("t must be at least 1")
     for u in (v0, v):
@@ -430,28 +380,17 @@ def verify_counting(
     rows = fam.rows
     if k_strategy == "zero":
         k_all = np.zeros(rows.shape[0], dtype=np.int64)
-    elif k_strategy == "phase":
-        if mode == "lipschitz":
-            k_all = phases_lipschitz(g, rows, lam, M)[0]
-        else:
-            k_all = phases_hom(g, rows, lam, v0)[0]
+    elif mode == "lipschitz":
+        k_all = phases_lipschitz(g, rows, lam, M)[0]
     else:
-        raise ValueError(f"unknown k strategy {k_strategy!r}")
+        k_all = phases_hom(g, rows, lam, v0)[0]
     slope = M if mode == "lipschitz" else 1
     high = np.flatnonzero(rows[:, v] > k_all + t * slope)
     q_size = rows.shape[0]
 
     names = [
-        "context_claims",
-        "ball_in_A",
-        "image_size",
-        "image_members_valid",
-        "preimage_bound",
-        "ratio_bound_AS",
-        "ratio_bound_A",
-        "double_counting",
-        "reconstruction",
-        "image_in_family",
+        "context_claims", "ball_in_A", "image_size", "image_members_valid", "preimage_bound",
+        "ratio_bound_AS", "ratio_bound_A", "double_counting", "reconstruction", "image_in_family",
     ]
     if mode == "lipschitz":
         names += ["disjoint_images", "u_recovery"]
@@ -513,9 +452,6 @@ def verify_counting(
     else:
         group, group_first = _first_occurrence_labels(a_id)
 
-    def key(ctx):
-        return (ctx.A, ctx.s_signature()) if mode == "lipschitz" else (ctx.A,)
-
     # per group: the preimage bound alpha, the double-counting ratio and the
     # ratio to |union of images|, from the distinct (group, member) pairs
     n_groups = group_first.size
@@ -526,29 +462,28 @@ def verify_counting(
     union = np.bincount(pair_group, minlength=n_groups)
     worst = np.zeros(n_groups, dtype=np.int64)
     np.maximum.at(worst, pair_group, preimages)
+    s_minus = ctxs.s_minus_sizes(omega[group_first])
     for gi, j in enumerate(group_first.tolist()):
-        ctx0 = ctxs.context(omega[j])
-        key0, size = key(ctx0), int(members_of[gi])
-        a_size = len(ctx0.A)
-        if mode == "lipschitz":
-            alpha = M * (2 * a_size + 1) * (2 * M + 1) ** a_size * ctx0.s_minus_size
-        else:
-            alpha = 2
+        a = a_id[j]
+        a_size, key0, size = len(a_sets[a]), ctxs.group_key(omega[j]), int(members_of[gi])
+        alpha = _preimage_bound(mode, M, a_size, s_minus[gi])
         b, w, un = int(beta[gi]), int(worst[gi]), int(union[gi])
         checks["preimage_bound"].tick(w <= alpha, (key0, w, alpha))
         checks["double_counting"].tick(
             Fraction(size, q_size) <= Fraction(alpha, b), (key0, size, alpha, b)
         )
-        checks["ratio_bound_AS"].tick(Fraction(size, un) <= ctx0.ratio_bound, (key0, size, un))
+        checks["ratio_bound_AS"].tick(
+            Fraction(size, un) <= _ratio_bound(mode, M, a_size, len(x_sets[a])), (key0, size, un)
+        )
 
     # bound on P(Omega_A^+) per A, and image disjointness across S
     a_label, a_first = _first_occurrence_labels(a_id)
     members_of_a = np.bincount(a_label, minlength=a_first.size)
     for j, first in enumerate(a_first.tolist()):
-        ctx = ctxs.context(omega[first])
+        a_set, x_set = a_sets[a_id[first]], x_sets[a_id[first]]
         checks["ratio_bound_A"].tick(
-            Fraction(int(members_of_a[j]), q_size) <= ctx.ratio_bound,
-            (sorted(ctx.A), int(members_of_a[j])),
+            Fraction(int(members_of_a[j]), q_size) <= _ratio_bound(mode, M, len(a_set), len(x_set)),
+            (sorted(a_set), int(members_of_a[j])),
         )
 
     if mode == "lipschitz":
@@ -567,16 +502,11 @@ def verify_counting(
             for g1, g2 in itertools.combinations(images, 2):
                 checks["disjoint_images"].tick(
                     not images[g1] & images[g2],
-                    (key(ctxs.context(omega[group_first[g1]])), key(ctxs.context(omega[group_first[g2]]))),
+                    (ctxs.group_key(omega[group_first[g1]]), ctxs.group_key(omega[group_first[g2]])),
                 )
 
     return VerifyReport(
-        mode=mode,
-        v=v,
-        t=t,
-        family_size=q_size,
-        omega_size=int(omega.size),
-        checks=checks,
+        mode=mode, v=v, t=t, family_size=q_size, omega_size=int(omega.size), checks=checks
     )
 
 

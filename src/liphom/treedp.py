@@ -145,6 +145,8 @@ def _window_sums(table: dict[int, int], slope: int, mode: str) -> dict[int, int]
 
 def tree_dp(d: int, h: int, mode: str = "lipschitz", M: int | None = 1) -> TreeDP:
     """Bottom-up exact DP over value tables; one table per level."""
+    if mode not in ("lipschitz", "hom"):
+        raise ValueError(f"unknown mode {mode!r}")
     if d < 3 or h < 1:
         raise GraphError("need d >= 3 and h >= 1")
     if mode == "lipschitz" and (M is None or M < 1):

@@ -9,15 +9,17 @@ oracle walks every subset, and every (A, B) pair, as frozensets.  The
 heat-bath rule ``allowed_values`` lists one vertex's values for the Glauber
 tests.  The flattening-map oracles build each context, image and check one
 function and one image member at a time in Python; the verifier oracle
-shares only the family enumeration and the phases with the library.  The
-bipartite-generator oracle tests each drawn matching as a set of edge
-tuples.
+shares only the family enumeration and the phases with the library, and
+its context record ``ReferenceContext`` writes out |S|, |S^-|, alpha and
+the ratio bound from their definitions.  The bipartite-generator oracle
+tests each drawn matching as a set of edge tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +38,7 @@ from liphom.graphs import (
 )
 from liphom.heights import HeightFunction, Phase, PhaseError, phases_hom, phases_lipschitz, validate
 from liphom.samplers import enumerate_functions
-from liphom.transform import ContextError, TransformContext, VerifyReport
+from liphom.transform import ContextError, VerifyReport
 
 
 def k4():
@@ -384,6 +386,62 @@ def reference_check_expansion_props(g, lam, mode="general"):
     return checks
 
 
+@dataclass(frozen=True)
+class ReferenceContext:
+    """One application of the flattening map, as sets: threshold level k,
+    the component A of v above the threshold in the distance-<=2 graph, its
+    shells X and Y, and (Lipschitz only) the bounds ell_x <= f(x)-k <= u_x
+    on X, with the corollary's quantities written out from their
+    definitions."""
+
+    mode: str
+    k: int
+    v: int
+    A: frozenset
+    X: frozenset
+    Y: frozenset
+    ell: dict
+    u: dict
+    M: int | None
+
+    @property
+    def image_size(self) -> int:
+        """|S|: S is {0..u_x} at each x of X ({-1, 1} in hom mode)."""
+        if self.mode == "hom":
+            return 2 ** len(self.X)
+        return math.prod(self.u[x] + 1 for x in self.X)
+
+    @property
+    def s_minus_size(self) -> int:
+        """|S^-|: S^- is {1..u_x} at each x of X (a single point in hom mode)."""
+        if self.mode == "hom":
+            return 1
+        return math.prod(self.u[x] for x in self.X)
+
+    @property
+    def preimage_bound(self) -> int:
+        """alpha = M (2|A| + 1) (2M + 1)^|A| |S^-|; 2 in hom mode."""
+        if self.mode == "hom":
+            return 2
+        M, a = self.M, len(self.A)
+        return M * (2 * a + 1) * (2 * M + 1) ** a * self.s_minus_size
+
+    @property
+    def ratio_bound(self) -> Fraction:
+        """alpha / |S| with every u_x at its largest value M: M (2|A| + 1)
+        (2M + 1)^|A| (M / (M + 1))^|X|; 2 / 2^|X| in hom mode."""
+        if self.mode == "hom":
+            return Fraction(2, 2 ** len(self.X))
+        M, a = self.M, len(self.A)
+        return Fraction(M * (2 * a + 1) * (2 * M + 1) ** a * M ** len(self.X), (M + 1) ** len(self.X))
+
+    def s_signature(self) -> tuple:
+        """The u_x that fix S, as sorted (x, u_x) pairs (X in hom mode)."""
+        if self.mode == "hom":
+            return tuple(sorted(self.X))
+        return tuple(sorted(self.u.items()))
+
+
 def reference_build_context(g, f, v, k):
     """The flattening map's context for f at vertex v and threshold k, built
     with set operations, asserting the structural claims."""
@@ -428,7 +486,7 @@ def reference_build_context(g, f, v, k):
                     f"bound chain violated at boundary vertex {x}: "
                     f"1 <= {ell[x]} <= {vals[x] - k} <= {u[x]} <= {M}"
                 )
-    return TransformContext(
+    return ReferenceContext(
         mode=f.mode, k=k, v=v, A=a, X=x_set, Y=y_set, ell=ell, u=u, M=M
     )
 
@@ -575,11 +633,7 @@ def reference_verify_counting(
         images_by_group[key] = union_image
 
         # preimage bound alpha and the double-counting ratio
-        a_size = len(ctx0.A)
-        if mode == "lipschitz":
-            alpha = M * (2 * a_size + 1) * (2 * M + 1) ** a_size * ctx0.s_minus_size
-        else:
-            alpha = 2
+        alpha = ctx0.preimage_bound
         beta = min(ctx.image_size for ctx, _ in members)
         worst = max(preimage_count.values())
         checks["preimage_bound"].tick(worst <= alpha, (key, worst, alpha))

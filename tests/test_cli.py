@@ -168,6 +168,10 @@ def test_experiment_seed_override(tmp_path, argv, seed):
         (["gen", "--type", "regular", "--n", "4", "--d", "1"], "d=1 with n=4 > 2"),
         (["gen", "--type", "regular", "--n", "0", "--d", "3"], "vertex count n=0 must be at least 1"),
         (["certify", "{k4}", "--tol", "1e-6"], "--tol"),
+        (["phase", "{k4}", "{flat}", "--mode", "lipschitz", "--lam=inf"], "explicit lambda = inf must be finite"),
+        (["phase", "{k4}", "{flat}", "--mode", "lipschitz", "--lam=-inf"], "explicit lambda = -inf must be finite"),
+        (["phase", "{k4}", "{flat}", "--mode", "lipschitz", "--lam=nan"], "explicit lambda = nan must be finite"),
+        (["verify-transform", "{k4}", "--mode", "lipschitz", "--v", "1", "--lam=-0.5"], "= -0.5 must be"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):

@@ -144,6 +144,11 @@ def _props_cases():
     cases += [(gen_random_regular(6, 3, seed), "general") for seed in (0, 1, 2)]
     cases += [(gen_random_regular(n, 4, 2), "general") for n in (5, 7)]
     cases += [(gen_random_bipartite_regular(m, d, m), "bipartite") for m, d in ((3, 2), (4, 2), (5, 2), (6, 3))]
+    # both fail volume growth at small lambda; in two disjoint C4 no ball
+    # reaches the other component
+    c8 = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    two_c4 = build_graph(8, [(s + i, s + (i + 1) % 4) for s in (0, 4) for i in range(4)])
+    cases += [(c8, "general"), (two_c4, "general")]
     return cases
 
 

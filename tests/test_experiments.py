@@ -190,6 +190,16 @@ def test_tree_kind_past_int_str_digit_limit(tmp_path):
     assert longest > sys.get_int_max_str_digits() > 0
 
 
+def test_tree_kind_ignores_repeated_targets():
+    # the rows of targets = 1,1 are those of targets = 1; only the config
+    # hash column tells the two configs apart
+    once, twice = (
+        ExperimentConfig(kind="tree", d=3, h=3, M=1, targets=t, t_max=2) for t in ("1", "1,1")
+    )
+    text = result_to_text(run_experiment(twice), "csv")
+    assert text.replace(twice.hash(), once.hash()) == result_to_text(run_experiment(once), "csv")
+
+
 def test_tree_kind_rejects_out_of_range_target():
     for v in (-1, 10):
         cfg = ExperimentConfig(kind="tree", d=3, h=2, M=1, targets=str(v), t_max=1)
@@ -335,6 +345,10 @@ def assert_rejected_at_entry(kwargs, message, tmp_path, capsys):
         ({"kind": "max", "sampler": "mcmc", "thin": -2}, "thin = -2 must be at least 1"),
         ({"kind": "max"}, "kind = max needs sampler = mcmc"),
         ({"cap": 0}, "cap = 0 must be at least 1"),
+        *(
+            ({"lambda_source": "explicit", "lambda_value": lam}, f"{lam} must be finite and at least 0")
+            for lam in (float("inf"), float("-inf"), float("nan"), -0.5)
+        ),
     ],
 )
 def test_config_rejects_out_of_range(fields, message, tmp_path, capsys):

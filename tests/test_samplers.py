@@ -48,6 +48,11 @@ def test_enumeration_cap():
         enumerate_functions(k4(), 0, "lipschitz", M=1, cap=10)
 
 
+def test_enumeration_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'foo'"):
+        enumerate_functions(k4(), 0, "foo", M=1)
+
+
 def k3():
     return build_graph(3, [(0, 1), (0, 2), (1, 2)])
 

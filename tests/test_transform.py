@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from liphom import (
     exhaustive_lambda,
     gen_random_regular,
     gen_tree,
+    homomorphism,
     lipschitz,
     transform,
     validate,
@@ -38,24 +40,65 @@ from .conftest import (
 )
 
 
-def tree_spike():
-    """T with h=2, d=3: root at 2, children at 1, leaves at 0."""
+def spike(mode, M, child_values, leaf_values):
+    """gen_tree(3, 2) with the root at M + 1 (2 in hom mode), its i-th child
+    at child_values[i] and that child's leaves at leaf_values[i]."""
     t = gen_tree(3, 2)
     vals = [0] * t.n
-    vals[t.root] = 2
-    for c in t.adj[t.root]:
-        vals[c] = 1
-    v0 = min(t.leaves)
-    return t, lipschitz(vals, v0, 1)
+    vals[t.root] = M + 1 if mode == "lipschitz" else 2
+    for c, cv, lv in zip(sorted(t.adj[t.root]), child_values, leaf_values):
+        vals[c] = cv
+        for w in t.adj[c]:
+            if w != t.root:
+                vals[w] = lv
+    v0 = min(w for w in t.leaves if vals[w] == 0)
+    return t, lipschitz(vals, v0, M) if mode == "lipschitz" else homomorphism(vals, v0)
+
+
+def tree_spike():
+    """T with h=2, d=3: root at 2, children at 1, leaves at 0."""
+    return spike("lipschitz", 1, (1, 1, 1), (0, 0, 0))
 
 
 def test_build_context_tree_example():
     t, f = tree_spike()
     ctx = build_context(t, f, t.root, k=0)
-    assert ctx.A == frozenset({t.root})
-    assert len(ctx.X) == 3
-    assert all(ctx.ell[x] == 1 and ctx.u[x] == 1 for x in ctx.X)
-    assert ctx.image_size == 2**3 == 8
+    assert ctx.a_sets == [frozenset({t.root})]
+    assert len(ctx.x_sets[0]) == 3
+    assert all(ctx.ell[0, x] == 1 and ctx.u[0, x] == 1 for x in ctx.x_sets[0])
+    assert ctx.image_sizes([0])[0] == 2**3 == 8
+
+
+@pytest.mark.parametrize(
+    "f_args, want",
+    [
+        # tree_spike: M=1, A = {root}, u = 1 on all 3 of X; alpha = 1*3*3*1,
+        # ratio = 1*3*3 * (1/2)^3
+        (("lipschitz", 1, (1, 1, 1), (0, 0, 0)), (1, 3, 8, 1, 9, Fraction(9, 8))),
+        # M=2, u = (1, 2, 2) on X: |S| = 2*3*3, |S^-| = 1*2*2,
+        # alpha = 2*3*5*4, ratio = 2*3*5 * (2/3)^3
+        (("lipschitz", 2, (1, 2, 2), (-1, 0, 0)), (1, 3, 18, 4, 120, Fraction(80, 9))),
+        # hom: S = {-1, 1}^X, alpha = 2, ratio = 2 / 2^3
+        (("hom", None, (1, 1, 1), (0, 0, 0)), (1, 3, 8, 1, 2, Fraction(1, 4))),
+    ],
+)
+def test_corollary_bounds_by_hand(f_args, want):
+    t, f = spike(*f_args)
+    ctx = build_context(t, f, t.root, k=0)
+    a_size, x_size = len(ctx.a_sets[0]), len(ctx.x_sets[0])
+    s_minus = ctx.s_minus_sizes([0])[0]
+    assert (
+        a_size,
+        x_size,
+        ctx.image_sizes([0])[0],
+        s_minus,
+        transform._preimage_bound(f.mode, f.M, a_size, s_minus),
+        transform._ratio_bound(f.mode, f.M, a_size, x_size),
+    ) == want
+    ref = reference_build_context(t, f, t.root, 0)
+    assert (
+        len(ref.A), len(ref.X), ref.image_size, ref.s_minus_size, ref.preimage_bound, ref.ratio_bound
+    ) == want
 
 
 def test_build_context_threshold_precondition():
@@ -88,7 +131,7 @@ def test_apply_transform_flat_member():
     image = apply_transform(t, f, ctx)
     flat = list(f.values)
     flat[t.root] = 1
-    for x in ctx.X:
+    for x in ctx.x_sets[0]:
         flat[x] = 0
     assert tuple(flat) in image
 
@@ -153,6 +196,16 @@ def test_verify_report_serializable():
 def test_t_must_be_positive():
     with pytest.raises(ValueError):
         verify_counting(k4(), 0, 1, 0, "lipschitz", M=1, lam=1.0)
+
+
+def test_verify_counting_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'lip'"):
+        verify_counting(k4(), 0, 1, 1, "lip", M=1, k_strategy="zero")
+
+
+def test_verify_counting_phase_needs_lam():
+    with pytest.raises(ValueError, match="needs lam"):
+        verify_counting(k4(), 0, 1, 1, "lipschitz", M=1, k_strategy="phase", lam=None)
 
 
 def test_invalid_image_member_is_reported(monkeypatch):
@@ -336,10 +389,11 @@ def test_apply_transform_matches_reference():
     for row, k in zip(rows[::97].tolist(), k_all[::97].tolist()):
         f = lipschitz(row, 0, 2)
         try:
-            ctx = reference_build_context(g, f, 3, k)
+            want = reference_build_context(g, f, 3, k)
         except ContextError:
             continue
-        assert apply_transform(g, f, ctx) == reference_apply_transform(g, f, ctx)
+        image = apply_transform(g, f, build_context(g, f, 3, k))
+        assert image == reference_apply_transform(g, f, want)
         seen += 1
     assert seen > 10
 
@@ -384,19 +438,33 @@ def test_build_contexts_match_reference(case):
             assert str(info.value) == str(exc)
             continue
         assert i not in ctxs.errors
-        got = ctxs.context(i)
-        assert got == want
-        # witnesses print A and X in iteration order
-        assert (list(got.A), list(got.X)) == (list(want.A), list(want.X))
-        assert ctxs.image_sizes([i])[0] == want.image_size
-        assert build_context(g, f, v, k) == want
+        assert_same_context(ctxs, i, want)
+        assert_same_context(build_context(g, f, v, k), 0, want)
+
+
+def assert_same_context(ctxs, i, want):
+    """Row i of ctxs holds the oracle's context want."""
+    a = ctxs.a_id[i]
+    a_set, x_set = ctxs.a_sets[a], ctxs.x_sets[a]
+    # witnesses print A and X in iteration order
+    assert (list(a_set), list(x_set)) == (list(want.A), list(want.X))
+    assert ctxs.y_sets[a] == want.Y
+    assert np.flatnonzero(ctxs.a_mask[a]).tolist() == sorted(want.A)
+    assert np.flatnonzero(ctxs.x_mask[a]).tolist() == sorted(want.X)
+    assert (ctxs.mode, int(ctxs.k[i]), ctxs.v, ctxs.M) == (want.mode, want.k, want.v, want.M)
+    for got, bounds in ((ctxs.ell[i], want.ell), (ctxs.u[i], want.u)):
+        assert {x: int(b) for x, b in enumerate(got) if b} == bounds  # 0 off X
+    assert ctxs.image_sizes([i])[0] == want.image_size
+    assert ctxs.s_minus_sizes([i])[0] == want.s_minus_size
+    key = (want.A, want.s_signature()) if want.mode == "lipschitz" else (want.A,)
+    assert ctxs.group_key(i) == key
 
 
 def test_build_context_edgeless_graph():
     # no vertex has a neighbour: the gathers still have a padding column
     g = build_graph(3, [])
     f = lipschitz([0, 3, 0], 0, 1)
-    assert build_context(g, f, 1, 0) == reference_build_context(g, f, 1, 0)
+    assert_same_context(build_context(g, f, 1, 0), 0, reference_build_context(g, f, 1, 0))
 
 
 # Injected failures: the same fault goes into verify_counting and the oracle.

@@ -184,3 +184,8 @@ def test_preconditions():
         tree_dp(3, 0, "lipschitz", 1)
     with pytest.raises(ValueError):
         tree_dp(3, 2, "lipschitz", 0)
+
+
+def test_tree_dp_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'foo'"):
+        tree_dp(3, 2, mode="foo")

@@ -259,6 +259,8 @@ def _cmd_phase(args) -> int:
 def _cmd_verify_transform(args) -> int:
     g = read_graph(args.graph)
     M = args.M if args.mode == "lipschitz" else None
+    if args.k_strategy != "phase" and args.lam is not None:
+        raise ValueError(f"--lam is read only with --k-strategy phase, not {args.k_strategy}")
     lam = _lam(g, args) if args.k_strategy == "phase" else None
     rep = transform.verify_counting(
         g,

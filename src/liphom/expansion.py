@@ -10,6 +10,7 @@ it is not an upper bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -108,19 +109,54 @@ def exhaustive_lambda(g: Graph, mode: str = "general") -> float:
     return float((np.maximum(hi - expected, expected - lo) / np.sqrt(s * k)).max(initial=0.0))
 
 
+def _pairwise_rows(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of the (m, n) array x, each column added in the
+    order np.add.reduce uses for a 1-D array of m: a plain loop below 8,
+    eight running sums combined as a tree up to 128, and halves rounded
+    down to a multiple of 8 above that."""
+    m = len(x)
+    if m < 8:
+        return np.add.reduce(x, axis=0)
+    if m <= 128:
+        body = m - m % 8
+        r = np.add.reduce(x[:body].reshape(-1, 8, x.shape[1]), axis=0)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in x[body:]:
+            total += row
+        return total
+    half = m // 2
+    half -= half % 8
+    return _pairwise_rows(x[:half]) + _pairwise_rows(x[half:])
+
+
+def _neighbour_table(g: Graph, d: int) -> np.ndarray:
+    """C-contiguous int64 (d, n) array with [k, v] the k-th entry of g.adj[v]."""
+    for v, nbrs in enumerate(g.adj):
+        if len(nbrs) != d:
+            raise GraphError(f"vertex {v} has degree {len(nbrs)}, not the graph's d={d}")
+    flat = np.fromiter(itertools.chain.from_iterable(g.adj), dtype=np.int64, count=g.n * d)
+    return flat.reshape(g.n, d).T.copy()
+
+
 def spectral_lambda(g: Graph, mode: str = "general", tol: float = SPECTRAL_TOL) -> float:
     """Second-largest absolute adjacency eigenvalue (general) or second
     singular value of the biadjacency (bipartite), by power iteration with
     the all-ones top vector deflated.  The result is an estimate of the
     mixing-lemma lambda: a Rayleigh quotient can fall below the eigenvalue,
     by more than tol, so neither it nor it plus tol is an upper bound.
+
+    Every vertex must have exactly d neighbours (a glued tree's glue vertex
+    does not), so that one (d, n) table holds them.  Row v of a product is
+    x[nbr[0, v]] plus the pairwise sum of the other d - 1 gathered terms,
+    the order in which np.add.reduceat sums g.adj[v]: the value is bit for
+    bit that of a per-vertex reduceat product.
     """
     d = _require_regular(g)
-    indptr = np.cumsum([0, *map(len, g.adj)])
-    indices = np.fromiter((w for nbrs in g.adj for w in nbrs), dtype=np.int64, count=indptr[-1])
+    nbr = _neighbour_table(g, d)
 
-    def matvec(x: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(x[indices], indptr[:-1])
+    def matvec(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+        terms = x.take(table)
+        return terms[0] + _pairwise_rows(terms[1:])
 
     def deflate(y):
         return y - y.mean()
@@ -129,22 +165,22 @@ def spectral_lambda(g: Graph, mode: str = "general", tol: float = SPECTRAL_TOL) 
         dim = g.n
 
         def op(x):
-            return matvec(deflate(matvec(x)))  # A^2 avoids +-pair oscillation
+            return matvec(deflate(matvec(x, nbr)), nbr)  # A^2 avoids +-pair oscillation
 
     elif mode == "bipartite":
         if g.bipartition is None:
             raise GraphError("bipartite mode requires a bipartition")
-        v0 = np.array(sorted(g.bipartition[0]), dtype=np.int64)
-        v1 = np.array(sorted(g.bipartition[1]), dtype=np.int64)
+        v0, v1 = (sorted(part) for part in g.bipartition)
+        pos = np.empty(g.n, dtype=np.int64)
+        pos[v0] = np.arange(len(v0))
+        pos[v1] = np.arange(len(v1))
+        # rows of V0 read x by position in V1, rows of V1 read B x by position in V0
+        to_v1 = np.ascontiguousarray(pos[nbr[:, v0]])
+        to_v0 = np.ascontiguousarray(pos[nbr[:, v1]])
         dim = len(v1)
 
         def op(x):
-            full = np.zeros(g.n)
-            full[v1] = x
-            full = matvec(full)  # now supported on v0
-            keep = np.zeros(g.n)
-            keep[v0] = full[v0]
-            return matvec(keep)[v1]  # B^T B x
+            return matvec(matvec(x, to_v1), to_v0)  # B^T B x
 
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -74,6 +74,16 @@ _NEEDS = {
 }
 
 
+def _listed_targets(text: str) -> list[int]:
+    """The vertex ids of a comma-separated targets value."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"config targets = {text!r}: expected v0, all or comma-separated vertex ids"
+        ) from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -131,6 +141,8 @@ class ExperimentConfig:
                 raise ValueError(f"config {key} = {getattr(self, key)} must be at least {low}")
         if self.t_max is not None and self.t_max < self.t_min:
             raise ValueError(f"config t_max = {self.t_max} is below t_min = {self.t_min}")
+        if self.targets not in ("v0", "all"):
+            _listed_targets(self.targets)  # the range is checked once a graph exists
 
     def canonical_text(self) -> str:
         lines = []
@@ -205,7 +217,7 @@ def _target_vertices(n: int, cfg: ExperimentConfig) -> list[int]:
     if cfg.targets == "v0":
         targets = [cfg.v0]
     else:
-        targets = [int(x) for x in cfg.targets.split(",")]
+        targets = _listed_targets(cfg.targets)
     for v in targets:
         if not (0 <= v < n):
             raise GraphError(f"target vertex {v} out of range")
@@ -268,6 +280,7 @@ def _deviation_counts(g, cfg, lam, rows, targets, top) -> np.ndarray:
 
 def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
     g = _build_graph_from_config(cfg)
+    targets = _target_vertices(g.n, cfg)  # before lambda and sampling
     mode = cfg.mode
     d = g.degree
     M = cfg.M if mode == "lipschitz" else None
@@ -296,7 +309,6 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
         exact = False
     n_s = rows.shape[0]
 
-    targets = _target_vertices(g.n, cfg)
     trange = _t_range(g, cfg, lam, d, n_norm)
     cuts = [(t - 1) * cfg.M if mode == "lipschitz" else t for t in trange]
     # deviations above every cut share the last bin
@@ -386,11 +398,11 @@ def _run_max(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_tree(cfg: ExperimentConfig) -> ExperimentResult:
     d, h, M = cfg.d, cfg.h, cfg.M
     mode = cfg.mode
-    dp = tree_dp(d, h, mode=mode, M=M if mode == "lipschitz" else None)
     # BFS numbering keeps levels contiguous: depths and ball sizes come from
     # the level offsets, so the tree itself is never built
     offsets = tree_level_offsets(d, h)
     targets = _target_vertices(offsets[-1], cfg)
+    dp = tree_dp(d, h, mode=mode, M=M if mode == "lipschitz" else None)
     trange = range(cfg.t_min, (cfg.t_max if cfg.t_max is not None else h) + 1)
     chash = cfg.hash()
     slope = M if mode == "lipschitz" else 1

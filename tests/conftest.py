@@ -4,15 +4,17 @@ The enumeration and phase oracles here deliberately avoid the library's
 enumeration and phase machinery: they are plain assignment searches over
 explicit value ranges and by-definition phase scans of one function at a
 time, used as ground truth.  The exhaustive-lambda oracle scores every set
-pair (S, T), not only the extreme T of each S, and the expansion-property
-oracle walks every subset, and every (A, B) pair, as frozensets.  The
-heat-bath rule ``allowed_values`` lists one vertex's values for the Glauber
-tests.  The flattening-map oracles build each context, image and check one
-function and one image member at a time in Python; the verifier oracle
-shares only the family enumeration and the phases with the library, and
-its context record ``ReferenceContext`` writes out |S|, |S^-|, alpha and
-the ratio bound from their definitions.  The bipartite-generator oracle
-tests each drawn matching as a set of edge tuples.
+pair (S, T), not only the extreme T of each S; the spectral-lambda oracle
+is the power iteration with one reduceat product per vertex; and the
+expansion-property oracle walks every subset, and every (A, B) pair, as
+frozensets.  The heat-bath rule ``allowed_values`` lists one vertex's
+values for the Glauber tests.  The flattening-map oracles build each
+context, image and check one function and one image member at a time in
+Python; the verifier oracle shares only the family enumeration and the
+phases with the library, and its context record ``ReferenceContext``
+writes out |S|, |S^-|, alpha and the ratio bound from their definitions.
+The bipartite-generator oracle tests each drawn matching as a set of edge
+tuples.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 import pytest
 
 from liphom import build_graph
-from liphom.expansion import CheckResult, edge_count
+from liphom.expansion import SPECTRAL_MAX_ITER, SPECTRAL_TOL, CheckResult, edge_count
 from liphom.graphs import (
     GraphError,
     ball,
@@ -324,6 +326,61 @@ def reference_exhaustive_lambda(g, mode):
         s = block.sum(axis=1)[:, None]
         best = max(best, float((np.abs(e - norm * s * k) / np.sqrt(s * k)).max()))
     return best
+
+
+def reference_spectral_lambda(g, mode="general", tol=SPECTRAL_TOL):
+    """spectral_lambda as it was written before the (d, n) neighbour table:
+    a CSR gather with np.add.reduceat per vertex, and in bipartite mode two
+    full-n products on zero-padded vectors.  The tests compare its float
+    bits with the library's."""
+    d = g.degree
+    indptr = np.cumsum([0, *map(len, g.adj)])
+    indices = np.fromiter((w for nbrs in g.adj for w in nbrs), dtype=np.int64, count=indptr[-1])
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(x[indices], indptr[:-1])
+
+    def deflate(y):
+        return y - y.mean()
+
+    if mode == "general":
+        dim = g.n
+
+        def op(x):
+            return matvec(deflate(matvec(x)))  # A^2 avoids +-pair oscillation
+
+    else:
+        v0 = np.array(sorted(g.bipartition[0]), dtype=np.int64)
+        v1 = np.array(sorted(g.bipartition[1]), dtype=np.int64)
+        dim = len(v1)
+
+        def op(x):
+            full = np.zeros(g.n)
+            full[v1] = x
+            full = matvec(full)  # now supported on v0
+            keep = np.zeros(g.n)
+            keep[v0] = full[v0]
+            return matvec(keep)[v1]  # B^T B x
+
+    rng = np.random.default_rng(20240527)
+    x = deflate(rng.standard_normal(dim))
+    nrm = np.linalg.norm(x)
+    if nrm == 0:
+        return 0.0
+    x /= nrm
+    est = 0.0
+    for it in range(SPECTRAL_MAX_ITER):
+        y = deflate(op(x))
+        nrm = np.linalg.norm(y)
+        if nrm <= 1e-14 * (d * d):
+            return 0.0
+        new_est = float(x @ y)  # Rayleigh quotient for A^2 resp. B^T B
+        x = y / nrm
+        if it > 0 and abs(new_est - est) <= tol * max(1.0, abs(new_est)):
+            est = new_est
+            break
+        est = new_est
+    return math.sqrt(max(est, 0.0))
 
 
 def reference_check_expansion_props(g, lam, mode="general"):

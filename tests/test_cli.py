@@ -106,6 +106,14 @@ def test_verify_transform(k4_file, capsys):
     assert payload["all_passed"] is True
 
 
+def test_verify_transform_zero_strategy_reads_no_lambda(k4_file, capsys):
+    # the default --lam-source is accepted; no lambda is computed or echoed
+    assert main(["verify-transform", k4_file, "--mode", "lipschitz", "--v", "2",
+                 "--k-strategy", "zero"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["all_passed"] is True and payload["lambda"] is None
+
+
 def test_experiment_reproducible(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -172,6 +180,11 @@ def test_experiment_seed_override(tmp_path, argv, seed):
         (["phase", "{k4}", "{flat}", "--mode", "lipschitz", "--lam=-inf"], "explicit lambda = -inf must be finite"),
         (["phase", "{k4}", "{flat}", "--mode", "lipschitz", "--lam=nan"], "explicit lambda = nan must be finite"),
         (["verify-transform", "{k4}", "--mode", "lipschitz", "--v", "1", "--lam=-0.5"], "= -0.5 must be"),
+        (["verify-transform", "{k4}", "--mode", "lipschitz", "--v", "1", "--lam=nan", "--k-strategy", "zero"],
+         "--lam is read only with --k-strategy phase, not zero"),
+        (["verify-transform", "{k4}", "--mode", "lipschitz", "--v", "1", "--lam=0.5", "--k-strategy", "zero"],
+         "--lam is read only with --k-strategy phase, not zero"),
+        (["experiment", "{bad_targets}"], "config targets = '1,x'"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):
@@ -184,6 +197,7 @@ def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):
         "steep": "0\n3\n0\n0\n",
         "lam_unread": f"kind = deviation\ngraph_path = {k4_file}\nlambda_value = 0.25\n",
         "lam_missing": f"kind = deviation\ngraph_path = {k4_file}\nlambda_source = explicit\n",
+        "bad_targets": f"kind = deviation\ngraph_path = {k4_file}\ntargets = 1,x\n",
     }
     paths = {"{k4}": k4_file, "{missing}": str(tmp_path / "missing.txt")}
     for name, text in files.items():

@@ -26,6 +26,7 @@ from .conftest import (
     q3,
     reference_check_expansion_props,
     reference_exhaustive_lambda,
+    reference_spectral_lambda,
 )
 
 
@@ -72,6 +73,64 @@ def test_spectral_lambda_kmm_zero():
     # complete bipartite biadjacency is rank one: second singular value 0
     assert spectral_lambda(k33(), "bipartite") == pytest.approx(0.0, abs=1e-6)
     assert exhaustive_lambda(k33(), "bipartite") == pytest.approx(0.0)
+
+
+def _complete(n):
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _spectral_cases():
+    # d - 1 below 8, in 8..128 and (K_140, K_{140,140}) above 128
+    cases = [
+        pytest.param(lambda d=d, s=s: gen_random_regular(2 if d == 1 else 64, d, s), "general",
+                     id=f"regular-d{d}-s{s}")
+        for d in range(1, 21)
+        for s in (0, 1)
+    ]
+    cases.append(pytest.param(lambda: _complete(140), "general", id="K140"))
+    cases += [
+        pytest.param(lambda d=d: gen_random_bipartite_regular(256, d, 0), "bipartite",
+                     id=f"bipartite-d{d}")
+        for d in range(1, 13)
+    ]
+    cases += [
+        pytest.param(lambda m=m: kmm(m), mode, id=f"K{m},{m}-{mode}")
+        for m in (1, 5, 140)
+        for mode in ("general", "bipartite")
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("graph, mode", _spectral_cases())
+def test_spectral_lambda_bits_match_reduceat_reference(graph, mode):
+    g = graph()
+    assert spectral_lambda(g, mode).hex() == reference_spectral_lambda(g, mode).hex()
+
+
+@pytest.mark.parametrize(
+    "graph, mode, bits",
+    [
+        (lambda: gen_random_regular(512, 6, 0), "general", "0x1.1ba937065c093p+2"),
+        (lambda: gen_random_regular(512, 6, 1), "general", "0x1.19890decad680p+2"),
+        (lambda: gen_random_regular(512, 6, 2), "general", "0x1.1f34adb1ef7a4p+2"),
+        (lambda: gen_random_bipartite_regular(256, 8, 0), "bipartite", "0x1.4a8f18aad6bb3p+2"),
+    ],
+    ids=["regular512-d6-s0", "regular512-d6-s1", "regular512-d6-s2", "bipartite256-d8-s0"],
+)
+def test_spectral_lambda_golden_bits(graph, mode, bits):
+    # recorded from the reduceat kernel; any change to the product's
+    # summation order moves these
+    assert spectral_lambda(graph(), mode).hex() == bits
+
+
+def test_spectral_lambda_rejects_irregular_rows():
+    # the glued tree records degree d, but its glue vertex has d(d-1)^(h-1)
+    # neighbours: no (d, n) table holds them
+    g = gen_tree(3, 4, glued=True)
+    with pytest.raises(GraphError, match=f"vertex {g.glue} has degree 24, not the graph's d=3"):
+        spectral_lambda(g)
+    with pytest.raises(GraphError, match=f"vertex {g.glue} has degree 24"):
+        certify(g)
 
 
 def test_exhaustive_le_spectral_small():

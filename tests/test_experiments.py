@@ -207,6 +207,36 @@ def test_tree_kind_rejects_out_of_range_target():
             run_experiment(cfg)
 
 
+@pytest.mark.parametrize("targets", ["1,x", "", "1,,2", "al", "0.5"])
+def test_config_rejects_malformed_targets(targets):
+    with pytest.raises(ValueError, match=re.escape(f"config targets = {targets!r}")):
+        ExperimentConfig(kind="deviation", graph_type="regular", n=8, d=3, targets=targets)
+    with pytest.raises(ValueError, match="config targets"):
+        parse_config(f"kind = tree\nd = 3\nh = 2\ntargets = {targets}\n")
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExperimentConfig(kind="deviation", graph_type="regular", n=16, d=3, targets="1,99",
+                         sampler="mcmc", burnin=10, thin=1, n_samples=5),
+        ExperimentConfig(kind="deviation", graph_type="bipartite", n=8, d=3, mode="hom",
+                         targets="99"),
+        ExperimentConfig(kind="tree", d=3, h=2, targets="3,99"),
+    ],
+    ids=["mcmc", "hom-exact", "tree"],
+)
+def test_target_range_checked_before_lambda_and_sampling(monkeypatch, cfg):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("called before the targets were checked")
+
+    monkeypatch.setattr(experiments.expansion, "spectral_lambda", not_reached)
+    for name in ("mcmc_sample_array", "enumerate_functions", "tree_dp"):
+        monkeypatch.setattr(experiments, name, not_reached)
+    with pytest.raises(GraphError, match="target vertex 99 out of range"):
+        run_experiment(cfg)
+
+
 def test_max_kind():
     cfg = ExperimentConfig(
         kind="max", graph_type="regular", n=32, d=4, mode="lipschitz", M=1,

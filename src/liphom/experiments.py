@@ -132,6 +132,8 @@ class ExperimentConfig:
         if self.kind == "max" and self.sampler != "mcmc":
             raise ValueError("config kind = max needs sampler = mcmc")
         lows = {"t_min": 0, "cap": 1}
+        if self.graph_type == "complete_bipartite" and not tree:
+            lows["m"] = 1
         if self.mode == "lipschitz":
             lows["M"] = 1
         if self.sampler == "mcmc":
@@ -278,9 +280,14 @@ def _deviation_counts(g, cfg, lam, rows, targets, top) -> np.ndarray:
     return counts
 
 
-def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_deviation(cfg: ExperimentConfig, kind: str = "deviation") -> ExperimentResult:
     g = _build_graph_from_config(cfg)
-    targets = _target_vertices(g.n, cfg)  # before lambda and sampling
+    if g.degree is None:  # checked before lambda and sampling
+        raise GraphError(
+            f"config kind = {kind} needs a regular graph; "
+            f"graph_type = {cfg.graph_type} gave one with no uniform degree"
+        )
+    targets = _target_vertices(g.n, cfg)
     mode = cfg.mode
     d = g.degree
     M = cfg.M if mode == "lipschitz" else None
@@ -413,7 +420,10 @@ def _run_tree(cfg: ExperimentConfig) -> ExperimentResult:
         for t in trange:
             p = dp.tail_probability(depth, (t - 1) * slope)
             logp = dp.log_tail_probability(depth, (t - 1) * slope)
-            if hyp_ok and h - depth > t:
+            # only odd h - depth - t: at an even gap the exact tails exceed
+            # the bound (grounded leaves delay the decay by one level)
+            gap = h - depth - t
+            if hyp_ok and gap > 0 and gap % 2:
                 bound = -d * (d - 1) ** (t - 1) / (5 * (M + 1))  # log-domain
                 note = "log-bound"
             else:
@@ -442,7 +452,7 @@ def _run_tree(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_hom_exact(cfg: ExperimentConfig) -> ExperimentResult:
     sub = ExperimentConfig(**{**cfg.__dict__, "kind": "deviation", "mode": "hom", "sampler": "exact"})
-    return _run_deviation(sub)
+    return _run_deviation(sub, kind="hom-exact")
 
 
 def _cell(value) -> str:

@@ -20,6 +20,7 @@ __all__ = [
     "gen_random_bipartite_regular",
     "gen_tree",
     "tree_level_offsets",
+    "tree_level_children",
     "tree_ball_size",
     "check_vertex",
     "ball",
@@ -220,7 +221,8 @@ def gen_random_bipartite_regular(n: int, d: int, seed: int, *, max_restarts: int
 
 def tree_level_offsets(d: int, h: int) -> list[int]:
     """First vertex of each level of gen_tree(d, h), then n: level j holds
-    vertices offsets[j] .. offsets[j + 1] - 1."""
+    vertices offsets[j] .. offsets[j + 1] - 1.  The only code that knows the
+    shape (d children at the root, d - 1 below); the rest reads it off here."""
     if d < 3:
         raise GraphError(f"arity parameter d={d} must be at least 3")
     if h < 1:
@@ -230,6 +232,12 @@ def tree_level_offsets(d: int, h: int) -> list[int]:
     for j in range(1, h + 1):
         offsets.append(offsets[-1] + d * (d - 1) ** (j - 1))
     return offsets
+
+
+def tree_level_children(offsets: list[int]) -> list[int]:
+    """Children of a vertex at each depth 0 .. h - 1, given
+    tree_level_offsets(d, h): the ratio of consecutive level sizes."""
+    return [(c - b) // (b - a) for a, b, c in zip(offsets, offsets[1:], offsets[2:])]
 
 
 def tree_ball_size(d: int, h: int, depth: int, t: int) -> int:
@@ -244,20 +252,19 @@ def tree_ball_size(d: int, h: int, depth: int, t: int) -> int:
         raise GraphError(f"depth {depth} out of range")
     if t < 0:
         raise GraphError("radius must be non-negative")
+    offsets = tree_level_offsets(d, h)
 
     def below(j: int, r: int) -> int:
-        # a depth-j vertex and its descendants at most r levels down
+        # a depth-j vertex and its descendants at most r levels down: each
+        # level holds 1/size(j) of its vertices below one depth-j vertex
         if r < 0:
             return 0
-        size = 1
-        for i in range(1, min(r, h - j) + 1):
-            size += d * (d - 1) ** (i - 1) if j == 0 else (d - 1) ** i
-        return size
+        return (offsets[min(j + r, h) + 1] - offsets[j]) // (offsets[j + 1] - offsets[j])
 
     size = below(depth, t)
     for k in range(1, min(t, depth) + 1):
-        siblings = (d if depth - k == 0 else d - 1) - 1
-        size += 1 + siblings * below(depth - k + 1, t - k - 1)
+        # the ancestor's own subtree, less the branch that holds v
+        size += below(depth - k, t - k) - below(depth - k + 1, t - k - 1)
     return size
 
 
@@ -269,50 +276,25 @@ def gen_tree(d: int, h: int, *, glued: bool = False) -> Graph:
     multiplicities, so the glue vertex has degree d*(d-1)^(h-1)).
     """
     offsets = tree_level_offsets(d, h)
-    n = offsets[-1]
-    edges = []
-    for j in range(h):
-        nxt = offsets[j + 1]
-        for i, v in enumerate(range(offsets[j], offsets[j + 1])):
-            n_children = d if j == 0 else d - 1
-            for c in range(n_children):
-                edges.append((v, nxt + i * n_children + c))
-    leaves = frozenset(range(offsets[h], n))
-    depth_of = [
-        j for j in range(h + 1) for _ in range(offsets[j], offsets[j + 1])
-    ]
-    if not glued:
-        part = (
-            frozenset(v for v in range(n) if depth_of[v] % 2 == 0),
-            frozenset(v for v in range(n) if depth_of[v] % 2 == 1),
-        )
-        return build_graph(n, edges, bipartition=part, root=0, leaves=leaves)
-    # identify all leaves into one vertex, keeping multiplicities
-    n_internal = offsets[h]
-    v0 = n_internal
-    adj = [[] for _ in range(n_internal + 1)]
-    for u, v in edges:
-        u2 = v0 if u >= n_internal else u
-        v2 = v0 if v >= n_internal else v
-        adj[u2].append(v2)
-        adj[v2].append(u2)
-    adj_t = tuple(tuple(sorted(a)) for a in adj)
-    part = (
-        frozenset(v for v in range(n_internal) if depth_of[v] % 2 == 0),
-        frozenset(v for v in range(n_internal) if depth_of[v] % 2 == 1),
-    )
-    if h % 2 == 0:
-        part = (part[0] | {v0}, part[1])
-    else:
-        part = (part[0], part[1] | {v0})
+    # the glue vertex takes the first leaf's id and depth
+    n = offsets[h] + 1 if glued else offsets[-1]
+    depth = [j for j in range(h + 1) for _ in range(offsets[j], offsets[j + 1])]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    # the i-th vertex of level j + 1 hangs from vertex offsets[j] + i // kids;
+    # parents come before children, so every list is built in sorted order
+    for j, kids in enumerate(tree_level_children(offsets)):
+        for i, w in enumerate(range(offsets[j + 1], offsets[j + 2])):
+            u, w = offsets[j] + i // kids, min(w, n - 1)
+            adj[u].append(w)
+            adj[w].append(u)
     return Graph(
-        n=n_internal + 1,
-        adj=adj_t,
-        degree=d,
-        bipartition=part,
+        n=n,
+        adj=tuple(map(tuple, adj)),
+        degree=d if glued else None,
+        bipartition=tuple(frozenset(v for v in range(n) if depth[v] % 2 == c) for c in (0, 1)),
         root=0,
-        leaves=frozenset({v0}),
-        glue=v0,
+        leaves=frozenset(range(offsets[h], n)),
+        glue=n - 1 if glued else None,
     )
 
 

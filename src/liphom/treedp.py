@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
-from .graphs import GraphError, tree_level_offsets
+from .graphs import GraphError, tree_level_children, tree_level_offsets
 from .heights import HeightFunction, homomorphism, lipschitz
 
 __all__ = ["TreeDP", "tree_dp", "tree_sample"]
@@ -51,8 +53,9 @@ class TreeDP:
     def _slope(self) -> int:
         return self.M if self.mode == "lipschitz" else 1
 
-    def _children(self, depth: int) -> int:
-        return self.d if depth == 0 else self.d - 1
+    @cached_property
+    def _kids(self) -> list[int]:
+        return tree_level_children(tree_level_offsets(self.d, self.h))
 
     @cached_property
     def _outside(self) -> tuple[dict[int, int], ...]:
@@ -63,22 +66,12 @@ class TreeDP:
         # attainable root value
         g = {x: 1 for x in self.counts[0]}
         tables = [g]
-        for j in range(1, self.h + 1):
-            m = self._children(j - 1)
-            child = self.counts[j]
-            # sibling factor: each of the parent's other children contributes
-            # its window sum
-            win_parent = _window_sums(child, slope, self.mode)
-            new_g: dict[int, int] = {}
-            for p, gp in g.items():
-                sib = win_parent.get(p, 0) ** (m - 1)
-                if sib == 0:
-                    continue
-                w = gp * sib
-                for x in _compatible(p, slope, self.mode):
-                    if x in child:
-                        new_g[x] = new_g.get(x, 0) + w
-            g = new_g
+        for m, child in zip(self._kids, self.counts[1:]):
+            # each of the parent's m - 1 other children contributes its
+            # window sum; every parent value in g has one
+            sib = _window_sums(child, slope, self.mode)
+            up = {p: gp * sib[p] ** (m - 1) for p, gp in g.items()}
+            g = {x: w for x, w in _window_sums(up, slope, self.mode).items() if x in child}
             tables.append(g)
         return tuple(tables)
 
@@ -113,15 +106,8 @@ class TreeDP:
         p = self.tail_probability(depth, threshold)
         if p == 0:
             return -math.inf
-        return _log_of_fraction(p)
-
-    def root_marginal(self, x: int) -> Fraction:
-        return Fraction(self.counts[0].get(x, 0), self.total)
-
-
-def _log_of_fraction(q: Fraction) -> float:
-    # math.log handles arbitrary-size integers exactly enough (< 1e-15 rel)
-    return math.log(q.numerator) - math.log(q.denominator)
+        # math.log handles arbitrary-size integers exactly enough (< 1e-15 rel)
+        return math.log(p.numerator) - math.log(p.denominator)
 
 
 def _compatible(p: int, slope: int, mode: str):
@@ -131,15 +117,12 @@ def _compatible(p: int, slope: int, mode: str):
 
 
 def _window_sums(table: dict[int, int], slope: int, mode: str) -> dict[int, int]:
-    """out[p] = sum of table[y] over child values y compatible with parent
-    value p."""
+    """out[p] = sum of table[y] over values y compatible with p (the relation
+    is symmetric, so each y adds its count to every p compatible with it)."""
     out: dict[int, int] = {}
-    keys = set()
-    for y in table:
+    for y, c in table.items():
         for p in _compatible(y, slope, mode):
-            keys.add(p)
-    for p in keys:
-        out[p] = sum(table.get(y, 0) for y in _compatible(p, slope, mode))
+            out[p] = out.get(p, 0) + c
     return out
 
 
@@ -147,20 +130,16 @@ def tree_dp(d: int, h: int, mode: str = "lipschitz", M: int | None = 1) -> TreeD
     """Bottom-up exact DP over value tables; one table per level."""
     if mode not in ("lipschitz", "hom"):
         raise ValueError(f"unknown mode {mode!r}")
-    if d < 3 or h < 1:
-        raise GraphError("need d >= 3 and h >= 1")
+    kids = tree_level_children(tree_level_offsets(d, h))
     if mode == "lipschitz" and (M is None or M < 1):
         raise ValueError("lipschitz mode needs a positive M")
     if mode == "hom":
         M = None
     slope = M if mode == "lipschitz" else 1
 
-    counts: list[dict[int, int]] = [dict() for _ in range(h + 1)]
-    counts[h] = {0: 1}
-    for j in range(h - 1, -1, -1):
-        m = d if j == 0 else d - 1
-        win = _window_sums(counts[j + 1], slope, mode)
-        counts[j] = {x: w**m for x, w in win.items() if w > 0}
+    counts: list[dict[int, int]] = [{0: 1}]
+    for m in reversed(kids):
+        counts.insert(0, {x: w**m for x, w in _window_sums(counts[0], slope, mode).items()})
 
     return TreeDP(d=d, h=h, mode=mode, M=M, counts=tuple(counts))
 
@@ -171,36 +150,32 @@ def tree_sample(dp: TreeDP, seed: int) -> HeightFunction:
     The returned function lives on gen_tree(d, h) with its BFS numbering.
     Deterministic per seed.
     """
-    # BFS numbering: level j is offsets[j] .. offsets[j + 1] - 1 and the
-    # children of its i-th vertex are contiguous in level j + 1
     offsets = tree_level_offsets(dp.d, dp.h)
     rng = random.Random((seed, dp.d, dp.h, dp.mode, dp.M).__repr__())
     slope = dp._slope()
 
+    def weights(table: dict[int, int], support) -> tuple[list[int], list[int]]:
+        # the values of support in table, increasing, and their running counts
+        xs = sorted(x for x in support if x in table)
+        return xs, list(accumulate(table[x] for x in xs))
+
+    def draw(xs: list[int], cum: list[int]) -> int:
+        # the first value whose running count exceeds a uniform draw below
+        # the total
+        return xs[bisect_right(cum, rng.randrange(cum[-1]))]
+
     values = [0] * offsets[-1]
-
-    def draw(table_items) -> int:
-        items = sorted(table_items)
-        total = sum(w for _, w in items)
-        r = rng.randrange(total)
-        acc = 0
-        for x, w in items:
-            acc += w
-            if r < acc:
-                return x
-        raise AssertionError("weighted draw fell through")
-
-    values[0] = draw(dp.counts[0].items())
-    # leaves (level h) stay 0; draws go in vertex order, parents first
-    for j in range(dp.h - 1):
-        kids = dp._children(j)
+    values[0] = draw(*weights(dp.counts[0], dp.counts[0]))
+    # leaves (level h) stay 0; draws go in vertex order, parents first, and
+    # the i-th vertex of level j + 1 hangs from vertex offsets[j] + i // kids
+    for j, kids in enumerate(dp._kids[:-1]):
         table = dp.counts[j + 1]
-        first = offsets[j + 1]
-        for i, v in enumerate(range(offsets[j], offsets[j + 1])):
-            p = values[v]
-            items = [(y, table[y]) for y in _compatible(p, slope, dp.mode) if y in table]
-            for w in range(first + i * kids, first + (i + 1) * kids):
-                values[w] = draw(items)
+        below: dict[int, tuple[list[int], list[int]]] = {}  # by parent value
+        for i, w in enumerate(range(offsets[j + 1], offsets[j + 2])):
+            p = values[offsets[j] + i // kids]
+            if p not in below:
+                below[p] = weights(table, _compatible(p, slope, dp.mode))
+            values[w] = draw(*below[p])
     # grounded functions are pinned at the leaves, not at the tree root;
     # designate the first leaf as the HeightFunction root
     v0 = offsets[dp.h]

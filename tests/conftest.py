@@ -14,13 +14,15 @@ Python; the verifier oracle shares only the family enumeration and the
 phases with the library, and its context record ``ReferenceContext``
 writes out |S|, |S^-|, alpha and the ratio bound from their definitions.
 The bipartite-generator oracle tests each drawn matching as a set of edge
-tuples.
+tuples, and the tree oracle builds complete and glued trees from a
+breadth-first queue of parent pointers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ import pytest
 from liphom import build_graph
 from liphom.expansion import SPECTRAL_MAX_ITER, SPECTRAL_TOL, CheckResult, edge_count
 from liphom.graphs import (
+    Graph,
     GraphError,
     ball,
     boundary,
@@ -152,6 +155,46 @@ def reference_bipartite_regular(n: int, d: int, seed: int, max_restarts: int):
         edges.update(new)
         matchings += 1
     return sorted(edges)
+
+
+def reference_tree(d: int, h: int, glued: bool = False) -> Graph:
+    """``gen_tree(d, h, glued=glued)`` built from a breadth-first queue: each
+    vertex popped above depth h takes the next free ids as its children (d
+    for the root, d - 1 for the others).  Classes come from depth parity, and
+    the glued variant relabels every leaf to the first leaf id, keeping edge
+    multiplicities."""
+    parent, depth = [None], [0]
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        if depth[u] == h:
+            continue
+        for _ in range(d if u == 0 else d - 1):
+            parent.append(u)
+            depth.append(depth[u] + 1)
+            queue.append(len(parent) - 1)
+    leaves = [v for v in range(len(parent)) if depth[v] == h]
+    label = list(range(len(parent)))
+    if glued:
+        for v in leaves:
+            label[v] = leaves[0]
+    n = max(label) + 1
+    adj = [[] for _ in range(n)]
+    for v in range(1, len(parent)):
+        adj[label[v]].append(parent[v])
+        adj[parent[v]].append(label[v])
+    degrees = {len(a) for a in adj}
+    return Graph(
+        n=n,
+        adj=tuple(tuple(sorted(a)) for a in adj),
+        degree=d if glued else (degrees.pop() if len(degrees) == 1 else None),
+        bipartition=tuple(
+            frozenset(v for v in range(n) if depth[v] % 2 == c) for c in (0, 1)
+        ),
+        root=0,
+        leaves=frozenset(label[v] for v in leaves),
+        glue=leaves[0] if glued else None,
+    )
 
 
 def brute_force_count(g, pins: dict[int, int], mode: str, M: int, radius: int) -> int:

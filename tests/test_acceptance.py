@@ -69,7 +69,7 @@ def test_criterion_02_tree_dp_vs_enumeration():
         ok &= res.count == dp.total
         for x in range(-h, h + 1):
             emp = Fraction(sum(1 for f in res.functions if f.values[0] == x), res.count)
-            ok &= emp == dp.root_marginal(x)
+            ok &= emp == dp.marginal(0, x)
     report(2, "tree DP vs enumeration", ok)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from liphom import graph_to_text, read_graph
+from liphom import build_graph, experiments, graph_to_text, read_graph
 from liphom.cli import main
 
 from .conftest import k33, k4
@@ -213,3 +213,36 @@ def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):
     assert "Traceback" not in err
     if not err.startswith("usage:"):  # argparse prints its usage line first
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, expect",
+    [
+        ("kind = deviation\ngraph_type = tree\nd = 3\nh = 2\nsampler = mcmc\n",
+         "config kind = deviation needs a regular graph; graph_type = tree"),
+        ("kind = deviation\ngraph_path = {path}\n",
+         "config kind = deviation needs a regular graph; graph_type = file"),
+        ("kind = hom-exact\ngraph_type = tree\nd = 3\nh = 2\n",
+         "config kind = hom-exact needs a regular graph; graph_type = tree"),
+        ("kind = deviation\ngraph_type = complete_bipartite\nm = 0\n",
+         "config m = 0 must be at least 1"),
+    ],
+    ids=["tree", "path-file", "hom-exact-tree", "kmm-m0"],
+)
+def test_experiment_rejects_graph_before_sampling(tmp_path, capsys, monkeypatch, text, expect):
+    # the explicit lambda source reached expansion.goodness(None, ...) and
+    # a TypeError on a graph with no uniform degree
+    def not_reached(*args, **kwargs):
+        raise AssertionError("sampling started on a rejected graph")
+
+    for name in ("mcmc_sample_array", "enumerate_functions"):
+        monkeypatch.setattr(experiments, name, not_reached)
+    path = tmp_path / "path.txt"
+    path.write_text(graph_to_text(build_graph(3, [(0, 1), (1, 2)])))
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(text.format(path=path) + "lambda_source = explicit\nlambda_value = 0.5\n")
+    assert main(["experiment", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert expect in err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1

@@ -163,6 +163,29 @@ def test_tree_kind_exact_bound():
     assert row["bound"] == -56 / 10
 
 
+@pytest.mark.parametrize(
+    "d, M, heights", ((56, 1, (1, 2, 3, 4)), (80, 1, (1, 2, 3)), (133, 2, (1, 2, 3)))
+)
+def test_tree_kind_bound_holds_on_every_bound_row(d, M, heights):
+    # every depth and every t <= h, at the sizes the exact DP reaches
+    for h in heights:
+        starts = tree_level_offsets(d, h)[:-1]
+        cfg = ExperimentConfig(
+            kind="tree", d=d, h=h, M=M, targets=",".join(map(str, starts)), t_max=h
+        )
+        res = run_experiment(cfg)
+        assert res.summary["hypotheses_met"] is True
+        assert len(res.rows) == h * len(starts)
+        for row in res.rows:
+            gap = h - starts.index(row["vertex"]) - row["t"]
+            if row["note"] == "log-bound":
+                assert gap > 0 and gap % 2 == 1
+                assert row["estimate"] <= row["bound"]  # log-domain comparison
+            else:
+                assert not (gap > 0 and gap % 2 == 1)
+                assert row["bound"] == HYPOTHESES_NOT_MET
+
+
 def test_tree_kind_past_int_str_digit_limit(tmp_path):
     # at h=13 the exact tails have more digits than str(int) accepts
     d, h = 3, 13

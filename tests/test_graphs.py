@@ -23,7 +23,7 @@ from liphom.graphs import (
     tree_level_offsets,
 )
 
-from .conftest import c4, k4, reference_bipartite_regular
+from .conftest import c4, k4, reference_bipartite_regular, reference_tree
 
 
 def test_build_rejects_self_loops_and_duplicates():
@@ -194,10 +194,17 @@ def test_ball_examples():
     assert len(ball(t, t.root, 1)) == 4
 
 
+@pytest.mark.parametrize("glued", (False, True))
+def test_gen_tree_matches_reference(glued):
+    for d in range(3, 7):
+        for h in range(1, 6):
+            assert gen_tree(d, h, glued=glued) == reference_tree(d, h, glued)
+
+
 def test_tree_ball_size_matches_bfs():
     for d in (3, 4, 5):
         for h in range(1, 6):
-            g = gen_tree(d, h)
+            g = reference_tree(d, h)
             offsets = tree_level_offsets(d, h)
             assert offsets[-1] == g.n
             depth = distances_from(g, g.root)

@@ -1,9 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
 from liphom import GraphError, enumerate_functions, gen_tree, tree_dp, tree_sample, validate
+from liphom.cli import main
 from liphom.graphs import distances_from, tree_level_offsets
 
 
@@ -14,10 +16,10 @@ def test_totals_small():
 
 def test_root_marginal():
     dp = tree_dp(3, 2, "lipschitz", 1)
-    assert dp.root_marginal(0) == Fraction(27, 45) == Fraction(3, 5)
-    assert dp.root_marginal(1) == Fraction(8, 45)
-    assert dp.root_marginal(2) == Fraction(1, 45)
-    assert sum(dp.root_marginal(x) for x in range(-2, 3)) == 1
+    assert dp.marginal(0, 0) == Fraction(27, 45) == Fraction(3, 5)
+    assert dp.marginal(0, 1) == Fraction(8, 45)
+    assert dp.marginal(0, 2) == Fraction(1, 45)
+    assert sum(dp.marginal(0, x) for x in range(-2, 3)) == 1
 
 
 def test_marginals_sum_to_one_all_depths():
@@ -63,8 +65,6 @@ def test_dp_matches_enumeration():
                 for thr in range(span + 1):
                     hits = sum(1 for y in seen if abs(y) > thr)
                     assert dp.tail_probability(depth, thr) == Fraction(hits, res.count)
-        for x in range(-span, span + 1):
-            assert dp.root_marginal(x) == dp.marginal(0, x)
 
 
 def _outside_per_depth(dp, depth):
@@ -189,3 +189,52 @@ def test_preconditions():
 def test_tree_dp_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode 'foo'"):
         tree_dp(3, 2, mode="foo")
+
+
+def _sha1(data: bytes) -> str:
+    return hashlib.sha1(data).hexdigest()
+
+
+def test_tree_exact_outputs_keep_their_bytes(tmp_path, monkeypatch):
+    # the three seed-1 outputs of the tree-exact benchmark, in its byte
+    # formats: sample file; "depth thr num:x den:x repr(log)" query lines;
+    # report, NUL, config sidecar
+    monkeypatch.chdir(tmp_path)
+    d, h, t_max, seed = 3, 15, 3, 1
+    starts = tree_level_offsets(d, h)[:-1]
+    argv = ["sample", "--sampler", "tree", "--d", "3", "--h", "14", "--M", "1",
+            "--n-samples", "4", "--seed", str(seed), "--out", "tree.txt"]
+    assert main(argv) == 0
+    assert _sha1((tmp_path / "tree.txt").read_bytes()) == "5f4030838a719cc14f04ca21a69a8a0fc1f3cf23"
+
+    dp = tree_dp(d, h, mode="lipschitz", M=1)
+    lines = []
+    for depth in range(h + 1):
+        for thr in range(t_max):
+            q = dp.tail_probability(depth, thr)
+            lq = dp.log_tail_probability(depth, thr)
+            lines.append(f"{depth} {thr} {q.numerator:x} {q.denominator:x} {lq!r}\n")
+    assert _sha1("".join(lines).encode()) == "16cf1fefec8a36908c117b5aca63aa9c0f47d0e6"
+
+    (tmp_path / "tree.cfg").write_text(
+        f"kind = tree\nd = {d}\nh = {h}\nM = 1\ntargets = {','.join(map(str, starts))}\n"
+        f"t_max = {t_max}\nseed = {seed}\n"
+    )
+    assert main(["experiment", "tree.cfg", "--out", "tree.csv"]) == 0
+    report = (tmp_path / "tree.csv").read_bytes() + b"\0" + (tmp_path / "tree.csv.config").read_bytes()
+    assert _sha1(report) == "1d87967e9e6e556dab6b84c10afb12fc3ec99fdc"
+
+
+@pytest.mark.parametrize("mode, M", (("hom", None), ("lipschitz", 2)))
+def test_tree_sample_keeps_its_bytes(mode, M):
+    text = []
+    for d in (3, 4):
+        for h in range(1, 6):
+            dp = tree_dp(d, h, mode, M)
+            for seed in range(4):
+                values = tree_sample(dp, seed).values
+                text.append(f"{d} {h} {seed}: {' '.join(map(str, values))}\n")
+    assert _sha1("".join(text).encode()) == {
+        "hom": "a969bf52562fcf35fcbefcd655f8844357761bbd",
+        "lipschitz": "45b0ce3d469feb3cd2fca5ba103ccc07cd65dba0",
+    }[mode]

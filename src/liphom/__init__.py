@@ -23,11 +23,7 @@ from .graphs import (
     read_graph,
 )
 from .heights import (
-    HeightFunction,
-    Phase,
     PhaseError,
-    homomorphism,
-    lipschitz,
     phase_hom,
     phase_lipschitz,
     validate,
@@ -73,11 +69,7 @@ __all__ = [
     "exhaustive_lambda",
     "spectral_lambda",
     "goodness",
-    "HeightFunction",
-    "Phase",
     "PhaseError",
-    "homomorphism",
-    "lipschitz",
     "phase_hom",
     "phase_lipschitz",
     "validate",

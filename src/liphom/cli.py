@@ -26,7 +26,7 @@ from .graphs import (
     graph_to_text,
     read_graph,
 )
-from .heights import homomorphism, lipschitz, phase_hom, phase_lipschitz, validate
+from .heights import phase_hom, phase_lipschitz, validate
 from .samplers import CapExceeded, enumerate_functions, mcmc_sample_array
 from .treedp import tree_dp, tree_sample
 
@@ -192,8 +192,7 @@ def _cmd_sample(args) -> int:
             f"M={dp.M} n_samples={args.n_samples} seed={args.seed}"
         ]
         for i in range(args.n_samples):
-            f = tree_sample(dp, args.seed + i)
-            lines.append(" ".join(str(x) for x in f.values))
+            lines.append(" ".join(map(str, tree_sample(dp, args.seed + i))))
         _write_out(args, "\n".join(lines) + "\n")
         return 0
     g = read_graph(args.graph)
@@ -231,8 +230,7 @@ def _read_function(path: str) -> list[int]:
 def _cmd_phase(args) -> int:
     g = read_graph(args.graph)
     vals = _read_function(args.function)
-    f = lipschitz(vals, args.v0, args.M) if args.mode == "lipschitz" else homomorphism(vals, args.v0)
-    problems = validate(g, f)
+    problems = validate(g, vals, args.v0, args.mode, args.M)
     if problems:
         raise ValueError(f"{args.function}: {problems[0]}")
     vertices = [int(v) for v in args.vertices.split(",")] if args.vertices else []
@@ -240,18 +238,14 @@ def _cmd_phase(args) -> int:
         check_vertex(g, v)
     lam = _lam(g, args)
     if args.mode == "lipschitz":
-        ph = phase_lipschitz(g, f, lam)
-        payload = {"k": ph.lo, "hi": ph.hi, "lambda": lam, "seed": args.seed}
+        lo, hi = phase_lipschitz(g, vals, lam, args.M)
+        payload = {"k": lo, "hi": hi, "lambda": lam, "seed": args.seed}
     else:
-        ph = phase_hom(g, f, lam)
-        payload = {
-            "k": ph.lo,
-            "i_star": ph.class_index,
-            "lambda": lam,
-            "seed": args.seed,
-        }
+        lo, i_star = phase_hom(g, vals, lam, args.v0)
+        hi = lo
+        payload = {"k": lo, "i_star": i_star, "lambda": lam, "seed": args.seed}
     if vertices:
-        payload["deviation"] = {v: ph.dist(f.values[v]) for v in vertices}
+        payload["deviation"] = {v: max(lo - vals[v], vals[v] - hi, 0) for v in vertices}
     _write_out(args, json.dumps(payload, sort_keys=True) + "\n")
     return 0
 

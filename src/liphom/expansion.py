@@ -138,12 +138,13 @@ def _neighbour_table(g: Graph, d: int) -> np.ndarray:
     return flat.reshape(g.n, d).T.copy()
 
 
-def spectral_lambda(g: Graph, mode: str = "general", tol: float = SPECTRAL_TOL) -> float:
+def spectral_lambda(g: Graph, mode: str = "general") -> float:
     """Second-largest absolute adjacency eigenvalue (general) or second
     singular value of the biadjacency (bipartite), by power iteration with
     the all-ones top vector deflated.  The result is an estimate of the
     mixing-lemma lambda: a Rayleigh quotient can fall below the eigenvalue,
-    by more than tol, so neither it nor it plus tol is an upper bound.
+    by more than the relative stopping tolerance SPECTRAL_TOL, so neither it
+    nor it plus SPECTRAL_TOL is an upper bound.
 
     Every vertex must have exactly d neighbours (a glued tree's glue vertex
     does not), so that one (d, n) table holds them.  Row v of a product is
@@ -199,7 +200,7 @@ def spectral_lambda(g: Graph, mode: str = "general", tol: float = SPECTRAL_TOL) 
             return 0.0
         new_est = float(x @ y)  # Rayleigh quotient for A^2 resp. B^T B
         x = y / nrm
-        if it > 0 and abs(new_est - est) <= tol * max(1.0, abs(new_est)):
+        if it > 0 and abs(new_est - est) <= SPECTRAL_TOL * max(1.0, abs(new_est)):
             est = new_est
             break
         est = new_est

@@ -131,6 +131,10 @@ class ExperimentConfig:
         # checked here so that a bad value fails before any graph is built
         if self.kind == "max" and self.sampler != "mcmc":
             raise ValueError("config kind = max needs sampler = mcmc")
+        if self.kind == "hom-exact" and self.mode != "hom":
+            raise ValueError("config kind = hom-exact needs mode = hom")
+        if self.kind == "hom-exact" and self.sampler != "exact":
+            raise ValueError("config kind = hom-exact needs sampler = exact")
         lows = {"t_min": 0, "cap": 1}
         if self.graph_type == "complete_bipartite" and not tree:
             lows["m"] = 1
@@ -248,14 +252,13 @@ def _fmt_fraction(q: Fraction) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    if cfg.kind == "deviation":
-        return _run_deviation(cfg)
     if cfg.kind == "max":
         return _run_max(cfg)
     if cfg.kind == "tree":
         return _run_tree(cfg)
-    # "hom-exact": kind was checked against _CHOICES when cfg was built
-    return _run_hom_exact(cfg)
+    # "deviation", or "hom-exact", which the config pins to mode = hom and
+    # sampler = exact; kind was checked against _CHOICES when cfg was built
+    return _run_deviation(cfg)
 
 
 def _deviation_counts(g, cfg, lam, rows, targets, top) -> np.ndarray:
@@ -280,11 +283,11 @@ def _deviation_counts(g, cfg, lam, rows, targets, top) -> np.ndarray:
     return counts
 
 
-def _run_deviation(cfg: ExperimentConfig, kind: str = "deviation") -> ExperimentResult:
+def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
     g = _build_graph_from_config(cfg)
     if g.degree is None:  # checked before lambda and sampling
         raise GraphError(
-            f"config kind = {kind} needs a regular graph; "
+            f"config kind = {cfg.kind} needs a regular graph; "
             f"graph_type = {cfg.graph_type} gave one with no uniform degree"
         )
     targets = _target_vertices(g.n, cfg)
@@ -448,11 +451,6 @@ def _run_tree(cfg: ExperimentConfig) -> ExperimentResult:
         "hypotheses_met": hyp_ok,
     }
     return result
-
-
-def _run_hom_exact(cfg: ExperimentConfig) -> ExperimentResult:
-    sub = ExperimentConfig(**{**cfg.__dict__, "kind": "deviation", "mode": "hom", "sampler": "exact"})
-    return _run_deviation(sub, kind="hom-exact")
 
 
 def _cell(value) -> str:

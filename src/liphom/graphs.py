@@ -76,8 +76,6 @@ def build_graph(
     edges,
     *,
     bipartition: tuple | None = None,
-    root: int | None = None,
-    leaves=None,
 ) -> Graph:
     """Validate an edge list and assemble a Graph.
 
@@ -114,8 +112,6 @@ def build_graph(
         adj=adj_t,
         degree=degree,
         bipartition=part,
-        root=root,
-        leaves=frozenset(leaves) if leaves is not None else None,
     )
 
 

@@ -2,18 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import Graph, GraphError
 
 __all__ = [
-    "HeightFunction",
-    "Phase",
     "PhaseError",
-    "lipschitz",
-    "homomorphism",
     "validate",
     "phase_lipschitz",
     "phase_hom",
@@ -26,83 +20,37 @@ class PhaseError(ValueError):
     """No level satisfies the phase count bound (invalid lambda)."""
 
 
-@dataclass(frozen=True)
-class HeightFunction:
-    """Integer value per vertex, pinned to 0 at the root vertex.
-
-    mode is "lipschitz" (with slope M) or "hom".
-    """
-
-    values: tuple[int, ...]
-    root: int
-    mode: str
-    M: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("lipschitz", "hom"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "lipschitz" and (self.M is None or self.M < 1):
-            raise ValueError("lipschitz mode needs a positive slope M")
-
-    def negate(self) -> "HeightFunction":
-        return HeightFunction(
-            values=tuple(-x for x in self.values), root=self.root, mode=self.mode, M=self.M
-        )
-
-
-def lipschitz(values, root: int, M: int) -> HeightFunction:
-    return HeightFunction(values=tuple(values), root=root, mode="lipschitz", M=M)
-
-
-def homomorphism(values, root: int) -> HeightFunction:
-    return HeightFunction(values=tuple(values), root=root, mode="hom")
-
-
-@dataclass(frozen=True)
-class Phase:
-    """Lipschitz variant: the value interval [lo, hi] (hi = lo + M, or a
-    single point for the zero function).  Hom variant: lo == hi == level k
-    with the color-class index recorded (0 = class of the root vertex)."""
-
-    lo: int
-    hi: int
-    class_index: int | None = None
-
-    def negate(self) -> "Phase":
-        return Phase(lo=-self.hi, hi=-self.lo, class_index=self.class_index)
-
-    def dist(self, value: int) -> int:
-        if value < self.lo:
-            return self.lo - value
-        if value > self.hi:
-            return value - self.hi
-        return 0
-
-
-def validate(g: Graph, f: HeightFunction) -> list[str]:
-    """Violation messages; empty iff f is a member of its declared family."""
+def validate(g: Graph, values, root: int, mode: str, M: int | None = None) -> list[str]:
+    """Violation messages; empty iff ``values`` (one integer per vertex) is
+    a member of the family of functions pinned to 0 at ``root``: slope M in
+    "lipschitz" mode, or "hom".  Raises ValueError on an unknown mode and on
+    a Lipschitz slope below 1."""
+    if mode not in ("lipschitz", "hom"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "lipschitz" and (M is None or M < 1):
+        raise ValueError("lipschitz mode needs a positive slope M")
     out = []
-    if len(f.values) != g.n:
-        return [f"value vector has length {len(f.values)}, graph has {g.n} vertices"]
-    if not 0 <= f.root < g.n:
-        return [f"root vertex {f.root} out of range"]
-    if f.values[f.root] != 0:
-        out.append(f"root vertex {f.root} has value {f.values[f.root]}, expected 0")
-    if f.mode == "hom" and g.bipartition is None:
+    if len(values) != g.n:
+        return [f"value vector has length {len(values)}, graph has {g.n} vertices"]
+    if not 0 <= root < g.n:
+        return [f"root vertex {root} out of range"]
+    if values[root] != 0:
+        out.append(f"root vertex {root} has value {values[root]}, expected 0")
+    if mode == "hom" and g.bipartition is None:
         out.append("hom mode requires a bipartite graph")
         return out
     for u in range(g.n):
         for w in g.adj[u]:
             if u < w:
-                gap = abs(f.values[u] - f.values[w])
-                if f.mode == "lipschitz" and gap > f.M:
-                    out.append(f"edge ({u},{w}): |{f.values[u]} - {f.values[w]}| > M={f.M}")
-                elif f.mode == "hom" and gap != 1:
-                    out.append(f"edge ({u},{w}): |{f.values[u]} - {f.values[w]}| != 1")
-    if f.mode == "hom" and g.bipartition is not None and not out:
-        side0 = g.bipartition[0] if f.root in g.bipartition[0] else g.bipartition[1]
+                gap = abs(values[u] - values[w])
+                if mode == "lipschitz" and gap > M:
+                    out.append(f"edge ({u},{w}): |{values[u]} - {values[w]}| > M={M}")
+                elif mode == "hom" and gap != 1:
+                    out.append(f"edge ({u},{w}): |{values[u]} - {values[w]}| != 1")
+    if mode == "hom" and not out:
+        side0 = g.bipartition[0] if root in g.bipartition[0] else g.bipartition[1]
         for v in side0:
-            if f.values[v] % 2 != 0:
+            if values[v] % 2 != 0:
                 out.append(f"vertex {v} in the root's color class has odd value")
     return out
 
@@ -223,17 +171,15 @@ def phases_hom(g: Graph, rows, lam: float, root: int) -> tuple[np.ndarray, np.nd
     return level, class_index
 
 
-def phase_lipschitz(g: Graph, f: HeightFunction, lam: float) -> Phase:
-    """Phase interval of one Lipschitz function (see ``phases_lipschitz``)."""
-    if f.mode != "lipschitz":
-        raise ValueError("phase_lipschitz requires a Lipschitz function")
-    lo, hi = phases_lipschitz(g, np.array([f.values], dtype=np.int64), lam, f.M)
-    return Phase(int(lo[0]), int(hi[0]))
+def phase_lipschitz(g: Graph, values, lam: float, M: int) -> tuple[int, int]:
+    """Phase interval (lo, hi) of one M-Lipschitz function, given as one
+    integer per vertex (see ``phases_lipschitz``)."""
+    lo, hi = phases_lipschitz(g, np.array([values], dtype=np.int64), lam, M)
+    return int(lo[0]), int(hi[0])
 
 
-def phase_hom(g: Graph, f: HeightFunction, lam: float) -> Phase:
-    """Phase (level, class index) of one homomorphism (see ``phases_hom``)."""
-    if f.mode != "hom":
-        raise ValueError("phase_hom requires a homomorphism function")
-    level, class_index = phases_hom(g, np.array([f.values], dtype=np.int64), lam, f.root)
-    return Phase(int(level[0]), int(level[0]), class_index=int(class_index[0]))
+def phase_hom(g: Graph, values, lam: float, root: int) -> tuple[int, int]:
+    """Phase (level, class index) of one homomorphism pinned at ``root``,
+    given as one integer per vertex (see ``phases_hom``)."""
+    level, class_index = phases_hom(g, np.array([values], dtype=np.int64), lam, root)
+    return int(level[0]), int(class_index[0])

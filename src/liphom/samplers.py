@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
 from .graphs import Graph, GraphError, _is_connected, check_vertex, distances_from
-from .heights import HeightFunction
 
 __all__ = [
     "EnumerationResult",
@@ -38,14 +36,6 @@ class EnumerationResult:
     def count(self) -> int:
         return self.rows.shape[0]
 
-    @cached_property
-    def functions(self) -> tuple[HeightFunction, ...]:
-        """The rows as HeightFunctions, built on first use."""
-        return tuple(
-            HeightFunction(values=tuple(row), root=self.root, mode=self.mode, M=self.M)
-            for row in self.rows.tolist()
-        )
-
 
 # rows of an array taken at a time by the blocked passes over sample arrays
 # and families: a block holds about this many values, so no temporary
@@ -53,7 +43,8 @@ class EnumerationResult:
 BLOCK_VALUES = 1 << 17
 
 
-def _bfs_order(g: Graph, v0: int) -> list[int]:
+def _bfs_order(g: Graph, v0: int) -> tuple[list[int], list[int]]:
+    """The vertices by (distance from v0, id), and the distances."""
     dist = distances_from(g, v0)
     if any(x < 0 for x in dist):
         raise GraphError("enumeration requires a connected graph")

@@ -6,8 +6,8 @@ Everything works on arrays: ``build_contexts`` builds the contexts of a
 block of rows, ``image_rows`` lays the image members of a batch of contexts
 out as the rows of one int array, and ``verify_counting`` checks them with
 column operations.  ``Contexts`` is the one context type:
-``build_context`` returns the one-row ``Contexts`` of a single function,
-and ``apply_transform`` takes it.
+``build_context`` returns the one-row ``Contexts`` of a single row of
+values, and ``apply_transform`` takes it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .expansion import CheckResult
 from .graphs import Graph, GraphError, ball, boundary, check_vertex, component_in_square
-from .heights import HeightFunction, phases_hom, phases_lipschitz, validate
+from .heights import phases_hom, phases_lipschitz, validate
 from .samplers import BLOCK_VALUES, enumerate_functions
 
 __all__ = [
@@ -249,12 +249,11 @@ def build_contexts(g: Graph, rows, v: int, k, mode: str, M: int | None = None) -
     )
 
 
-def build_context(g: Graph, f: HeightFunction, v: int, k: int) -> Contexts:
-    """The one-row Contexts of f at vertex v and threshold k, asserting the
-    structural claims (values on X and the 2-boundary; the ell/u chain)
-    before returning."""
-    M = f.M if f.mode == "lipschitz" else None
-    ctx = build_contexts(g, np.array([f.values], dtype=np.int64), v, [k], f.mode, M)
+def build_context(g: Graph, values, v: int, k: int, mode: str, M: int | None = None) -> Contexts:
+    """The one-row Contexts of one function (one integer per vertex) at
+    vertex v and threshold k, asserting the structural claims (values on X
+    and the 2-boundary; the ell/u chain) before returning."""
+    ctx = build_contexts(g, np.array([values], dtype=np.int64), v, [k], mode, M)
     if ctx.errors:
         raise ContextError(ctx.errors[0])
     return ctx
@@ -288,20 +287,18 @@ def image_rows(ctxs: Contexts, idx, root: int) -> tuple[np.ndarray, np.ndarray]:
     return members - members[:, [root]], owner
 
 
-def apply_transform(
-    g: Graph, f: HeightFunction, ctx: Contexts, *, guard: int = 1 << 20
-) -> frozenset[tuple[int, ...]]:
-    """Materialize the full image set of f under the flattening map, shifted
-    to vanish at the root; ctx is f's one-row Contexts from
-    ``build_context``.  Members are not validated here; ``verify_counting``
-    checks each one.
+def apply_transform(ctx: Contexts, root: int, *, guard: int = 1 << 20) -> frozenset[tuple[int, ...]]:
+    """Materialize the full image set of ctx's one function under the
+    flattening map, shifted to vanish at ``root``; ctx is the one-row
+    Contexts from ``build_context``.  Members are not validated here;
+    ``verify_counting`` checks each one.
 
     Raises when the image would exceed ``guard`` members.
     """
     size = ctx.image_sizes([0])[0]
     if size > guard:
         raise GraphError(f"image has {size} members, beyond the guard {guard}")
-    members, _ = image_rows(ctx, [0], f.root)
+    members, _ = image_rows(ctx, [0], root)
     return frozenset(map(tuple, members.tolist()))
 
 
@@ -526,7 +523,7 @@ class _ImageChecks:
         """(f, its first invalid member, that member's first violation) for
         the first function with an invalid member."""
         h = self.first_bad["image_members_valid"]
-        return values, h, validate(g, HeightFunction(values=h, root=fam.root, mode=fam.mode, M=fam.M))[0]
+        return values, h, validate(g, h, fam.root, fam.mode, fam.M)[0]
 
 
 def _check_images(g: Graph, ctxs: Contexts, omega, root: int, sizes, family) -> _ImageChecks:

@@ -18,7 +18,6 @@ from functools import cached_property
 from itertools import accumulate
 
 from .graphs import GraphError, tree_level_children, tree_level_offsets
-from .heights import HeightFunction, homomorphism, lipschitz
 
 __all__ = ["TreeDP", "tree_dp", "tree_sample"]
 
@@ -144,11 +143,10 @@ def tree_dp(d: int, h: int, mode: str = "lipschitz", M: int | None = 1) -> TreeD
     return TreeDP(d=d, h=h, mode=mode, M=M, counts=tuple(counts))
 
 
-def tree_sample(dp: TreeDP, seed: int) -> HeightFunction:
-    """Exact uniform grounded function, sampled top-down from the DP counts.
-
-    The returned function lives on gen_tree(d, h) with its BFS numbering.
-    Deterministic per seed.
+def tree_sample(dp: TreeDP, seed: int) -> list[int]:
+    """Exact uniform grounded function, sampled top-down from the DP counts,
+    as one value per vertex of gen_tree(d, h) in its BFS numbering; every
+    leaf is 0.  Deterministic per seed.
     """
     offsets = tree_level_offsets(dp.d, dp.h)
     rng = random.Random((seed, dp.d, dp.h, dp.mode, dp.M).__repr__())
@@ -176,9 +174,4 @@ def tree_sample(dp: TreeDP, seed: int) -> HeightFunction:
             if p not in below:
                 below[p] = weights(table, _compatible(p, slope, dp.mode))
             values[w] = draw(*below[p])
-    # grounded functions are pinned at the leaves, not at the tree root;
-    # designate the first leaf as the HeightFunction root
-    v0 = offsets[dp.h]
-    if dp.mode == "hom":
-        return homomorphism(values, v0)
-    return lipschitz(values, v0, dp.M)
+    return values

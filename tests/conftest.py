@@ -41,7 +41,7 @@ from liphom.graphs import (
     distances_from,
     neighborhood,
 )
-from liphom.heights import HeightFunction, Phase, PhaseError, phases_hom, phases_lipschitz, validate
+from liphom.heights import PhaseError, phases_hom, phases_lipschitz, validate
 from liphom.samplers import enumerate_functions
 from liphom.transform import ContextError, VerifyReport
 
@@ -269,24 +269,23 @@ def brute_force_functions(g, pins: dict[int, int], mode: str, M: int, radius: in
     return out
 
 
-def reference_phase_lipschitz(g, f, lam):
-    """Phase by definition: canonical sign by comparing f with -f as
-    tuples, then the excluded count of every candidate base k in turn."""
-    if all(x == 0 for x in f.values):
-        return Phase(0, 0)
-    M = f.M
+def reference_phase_lipschitz(g, values, lam, M):
+    """Phase (lo, hi) by definition: canonical sign by comparing f with -f
+    as tuples, then the excluded count of every candidate base k in turn."""
+    values = tuple(values)
+    if all(x == 0 for x in values):
+        return (0, 0)
     budget = 2 * lam * g.n / g.degree
-    neg = tuple(-x for x in f.values)
-    big = f.values if f.values >= neg else neg
+    neg = tuple(-x for x in values)
+    big = values if values >= neg else neg
     for k in range(min(big) - M, max(big) + 1):
         if sum(1 for x in big if x < k or x > k + M) <= budget:
-            ph = Phase(k, k + M)
-            return ph if big is f.values else ph.negate()
+            return (k, k + M) if big is values else (-k - M, -k)
     raise PhaseError("no interval satisfies the count bound")
 
 
-def reference_phase_hom(g, f, lam):
-    """Phase (level, class index) of a homomorphism height function.
+def reference_phase_hom(g, values, lam, root):
+    """Phase (level, class index) of a homomorphism pinned at ``root``.
 
     The class index is the smallest i (0 = class of the root) admitting a
     level k with |{v in V_i : f(v) != k}| <= 2*lambda*n/d.  The level is the
@@ -296,44 +295,41 @@ def reference_phase_hom(g, f, lam):
     qualify).  When lambda < d/3 the refinement bound
     |{v : |f(v)-k| >= 2}| <= 3*lambda*n/d is asserted as well.
     """
-    if f.mode != "hom":
-        raise ValueError("phase_hom requires a homomorphism function")
     d = g.degree
     if d is None or g.bipartition is None:
         raise GraphError("phase requires a regular bipartite graph")
     n = g.n // 2
     budget = 2 * lam * n / d
-    root_side = 0 if f.root in g.bipartition[0] else 1
+    root_side = 0 if root in g.bipartition[0] else 1
     classes = [
         sorted(g.bipartition[root_side]),
         sorted(g.bipartition[1 - root_side]),
     ]
-    neg = tuple(-x for x in f.values)
-    flip = f.values < neg  # scan the canonical representative
-    big = neg if flip else f.values
+    values = tuple(values)
+    neg = tuple(-x for x in values)
+    flip = values < neg  # scan the canonical representative
+    big = neg if flip else values
     for i in (0, 1):
         vals = [big[v] for v in classes[i]]
         for k in sorted(set(vals)):
             if sum(1 for x in vals if x != k) <= budget:
                 level = -k if flip else k
-                ph = Phase(level, level, class_index=i)
                 if lam < d / 3:
-                    far = hom_far_count(f, ph)
+                    far = hom_far_count(values, level)
                     if far > 3 * lam * n / d:
                         raise PhaseError(
                             f"refinement bound violated: {far} > 3*lambda*n/d"
                         )
-                return ph
+                return (level, i)
     raise PhaseError(
         "no (class, level) satisfies the count bound; lambda is not a valid "
         "expansion parameter for this graph"
     )
 
 
-def hom_far_count(f, phase):
-    """|{v : |f(v) - phase level| >= 2}|."""
-    k = phase.lo
-    return sum(1 for x in f.values if abs(x - k) >= 2)
+def hom_far_count(values, level):
+    """|{v : |f(v) - level| >= 2}|."""
+    return sum(1 for x in values if abs(x - level) >= 2)
 
 
 def reference_exhaustive_lambda(g, mode):
@@ -492,8 +488,9 @@ class ReferenceContext:
     the component A of v above the threshold in the distance-<=2 graph, its
     shells X and Y, and (Lipschitz only) the bounds ell_x <= f(x)-k <= u_x
     on X, with the corollary's quantities written out from their
-    definitions."""
+    definitions.  values is the function f the context was built from."""
 
+    values: tuple
     mode: str
     k: int
     v: int
@@ -542,12 +539,12 @@ class ReferenceContext:
         return tuple(sorted(self.u.items()))
 
 
-def reference_build_context(g, f, v, k):
-    """The flattening map's context for f at vertex v and threshold k, built
-    with set operations, asserting the structural claims."""
-    M = f.M if f.mode == "lipschitz" else None
-    thresh = k + M if f.mode == "lipschitz" else k + 1
-    vals = f.values
+def reference_build_context(g, values, v, k, mode, M=None):
+    """The flattening map's context for the function f given by ``values``
+    at vertex v and threshold k, built with set operations, asserting the
+    structural claims."""
+    thresh = k + M if mode == "lipschitz" else k + 1
+    vals = tuple(values)
     if vals[v] <= thresh:
         raise ContextError(
             f"f({v}) = {vals[v]} does not exceed the threshold {thresh}"
@@ -561,7 +558,7 @@ def reference_build_context(g, f, v, k):
     # structural claims about f on A and its shells
     if not all(vals[w] > thresh for w in a):
         raise ContextError("min f(A) fails to exceed the threshold")
-    if f.mode == "lipschitz":
+    if mode == "lipschitz":
         if not all(k + 1 <= vals[w] <= k + M for w in x_set):
             raise ContextError("f on the outer boundary leaves {k+1..k+M}")
         if not all(vals[w] <= k + M for w in y_set):
@@ -574,7 +571,7 @@ def reference_build_context(g, f, v, k):
 
     ell: dict[int, int] = {}
     u: dict[int, int] = {}
-    if f.mode == "lipschitz":
+    if mode == "lipschitz":
         ax = a | x_set
         for x in x_set:
             outside = [vals[w] + M - k for w in g.adj[x] if w not in ax]
@@ -587,15 +584,16 @@ def reference_build_context(g, f, v, k):
                     f"1 <= {ell[x]} <= {vals[x] - k} <= {u[x]} <= {M}"
                 )
     return ReferenceContext(
-        mode=f.mode, k=k, v=v, A=a, X=x_set, Y=y_set, ell=ell, u=u, M=M
+        values=vals, mode=mode, k=k, v=v, A=a, X=x_set, Y=y_set, ell=ell, u=u, M=M
     )
 
 
-def reference_image_members(f, ctx):
-    """f's image members under the flattening map, shifted to vanish at the
-    root, one per s in itertools.product order over sorted X."""
+def reference_image_members(ctx, root):
+    """The image members of ctx's function under the flattening map, shifted
+    to vanish at ``root``, one per s in itertools.product order over sorted
+    X."""
     xs = sorted(ctx.X)
-    vals = f.values
+    vals = ctx.values
     k, M = ctx.k, ctx.M
     if ctx.mode == "hom":
         ranges = [(-1, 1)] * len(xs)
@@ -614,24 +612,24 @@ def reference_image_members(f, ctx):
                 h[w] = k + M
             for x, sx in zip(xs, s):
                 h[x] = k + sx
-        shift = h[f.root]
+        shift = h[root]
         out.append(tuple(val - shift for val in h))
     return out
 
 
-def reference_image(f, ctx, *, guard=1 << 20):
-    """f's distinct image members, in order of first occurrence in
-    ``reference_image_members``."""
+def reference_image(ctx, root, *, guard=1 << 20):
+    """The distinct image members of ctx's function, in order of first
+    occurrence in ``reference_image_members``."""
     if ctx.image_size > guard:
         raise GraphError(
             f"image has {ctx.image_size} members, beyond the guard {guard}"
         )
-    return list(dict.fromkeys(reference_image_members(f, ctx)))
+    return list(dict.fromkeys(reference_image_members(ctx, root)))
 
 
-def reference_apply_transform(g, f, ctx, *, guard=1 << 20):
-    """The image set of f."""
-    return frozenset(reference_image(f, ctx, guard=guard))
+def reference_apply_transform(ctx, root, *, guard=1 << 20):
+    """The image set of ctx's function."""
+    return frozenset(reference_image(ctx, root, guard=guard))
 
 
 def reference_verify_counting(
@@ -681,42 +679,42 @@ def reference_verify_counting(
     # the high-deviation event
     omega = []
     for i, k in zip(high.tolist(), k_all[high].tolist()):
-        f = HeightFunction(values=tuple(rows[i].tolist()), root=v0, mode=mode, M=fam.M)
+        values = tuple(rows[i].tolist())
         try:
-            ctx = reference_build_context(g, f, v, k)
+            ctx = reference_build_context(g, values, v, k, mode, fam.M)
         except ContextError as exc:
-            checks["context_claims"].tick(False, (f.values, str(exc)))
+            checks["context_claims"].tick(False, (values, str(exc)))
             continue
         checks["context_claims"].tick(True)
-        checks["ball_in_A"].tick(ball(g, v, t - 1) <= ctx.A, f.values)
+        checks["ball_in_A"].tick(ball(g, v, t - 1) <= ctx.A, values)
         if g.glue is not None:
             ax = ctx.A | ctx.X
-            checks["tree_avoids_leaves"].tick(g.glue not in ax, f.values)
+            checks["tree_avoids_leaves"].tick(g.glue not in ax, values)
             d = g.degree
             checks["tree_expansion"].tick(
-                len(ctx.X) > (d - 2) * len(ctx.A), (f.values, len(ctx.A), len(ctx.X))
+                len(ctx.X) > (d - 2) * len(ctx.A), (values, len(ctx.A), len(ctx.X))
             )
-        omega.append((f, ctx))
+        omega.append(ctx)
 
     # the images, and the checks of each function's image
-    images = [reference_image(f, ctx, guard=guard) for f, ctx in omega]
-    for (f, ctx), image in zip(omega, images):
-        checks["image_size"].tick(len(image) == ctx.image_size, f.values)
-        bad = _reference_first_invalid(g, f, image)
+    images = [reference_image(ctx, v0, guard=guard) for ctx in omega]
+    for ctx, image in zip(omega, images):
+        checks["image_size"].tick(len(image) == ctx.image_size, ctx.values)
+        bad = _reference_first_invalid(g, ctx, v0, image)
         checks["image_members_valid"].tick(bad is None, bad)
-        checks["image_in_family"].tick(all(h in codomain for h in image), f.values)
+        checks["image_in_family"].tick(all(h in codomain for h in image), ctx.values)
         if mode == "lipschitz":
-            _reference_check_u_recovery(g, f, ctx, image, checks["u_recovery"])
-        _reference_check_reconstruction(g, f, ctx, image, checks["reconstruction"])
+            _reference_check_u_recovery(g, ctx, image, checks["u_recovery"])
+        _reference_check_reconstruction(g, ctx, image, checks["reconstruction"])
 
     # the partition by (A, S), by A in hom mode
     groups = {}
-    for (f, ctx), image in zip(omega, images):
+    for ctx, image in zip(omega, images):
         key = (ctx.A, ctx.s_signature()) if mode == "lipschitz" else (ctx.A,)
         groups.setdefault(key, []).append((ctx, image))
 
     by_a = {}
-    for f, ctx in omega:
+    for ctx in omega:
         by_a.setdefault(ctx.A, []).append(ctx)
 
     images_by_group = {}
@@ -772,17 +770,18 @@ def reference_verify_counting(
     )
 
 
-def _reference_first_invalid(g, f, image):
-    """(f, member, first violation) for the first image member outside f's
-    family, or None when every member is valid."""
+def _reference_first_invalid(g, ctx, root, image):
+    """(f, member, first violation) for the first image member outside the
+    family of ctx's function f, pinned at ``root``, or None when every
+    member is valid."""
     for h in image:
-        bad = validate(g, HeightFunction(values=h, root=f.root, mode=f.mode, M=f.M))
+        bad = validate(g, h, root, ctx.mode, ctx.M)
         if bad:
-            return f.values, h, bad[0]
+            return ctx.values, h, bad[0]
     return None
 
 
-def _reference_check_u_recovery(g, f, ctx, image, check):
+def _reference_check_u_recovery(g, ctx, image, check):
     """u_x must be recoverable from any image member alone."""
     ax = ctx.A | ctx.X
     for h in image:
@@ -793,12 +792,12 @@ def _reference_check_u_recovery(g, f, ctx, image, check):
             if rec != ctx.u[x]:
                 ok = False
                 break
-        check.tick(ok, (f.values, h))
+        check.tick(ok, (ctx.values, h))
 
 
-def _reference_check_reconstruction(g, f, ctx, image, check):
+def _reference_check_reconstruction(g, ctx, image, check):
     """f must be uniquely recoverable from (h, k, f restricted to A u X)."""
-    vals = f.values
+    vals = ctx.values
     ax = ctx.A | ctx.X
     for h in image:
         if ctx.mode == "lipschitz":
@@ -814,4 +813,4 @@ def _reference_check_reconstruction(g, f, ctx, image, check):
                 rec[w] = vals[w]
             else:
                 rec[w] = h[w] + shift
-        check.tick(tuple(rec) == vals, (f.values, h))
+        check.tick(tuple(rec) == vals, (vals, h))

@@ -68,7 +68,7 @@ def test_criterion_02_tree_dp_vs_enumeration():
         dp = tree_dp(d, h, mode, M)
         ok &= res.count == dp.total
         for x in range(-h, h + 1):
-            emp = Fraction(sum(1 for f in res.functions if f.values[0] == x), res.count)
+            emp = Fraction(int((res.rows[:, 0] == x).sum()), res.count)
             ok &= emp == dp.marginal(0, x)
     report(2, "tree DP vs enumeration", ok)
 
@@ -78,24 +78,23 @@ def test_criterion_03_phase_laws():
     for g in (k4(), c6()):
         lam = exhaustive_lambda(g)
         budget = 2 * lam * g.n / g.degree
-        for f in enumerate_functions(g, 0, "lipschitz", M=1).functions:
-            ph = phase_lipschitz(g, f, lam)
-            ok &= phase_lipschitz(g, f.negate(), lam) == ph.negate()
-            ok &= sum(1 for x in f.values if ph.dist(x) > 0) <= budget
+        for row in enumerate_functions(g, 0, "lipschitz", M=1).rows.tolist():
+            lo, hi = phase_lipschitz(g, row, lam, 1)
+            ok &= phase_lipschitz(g, [-x for x in row], lam, 1) == (-hi, -lo)
+            ok &= sum(1 for x in row if not lo <= x <= hi) <= budget
     for g in (k33(), q3()):
         lam = exhaustive_lambda(g, "bipartite")
         d, n = g.degree, g.n // 2
-        for f in enumerate_functions(g, 0, "hom").functions:
-            ph = phase_hom(g, f, lam)
-            nph = phase_hom(g, f.negate(), lam)
-            ok &= (nph.lo, nph.class_index) == (-ph.lo, ph.class_index)
-            ok &= ph.lo % 2 == ph.class_index % 2
+        for row in enumerate_functions(g, 0, "hom").rows.tolist():
+            level, class_index = phase_hom(g, row, lam, 0)
+            ok &= phase_hom(g, [-x for x in row], lam, 0) == (-level, class_index)
+            ok &= level % 2 == class_index % 2
             cls = sorted(
-                g.bipartition[0] if (0 in g.bipartition[0]) == (ph.class_index == 0) else g.bipartition[1]
+                g.bipartition[0] if (0 in g.bipartition[0]) == (class_index == 0) else g.bipartition[1]
             )
-            ok &= sum(1 for v in cls if f.values[v] != ph.lo) <= 2 * lam * n / d
+            ok &= sum(1 for v in cls if row[v] != level) <= 2 * lam * n / d
             if lam < d / 3:
-                ok &= hom_far_count(f, ph) <= 3 * lam * n / d
+                ok &= hom_far_count(row, level) <= 3 * lam * n / d
     report(3, "phase laws", ok)
 
 
@@ -122,20 +121,16 @@ def test_criterion_05_exact_hom_theorem():
         g = kmm(m)
         lam = exhaustive_lambda(g, "bipartite")
         ok &= lam == 0.0
-        fam = enumerate_functions(g, 0, "hom")
-        phases = [phase_hom(g, f, lam) for f in fam.functions]
+        rows = enumerate_functions(g, 0, "hom").rows.tolist()
+        levels = [phase_hom(g, row, lam, 0)[0] for row in rows]
         tmax = 2 * m  # beyond any attainable deviation
         from liphom.graphs import ball
 
         for v in range(g.n):
             for t in range(1, tmax + 1):
                 p = Fraction(
-                    sum(
-                        1
-                        for f, ph in zip(fam.functions, phases)
-                        if abs(f.values[v] - ph.lo) > t
-                    ),
-                    fam.count,
+                    sum(1 for row, level in zip(rows, levels) if abs(row[v] - level) > t),
+                    len(rows),
                 )
                 bound = math.exp(-len(ball(g, v, t)) / 3)
                 ok &= float(p) <= bound
@@ -159,9 +154,9 @@ def test_criterion_06_exact_tree_theorem():
 
 def _transition_graph_connected(g, mode, M):
     fam = enumerate_functions(g, 0, mode, M=M)
-    states = {f.values: i for i, f in enumerate(fam.functions)}
+    states = {row: i for i, row in enumerate(map(tuple, fam.rows.tolist()))}
     seen = {0}
-    stack = [fam.functions[0].values]
+    stack = [tuple(fam.rows[0].tolist())]
     while stack:
         cur = stack.pop()
         for v in range(g.n):
@@ -184,7 +179,7 @@ def test_criterion_07_mcmc_correctness():
         arr = mcmc_sample_array(
             g, 0, mode, M=M, burnin=10_000, thin=10, n_samples=100_000, seed=17
         )
-        counts = {f.values: 0 for f in fam.functions}
+        counts = {tuple(row): 0 for row in fam.rows.tolist()}
         for row in arr:
             counts[tuple(int(x) for x in row)] += 1
         tv = 0.5 * sum(abs(c / len(arr) - 1 / fam.count) for c in counts.values())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from liphom import build_graph, experiments, graph_to_text, read_graph
 from liphom.cli import main
 
-from .conftest import k33, k4
+from .conftest import k33, k4, q3
 
 
 @pytest.fixture
@@ -99,6 +100,44 @@ def test_phase(k33_file, tmp_path, capsys):
     assert payload["deviation"]["3"] == 1
 
 
+def petersen():
+    spokes = [(i, i + 5) for i in range(5)]
+    rims = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(10, rims + spokes)
+
+
+LIP_ROW = (0, 1, 1, 0, 0, 1, 2, 1, 1, 1)  # 1-Lipschitz on the Petersen graph
+HOM_ROW = (0, 1, 1, 2, 1, 2, 0, 1)  # a homomorphism on Q3, even on 0's class
+
+
+@pytest.mark.parametrize(
+    "graph, mode, values, lam, sha1",
+    [
+        (petersen, "lipschitz", LIP_ROW, None, "89fcbafcd2cee4ba7306e58e2a2250bab2460205"),
+        (petersen, "lipschitz", LIP_ROW, "0.5", "a5961f098a370a8a2206d38657af159e94c1d8f8"),
+        (petersen, "lipschitz", [-x for x in LIP_ROW], None, "ed72b3d2be1586865733ad3e4276136d44a3fc35"),
+        (petersen, "lipschitz", [-x for x in LIP_ROW], "0.5", "f631712000d30120eb8d21bb033bcd8b6b23ac85"),
+        (q3, "hom", HOM_ROW, None, "50f5f9dc77df891709c4580b1c458dc8ab23328a"),
+        (q3, "hom", HOM_ROW, "0.5", "cb16cd1fa0a029325c5b2750feaffd3e4eab0798"),
+        (q3, "hom", [-x for x in HOM_ROW], None, "50f5f9dc77df891709c4580b1c458dc8ab23328a"),
+        (q3, "hom", [-x for x in HOM_ROW], "0.5", "6d1c3e9780beef421a549dc95cd2b00260bad4d4"),
+    ],
+    ids=["lip", "lip-lam", "lip-neg", "lip-neg-lam", "hom", "hom-lam", "hom-neg", "hom-neg-lam"],
+)
+def test_phase_keeps_its_bytes(tmp_path, capsys, graph, mode, values, lam, sha1):
+    # sha1s of the JSON line (phase, lambda and every vertex's deviation),
+    # recorded with the earlier function-record implementation of phase
+    g = graph()
+    (tmp_path / "g.txt").write_text(graph_to_text(g))
+    (tmp_path / "f.txt").write_text("".join(f"{x}\n" for x in values))
+    lam_args = ["--lam-source", "exhaustive"] if lam is None else ["--lam", lam]
+    vertices = ",".join(map(str, range(g.n)))
+    argv = ["phase", str(tmp_path / "g.txt"), str(tmp_path / "f.txt"), "--mode", mode, *lam_args]
+    assert main(argv + ["--vertices", vertices]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
 def test_verify_transform(k4_file, capsys):
     assert main(["verify-transform", k4_file, "--mode", "lipschitz",
                  "--M", "1", "--v", "2", "--t", "1"]) == 0
@@ -185,6 +224,7 @@ def test_experiment_seed_override(tmp_path, argv, seed):
         (["verify-transform", "{k4}", "--mode", "lipschitz", "--v", "1", "--lam=0.5", "--k-strategy", "zero"],
          "--lam is read only with --k-strategy phase, not zero"),
         (["experiment", "{bad_targets}"], "config targets = '1,x'"),
+        (["phase", "{k4}", "{flat}", "--mode", "lipschitz", "--M", "0"], "lipschitz mode needs a positive slope M"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):
@@ -222,7 +262,7 @@ def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):
          "config kind = deviation needs a regular graph; graph_type = tree"),
         ("kind = deviation\ngraph_path = {path}\n",
          "config kind = deviation needs a regular graph; graph_type = file"),
-        ("kind = hom-exact\ngraph_type = tree\nd = 3\nh = 2\n",
+        ("kind = hom-exact\ngraph_type = tree\nd = 3\nh = 2\nmode = hom\n",
          "config kind = hom-exact needs a regular graph; graph_type = tree"),
         ("kind = deviation\ngraph_type = complete_bipartite\nm = 0\n",
          "config m = 0 must be at least 1"),

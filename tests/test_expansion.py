@@ -14,7 +14,7 @@ from liphom import (
     spectral_lambda,
 )
 from liphom import expansion
-from liphom.expansion import bi_threshold, edge_count, lipschitz_threshold, resolve_lambda
+from liphom.expansion import SPECTRAL_TOL, bi_threshold, edge_count, lipschitz_threshold, resolve_lambda
 from liphom.graphs import GraphError
 
 from .conftest import (
@@ -250,7 +250,7 @@ def test_props_lambda_zero_bipartite():
     "g, height_mode, lam_mode", [(k4(), "lipschitz", "general"), (q3(), "hom", "bipartite")]
 )
 def test_resolve_lambda_matches_direct_calls(g, height_mode, lam_mode):
-    spectral = spectral_lambda(g, lam_mode, tol=1e-9) + 1e-9
+    spectral = spectral_lambda(g, lam_mode) + SPECTRAL_TOL
     assert resolve_lambda(g, height_mode, "spectral") == spectral
     assert resolve_lambda(g, height_mode, "exhaustive") == exhaustive_lambda(g, lam_mode)
     assert resolve_lambda(g, height_mode, "explicit", 0.25) == 0.25

@@ -12,8 +12,6 @@ from liphom import (
     emit_report,
     enumerate_functions,
     experiments,
-    homomorphism,
-    lipschitz,
     mcmc_sample_array,
     parse_config,
     run_experiment,
@@ -120,6 +118,19 @@ def test_hom_exact_zero_tail():
         assert row["exact"] == "0/1"
         assert isinstance(row["bound"], float)
         assert row["estimate"] <= row["bound"]
+
+
+def test_hom_exact_reports_its_own_config(tmp_path):
+    # the run reads the config it was given, not a kind = deviation copy
+    cfg = hom_cfg()
+    res = run_experiment(cfg)
+    assert res.config == cfg
+    assert res.rows and {row["config_hash"] for row in res.rows} == {cfg.hash()}
+    path = tmp_path / "h.csv"
+    emit_report(res, path)
+    lines = (tmp_path / "h.csv.config").read_text().splitlines()
+    assert "kind = hom-exact" in lines and "kind = deviation" not in lines
+    assert hom_cfg(kind="deviation").hash() != cfg.hash()
 
 
 def test_deviation_mcmc_marker():
@@ -298,10 +309,10 @@ def loop_tails(g, rows, lam, cfg):
     devs = []
     for row in rows:
         if cfg.mode == "lipschitz":
-            ph = reference_phase_lipschitz(g, lipschitz(row, cfg.v0, cfg.M), lam)
+            lo, hi = reference_phase_lipschitz(g, row, lam, cfg.M)
         else:
-            ph = reference_phase_hom(g, homomorphism(row, cfg.v0), lam)
-        devs.append([ph.dist(x) for x in row])
+            lo = hi = reference_phase_hom(g, row, lam, cfg.v0)[0]
+        devs.append([max(lo - x, x - hi, 0) for x in row])
     hits = {}
     for v in range(g.n):
         for t in range(cfg.t_min, cfg.t_max + 1):
@@ -402,6 +413,8 @@ def assert_rejected_at_entry(kwargs, message, tmp_path, capsys):
             ({"lambda_source": "explicit", "lambda_value": lam}, f"{lam} must be finite and at least 0")
             for lam in (float("inf"), float("-inf"), float("nan"), -0.5)
         ),
+        ({"kind": "hom-exact"}, "kind = hom-exact needs mode = hom"),
+        ({"kind": "hom-exact", "mode": "hom", "sampler": "mcmc"}, "kind = hom-exact needs sampler = exact"),
     ],
 )
 def test_config_rejects_out_of_range(fields, message, tmp_path, capsys):

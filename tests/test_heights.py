@@ -8,14 +8,12 @@ from liphom import (
     build_graph,
     enumerate_functions,
     exhaustive_lambda,
-    homomorphism,
-    lipschitz,
     mcmc_sample_array,
     phase_hom,
     phase_lipschitz,
     validate,
 )
-from liphom.heights import Phase, phases_hom, phases_lipschitz
+from liphom.heights import phases_hom, phases_lipschitz
 
 from .conftest import (
     brute_force_functions,
@@ -31,41 +29,55 @@ from .conftest import (
 
 def test_validate_lipschitz():
     g = k4()
-    assert validate(g, lipschitz((0, 1, 1, 0), 0, 1)) == []
-    assert validate(g, lipschitz((0, 2, 0, 0), 0, 1))  # gap 2 on edge (0,1)
-    assert validate(g, lipschitz((1, 1, 1, 1), 0, 1))  # root not pinned
+    assert validate(g, (0, 1, 1, 0), 0, "lipschitz", 1) == []
+    assert validate(g, (0, 2, 0, 0), 0, "lipschitz", 1)  # gap 2 on edge (0,1)
+    assert validate(g, (1, 1, 1, 1), 0, "lipschitz", 1)  # root not pinned
 
 
 def test_validate_hom():
     g = k33()
-    assert validate(g, homomorphism((0, 0, 0, 1, 1, 1), 0)) == []
-    assert validate(g, homomorphism((0, 0, 0, 2, 1, 1), 0))  # gap 2
+    assert validate(g, (0, 0, 0, 1, 1, 1), 0, "hom") == []
+    assert validate(g, (0, 0, 0, 2, 1, 1), 0, "hom")  # gap 2
     # parity: root class must be even
-    assert validate(g, homomorphism((0, 0, 1, 1, 1, 1), 0))
+    assert validate(g, (0, 0, 1, 1, 1, 1), 0, "hom")
+
+
+@pytest.mark.parametrize(
+    "mode, M, message",
+    [
+        ("homomorphism", None, "unknown mode 'homomorphism'"),
+        ("lipschitz", None, "lipschitz mode needs a positive slope M"),
+        ("lipschitz", 0, "lipschitz mode needs a positive slope M"),
+        ("lipschitz", -2, "lipschitz mode needs a positive slope M"),
+    ],
+)
+def test_validate_rejects_mode_and_slope(mode, M, message):
+    # checked before the values: a valid row does not get past them
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        validate(k4(), (0, 0, 0, 0), 0, mode, M)
 
 
 def test_zero_function_phase():
     g = k4()
     lam = exhaustive_lambda(g)
-    ph = phase_lipschitz(g, lipschitz((0, 0, 0, 0), 0, 1), lam)
-    assert (ph.lo, ph.hi) == (0, 0)
+    assert phase_lipschitz(g, (0, 0, 0, 0), lam, 1) == (0, 0)
 
 
 def test_phase_antisymmetry_lipschitz():
     g = k4()
     lam = exhaustive_lambda(g)
-    for f in enumerate_functions(g, 0, "lipschitz", M=1).functions:
-        ph = phase_lipschitz(g, f, lam)
-        assert phase_lipschitz(g, f.negate(), lam) == ph.negate()
+    for row in enumerate_functions(g, 0, "lipschitz", M=1).rows:
+        lo, hi = phase_lipschitz(g, row, lam, 1)
+        assert phase_lipschitz(g, -row, lam, 1) == (-hi, -lo)
 
 
 def test_phase_count_bound_lipschitz():
     for g in (k4(), c6()):
         lam = exhaustive_lambda(g)
         budget = 2 * lam * g.n / g.degree
-        for f in enumerate_functions(g, 0, "lipschitz", M=1).functions:
-            ph = phase_lipschitz(g, f, lam)
-            outside = sum(1 for x in f.values if ph.dist(x) > 0)
+        for row in enumerate_functions(g, 0, "lipschitz", M=1).rows.tolist():
+            lo, hi = phase_lipschitz(g, row, lam, 1)
+            outside = sum(1 for x in row if not lo <= x <= hi)
             assert outside <= budget
 
 
@@ -74,42 +86,40 @@ def test_phase_hom_laws():
         lam = exhaustive_lambda(g, "bipartite")
         d = g.degree
         n = g.n // 2
-        for f in enumerate_functions(g, 0, "hom").functions:
-            ph = phase_hom(g, f, lam)
+        for row in enumerate_functions(g, 0, "hom").rows.tolist():
+            level, class_index = phase_hom(g, row, lam, 0)
             # parity of the level matches the class index
-            assert ph.lo % 2 == ph.class_index % 2
+            assert level % 2 == class_index % 2
             # count bound within the phase class
-            cls = g.bipartition[0] if (0 in g.bipartition[0]) == (ph.class_index == 0) else g.bipartition[1]
-            bad = sum(1 for v in cls if f.values[v] != ph.lo)
+            cls = g.bipartition[0] if (0 in g.bipartition[0]) == (class_index == 0) else g.bipartition[1]
+            bad = sum(1 for v in cls if row[v] != level)
             assert bad <= 2 * lam * n / d
             # refinement bound (lam < d/3 here)
             assert lam < d / 3
-            assert hom_far_count(f, ph) <= 3 * lam * n / d
+            assert hom_far_count(row, level) <= 3 * lam * n / d
             # antisymmetry
-            nph = phase_hom(g, f.negate(), lam)
-            assert (nph.lo, nph.class_index) == (-ph.lo, ph.class_index)
+            assert phase_hom(g, [-x for x in row], lam, 0) == (-level, class_index)
 
 
 def test_phase_error_on_bad_lambda():
     g = k4()
-    f = lipschitz((0, 1, 2, 1), 0, 2)
     # negative budget admits no level at all
     with pytest.raises(PhaseError):
-        phase_lipschitz(g, f, -1.0)
+        phase_lipschitz(g, (0, 1, 2, 1), -1.0, 2)
 
 
 def cycle(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def assert_matches_reference(g, f, lam):
+def assert_matches_reference(g, values, lam, M):
     try:
-        want = reference_phase_lipschitz(g, f, lam)
+        want = reference_phase_lipschitz(g, values, lam, M)
     except PhaseError:
         with pytest.raises(PhaseError):
-            phase_lipschitz(g, f, lam)
+            phase_lipschitz(g, values, lam, M)
         return
-    assert phase_lipschitz(g, f, lam) == want
+    assert phase_lipschitz(g, values, lam, M) == want
 
 
 @st.composite
@@ -119,30 +129,30 @@ def lipschitz_cases(draw):
     values = draw(st.lists(st.integers(-width, width), min_size=n, max_size=n))
     M = draw(st.integers(1, 5))
     lam = draw(st.floats(-0.1, 1.2, allow_nan=False))
-    return cycle(n), lipschitz(values, 0, M), lam
+    return cycle(n), values, M, lam
 
 
 @settings(max_examples=600, deadline=None)
 @given(lipschitz_cases())
 def test_phase_lipschitz_matches_reference(case):
-    g, f, lam = case
+    g, values, M, lam = case
     # one of f, -f has a negative first nonzero value
-    assert_matches_reference(g, f, lam)
-    assert_matches_reference(g, f.negate(), lam)
+    assert_matches_reference(g, values, lam, M)
+    assert_matches_reference(g, [-x for x in values], lam, M)
 
 
 def test_phase_lipschitz_reference_edge_cases():
     g = cycle(6)
-    zero = lipschitz((0,) * 6, 0, 2)
-    assert phase_lipschitz(g, zero, 0.0) == reference_phase_lipschitz(g, zero, 0.0) == Phase(0, 0)
-    spread = lipschitz((0, 5, -5, 10, -10, 20), 0, 1)
+    zero = (0,) * 6
+    assert phase_lipschitz(g, zero, 0.0, 2) == reference_phase_lipschitz(g, zero, 0.0, 2) == (0, 0)
+    spread = (0, 5, -5, 10, -10, 20)
     with pytest.raises(PhaseError):
-        reference_phase_lipschitz(g, spread, 0.1)
+        reference_phase_lipschitz(g, spread, 0.1, 1)
     with pytest.raises(PhaseError):
-        phase_lipschitz(g, spread, 0.1)
+        phase_lipschitz(g, spread, 0.1, 1)
     # budget >= n: the lowest candidate base qualifies, for either sign
-    for f in (spread, spread.negate()):
-        assert phase_lipschitz(g, f, 1.0) == reference_phase_lipschitz(g, f, 1.0)
+    for values in (spread, tuple(-x for x in spread)):
+        assert phase_lipschitz(g, values, 1.0, 1) == reference_phase_lipschitz(g, values, 1.0, 1)
 
 
 def scalar_phases(g, rows, lam, mode, root, M=None):
@@ -152,11 +162,9 @@ def scalar_phases(g, rows, lam, mode, root, M=None):
     for row in rows:
         try:
             if mode == "lipschitz":
-                ph = reference_phase_lipschitz(g, lipschitz(row, root, M), lam)
-                out.append((ph.lo, ph.hi))
+                out.append(reference_phase_lipschitz(g, row, lam, M))
             else:
-                ph = reference_phase_hom(g, homomorphism(row, root), lam)
-                out.append((ph.lo, ph.class_index))
+                out.append(reference_phase_hom(g, row, lam, root))
         except PhaseError as exc:
             return exc
     return out
@@ -259,6 +267,6 @@ def test_batched_phase_errors():
     lam = 0.4  # budget 0.8 per class, refinement bound 1.2 over all vertices
     far = [0, 0, 0, 3, 3, -3]
     with pytest.raises(PhaseError, match="refinement"):
-        reference_phase_hom(h, homomorphism(far, 0), lam)
+        reference_phase_hom(h, far, lam, 0)
     with pytest.raises(PhaseError, match="refinement"):
         phases_hom(h, np.array([[0, 0, 0, 1, 1, 1], far]), lam, 0)

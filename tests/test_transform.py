@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from liphom import (
     ContextError,
-    HeightFunction,
     apply_transform,
     build_context,
     build_graph,
@@ -18,8 +17,6 @@ from liphom import (
     exhaustive_lambda,
     gen_random_regular,
     gen_tree,
-    homomorphism,
-    lipschitz,
     transform,
     validate,
     verify_counting,
@@ -41,8 +38,9 @@ from .conftest import (
 
 
 def spike(mode, M, child_values, leaf_values):
-    """gen_tree(3, 2) with the root at M + 1 (2 in hom mode), its i-th child
-    at child_values[i] and that child's leaves at leaf_values[i]."""
+    """(gen_tree(3, 2), values, v0): the root at M + 1 (2 in hom mode), its
+    i-th child at child_values[i] and that child's leaves at leaf_values[i];
+    v0 is the first leaf at 0."""
     t = gen_tree(3, 2)
     vals = [0] * t.n
     vals[t.root] = M + 1 if mode == "lipschitz" else 2
@@ -52,17 +50,17 @@ def spike(mode, M, child_values, leaf_values):
             if w != t.root:
                 vals[w] = lv
     v0 = min(w for w in t.leaves if vals[w] == 0)
-    return t, lipschitz(vals, v0, M) if mode == "lipschitz" else homomorphism(vals, v0)
+    return t, vals, v0
 
 
 def tree_spike():
-    """T with h=2, d=3: root at 2, children at 1, leaves at 0."""
+    """T with h=2, d=3: root at 2, children at 1, leaves at 0 (M = 1)."""
     return spike("lipschitz", 1, (1, 1, 1), (0, 0, 0))
 
 
 def test_build_context_tree_example():
-    t, f = tree_spike()
-    ctx = build_context(t, f, t.root, k=0)
+    t, vals, _ = tree_spike()
+    ctx = build_context(t, vals, t.root, 0, "lipschitz", 1)
     assert ctx.a_sets == [frozenset({t.root})]
     assert len(ctx.x_sets[0]) == 3
     assert all(ctx.ell[0, x] == 1 and ctx.u[0, x] == 1 for x in ctx.x_sets[0])
@@ -83,8 +81,9 @@ def test_build_context_tree_example():
     ],
 )
 def test_corollary_bounds_by_hand(f_args, want):
-    t, f = spike(*f_args)
-    ctx = build_context(t, f, t.root, k=0)
+    mode, M = f_args[:2]
+    t, vals, _ = spike(*f_args)
+    ctx = build_context(t, vals, t.root, 0, mode, M)
     a_size, x_size = len(ctx.a_sets[0]), len(ctx.x_sets[0])
     s_minus = ctx.s_minus_sizes([0])[0]
     assert (
@@ -92,10 +91,10 @@ def test_corollary_bounds_by_hand(f_args, want):
         x_size,
         ctx.image_sizes([0])[0],
         s_minus,
-        transform._preimage_bound(f.mode, f.M, a_size, s_minus),
-        transform._ratio_bound(f.mode, f.M, a_size, x_size),
+        transform._preimage_bound(mode, M, a_size, s_minus),
+        transform._ratio_bound(mode, M, a_size, x_size),
     ) == want
-    ref = reference_build_context(t, f, t.root, 0)
+    ref = reference_build_context(t, vals, t.root, 0, mode, M)
     assert (
         len(ref.A), len(ref.X), ref.image_size, ref.s_minus_size, ref.preimage_bound, ref.ratio_bound
     ) == want
@@ -107,29 +106,27 @@ def test_build_context_threshold_precondition():
     vals[t.root] = 1  # f(v) = k+M exactly: not above the threshold
     for c in t.adj[t.root]:
         vals[c] = 1
-    f = lipschitz(vals, min(t.leaves), 1)
     with pytest.raises(ContextError):
-        build_context(t, f, t.root, k=0)
+        build_context(t, vals, t.root, 0, "lipschitz", 1)
 
 
 def test_apply_transform_tree_example():
-    t, f = tree_spike()
-    ctx = build_context(t, f, t.root, k=0)
-    image = apply_transform(t, f, ctx)
+    t, vals, v0 = tree_spike()
+    ctx = build_context(t, vals, t.root, 0, "lipschitz", 1)
+    image = apply_transform(ctx, v0)
     assert len(image) == 8
     for h in image:
-        hf = lipschitz(h, f.root, 1)
-        assert validate(t, hf) == []
+        assert validate(t, h, v0, "lipschitz", 1) == []
         # grounded-compatible: leaves still at a common level shifted to 0
         assert all(h[v] == 0 for v in t.leaves)
 
 
 def test_apply_transform_flat_member():
     # the all-zero s yields f flattened to k+M on A, k on X
-    t, f = tree_spike()
-    ctx = build_context(t, f, t.root, k=0)
-    image = apply_transform(t, f, ctx)
-    flat = list(f.values)
+    t, vals, v0 = tree_spike()
+    ctx = build_context(t, vals, t.root, 0, "lipschitz", 1)
+    image = apply_transform(ctx, v0)
+    flat = list(vals)
     flat[t.root] = 1
     for x in ctx.x_sets[0]:
         flat[x] = 0
@@ -137,10 +134,10 @@ def test_apply_transform_flat_member():
 
 
 def test_apply_transform_guard():
-    t, f = tree_spike()
-    ctx = build_context(t, f, t.root, k=0)
+    t, vals, v0 = tree_spike()
+    ctx = build_context(t, vals, t.root, 0, "lipschitz", 1)
     with pytest.raises(Exception):
-        apply_transform(t, f, ctx, guard=4)
+        apply_transform(ctx, v0, guard=4)
 
 
 def test_hom_image_size_q3():
@@ -387,13 +384,12 @@ def test_apply_transform_matches_reference():
     k_all = phases_lipschitz(g, rows, lam, 2)[0]
     seen = 0
     for row, k in zip(rows[::97].tolist(), k_all[::97].tolist()):
-        f = lipschitz(row, 0, 2)
         try:
-            want = reference_build_context(g, f, 3, k)
+            want = reference_build_context(g, row, 3, k, "lipschitz", 2)
         except ContextError:
             continue
-        image = apply_transform(g, f, build_context(g, f, 3, k))
-        assert image == reference_apply_transform(g, f, want)
+        image = apply_transform(build_context(g, row, 3, k, "lipschitz", 2), 0)
+        assert image == reference_apply_transform(want, 0)
         seen += 1
     assert seen > 10
 
@@ -428,24 +424,24 @@ def test_build_contexts_match_reference(case):
     g, mode, M, rows, ks, v = case
     ctxs = build_contexts(g, np.array(rows), v, ks, mode, M)
     for i, (row, k) in enumerate(zip(rows, ks)):
-        f = HeightFunction(values=tuple(row), root=0, mode=mode, M=M)
         try:
-            want = reference_build_context(g, f, v, k)
+            want = reference_build_context(g, row, v, k, mode, M)
         except ContextError as exc:
             assert ctxs.errors.get(i) == str(exc)
             with pytest.raises(ContextError) as info:
-                build_context(g, f, v, k)
+                build_context(g, row, v, k, mode, M)
             assert str(info.value) == str(exc)
             continue
         assert i not in ctxs.errors
         assert_same_context(ctxs, i, want)
-        assert_same_context(build_context(g, f, v, k), 0, want)
+        assert_same_context(build_context(g, row, v, k, mode, M), 0, want)
 
 
 def assert_same_context(ctxs, i, want):
     """Row i of ctxs holds the oracle's context want."""
     a = ctxs.a_id[i]
     a_set, x_set = ctxs.a_sets[a], ctxs.x_sets[a]
+    assert tuple(ctxs.values[i].tolist()) == want.values
     # witnesses print A and X in iteration order
     assert (list(a_set), list(x_set)) == (list(want.A), list(want.X))
     assert ctxs.y_sets[a] == want.Y
@@ -463,8 +459,10 @@ def assert_same_context(ctxs, i, want):
 def test_build_context_edgeless_graph():
     # no vertex has a neighbour: the gathers still have a padding column
     g = build_graph(3, [])
-    f = lipschitz([0, 3, 0], 0, 1)
-    assert_same_context(build_context(g, f, 1, 0), 0, reference_build_context(g, f, 1, 0))
+    vals = [0, 3, 0]
+    assert_same_context(
+        build_context(g, vals, 1, 0, "lipschitz", 1), 0, reference_build_context(g, vals, 1, 0, "lipschitz", 1)
+    )
 
 
 # Injected failures: the same fault goes into verify_counting and the oracle.
@@ -483,7 +481,7 @@ def test_invalid_image_member_matches_reference(monkeypatch, bad_member):
     real_ref = conftest.reference_image_members
     monkeypatch.setattr(transform, "image_rows", with_bad)
     monkeypatch.setattr(
-        conftest, "reference_image_members", lambda f, ctx: real_ref(f, ctx) + [bad_member]
+        conftest, "reference_image_members", lambda ctx, root: real_ref(ctx, root) + [bad_member]
     )
     rep = assert_matches_reference(k4(), 0, 1, 1, "lipschitz", 1)
     for name in ("image_members_valid", "image_size", "image_in_family"):
@@ -512,7 +510,7 @@ def test_sparse_failures_follow_family_order(monkeypatch):
     monkeypatch.setattr(
         conftest,
         "reference_image_members",
-        lambda f, ctx: real_ref(f, ctx) + ([bad_member] if marked(f.values) else []),
+        lambda ctx, root: real_ref(ctx, root) + ([bad_member] if marked(ctx.values) else []),
     )
     rep = assert_matches_reference(regular(8, 1), 0, 3, 1, "lipschitz", 2)
     assert not rep["checks"]["image_members_valid"]["passed"]
@@ -529,8 +527,8 @@ def test_u_recovery_failure_matches_reference(monkeypatch):
 
     real_ref = conftest.reference_build_context
 
-    def wider_ref(g, f, v, k):
-        ctx = real_ref(g, f, v, k)
+    def wider_ref(*args):
+        ctx = real_ref(*args)
         return dataclasses.replace(ctx, u={x: ux + 1 for x, ux in ctx.u.items()})
 
     monkeypatch.setattr(transform, "build_contexts", wider)
@@ -568,7 +566,7 @@ def test_reconstruction_failure_matches_reference(monkeypatch, mode, M, v):
     monkeypatch.setattr(
         conftest,
         "reference_image_members",
-        lambda f, ctx: list(map(tuple, bump(np.array(real_ref(f, ctx)), far).tolist())),
+        lambda ctx, root: list(map(tuple, bump(np.array(real_ref(ctx, root)), far).tolist())),
     )
     rep = assert_matches_reference(g, 0, v, 1, mode, M, k_strategy="zero")
     check = rep["checks"]["reconstruction"]
@@ -587,7 +585,7 @@ def test_disjoint_images_failure_matches_reference(monkeypatch):
     real_ref = conftest.reference_image_members
     monkeypatch.setattr(transform, "image_rows", zeros)
     monkeypatch.setattr(
-        conftest, "reference_image_members", lambda f, ctx: [(0,) * len(f.values)] * len(real_ref(f, ctx))
+        conftest, "reference_image_members", lambda ctx, root: [(0,) * len(ctx.values)] * len(real_ref(ctx, root))
     )
     for n, s, v, M in ((6, 0, 1, 3), (8, 1, 6, 2)):
         rep = assert_matches_reference(regular(n, s), 0, v, 1, "lipschitz", M, k_strategy="zero")

@@ -20,7 +20,6 @@ from .graphs import Graph, GraphError, distances_from
 
 __all__ = [
     "ExpansionReport",
-    "edge_count",
     "exhaustive_lambda",
     "spectral_lambda",
     "check_lambda",
@@ -33,13 +32,6 @@ __all__ = [
 EXHAUSTIVE_GUARD_BITS = 24  # bits in a set pair: 2n, or n0 + n1 for bipartite lambda
 SPECTRAL_TOL = 1e-9  # power iteration's relative stopping tolerance, added to its value
 SPECTRAL_MAX_ITER = 100_000
-
-
-def edge_count(g: Graph, s, t) -> int:
-    """e(S,T): ordered pairs (a,b) in S x T with {a,b} an edge."""
-    s = set(s)
-    t = set(t)
-    return sum(1 for a in s for b in g.adj[a] if b in t)
 
 
 def _require_regular(g: Graph) -> int:

@@ -241,14 +241,10 @@ def _t_range(g: Graph, cfg: ExperimentConfig, lam: float, d: int, n_norm: int) -
     return range(cfg.t_min, t_hi + 1)
 
 
-# str(int) refuses more than 4300 digits (sys.get_int_max_str_digits);
-# an exact decimal conversion has no such limit and gives the same digits
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-
-
 def _fmt_fraction(q: Fraction) -> str:
-    num, den = (_EXACT.create_decimal(x) for x in (q.numerator, q.denominator))
-    return f"{num:f}/{den:f}"
+    # str(int) refuses more than 4300 digits (sys.get_int_max_str_digits);
+    # Decimal(int) is exact in any context and prints the same digits
+    return f"{decimal.Decimal(q.numerator):f}/{decimal.Decimal(q.denominator):f}"
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

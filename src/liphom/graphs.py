@@ -1,4 +1,4 @@
-"""Graph representation, constructions and metric/boundary primitives.
+"""Graph representation, constructions and metric primitives.
 
 Graphs are simple, undirected and immutable after construction.  The one
 exception is the glued tree, whose glue vertex keeps parallel edges to the
@@ -24,15 +24,13 @@ __all__ = [
     "tree_ball_size",
     "check_vertex",
     "ball",
-    "boundary",
-    "component_in_square",
-    "count_connected_sets",
     "read_graph",
     "graph_to_text",
 ]
 
 
-CONNECTED_SETS_BUDGET = 10_000_000  # search states before count_connected_sets gives up
+REGULAR_MAX_RESTARTS = 10_000  # whole-pairing restarts before gen_random_regular gives up
+BIPARTITE_MAX_RESTARTS = 100_000  # matching re-draws before gen_random_bipartite_regular gives up
 
 
 class GraphError(ValueError):
@@ -115,20 +113,15 @@ def build_graph(
     )
 
 
-def gen_random_regular(
-    n: int,
-    d: int,
-    seed: int,
-    *,
-    max_restarts: int = 10_000,
-) -> Graph:
+def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     """Random simple connected d-regular graph via stub pairing.
 
     Stubs are paired one at a time; pairs forming a loop or a repeated edge
     are re-drawn, and the whole pairing restarts when no legal pair remains
     or the result is disconnected.  Raises GraphError at entry for n < 1,
     d < 1, d >= n, odd n*d and d = 1 with n > 2 (a perfect matching on more
-    than two vertices is not connected), and after ``max_restarts`` restarts.
+    than two vertices is not connected), and after ``REGULAR_MAX_RESTARTS``
+    restarts.
     Deterministic for a fixed (n, d, seed).
     """
     if n < 1:
@@ -142,7 +135,7 @@ def gen_random_regular(
     if (n * d) % 2 != 0:
         raise GraphError(f"n*d = {n * d} is odd; no d-regular graph exists")
     rng = np.random.default_rng(np.random.SeedSequence((seed, n, d)))
-    for _ in range(max_restarts):
+    for _ in range(REGULAR_MAX_RESTARTS):
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
         stubs = list(stubs)
@@ -182,7 +175,7 @@ def gen_random_regular(
     raise GraphError("retry budget exhausted generating a random regular graph")
 
 
-def gen_random_bipartite_regular(n: int, d: int, seed: int, *, max_restarts: int = 100_000) -> Graph:
+def gen_random_bipartite_regular(n: int, d: int, seed: int) -> Graph:
     """Random simple d-regular bipartite graph on classes {0..n-1}, {n..2n-1}.
 
     Built as the union of d random perfect matchings, held as the rows of one
@@ -190,7 +183,7 @@ def gen_random_bipartite_regular(n: int, d: int, seed: int, *, max_restarts: int
     left vertex a partner an earlier matching already gave it is re-drawn, at
     the cost of one array comparison.  The edge list is built once, at the
     end.  Raises GraphError for n < 1, d < 1 or d > n, and after
-    ``max_restarts`` re-draws.  Deterministic per (n, d, seed).
+    ``BIPARTITE_MAX_RESTARTS`` re-draws.  Deterministic per (n, d, seed).
     """
     if n < 1:
         raise GraphError(f"class size n={n} must be at least 1")
@@ -205,7 +198,7 @@ def gen_random_bipartite_regular(n: int, d: int, seed: int, *, max_restarts: int
         perm = rng.permutation(n)
         while (partners[:k] == perm).any():
             restarts += 1
-            if restarts > max_restarts:
+            if restarts > BIPARTITE_MAX_RESTARTS:
                 raise GraphError("retry budget exhausted generating bipartite regular graph")
             perm = rng.permutation(n)
         partners[k] = perm
@@ -338,88 +331,6 @@ def distances_from(g: Graph, v: int) -> list[int]:
                     nxt.append(w)
         frontier = nxt
     return dist
-
-
-def neighborhood(g: Graph, a) -> frozenset[int]:
-    """N(A): vertices adjacent to some vertex of A."""
-    out = set()
-    for u in a:
-        out.update(g.adj[u])
-    return frozenset(out)
-
-
-def boundary(g: Graph, a) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """(N(A), outer boundary, 2-outer boundary) of a vertex set A."""
-    a = frozenset(a)
-    na = neighborhood(g, a)
-    outer = na - a
-    nna = neighborhood(g, na)
-    outer2 = nna - (a | na)
-    return na, outer, outer2
-
-
-def square_neighbors(g: Graph, v: int) -> frozenset[int]:
-    """Neighbors of v in the auxiliary distance-<=2 graph."""
-    out = set()
-    for u in g.adj[v]:
-        out.add(u)
-        out.update(g.adj[u])
-    out.discard(v)
-    return frozenset(out)
-
-
-def component_in_square(g: Graph, v: int, s) -> frozenset[int]:
-    """Connected component of v in the distance-<=2 graph restricted to S."""
-    s = frozenset(s)
-    if v not in s:
-        raise GraphError(f"vertex {v} is not in the restricting set")
-    comp = {v}
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        for w in square_neighbors(g, u):
-            if w in s and w not in comp:
-                comp.add(w)
-                frontier.append(w)
-    return frozenset(comp)
-
-
-def count_connected_sets(g: Graph, v: int, a: int) -> int:
-    """Exact number of connected vertex sets of size a containing v.
-
-    Uses exhaustive growth with an exclusion set, so it is feasible only for
-    small a; aborts when the search touches more than
-    ``CONNECTED_SETS_BUDGET`` states.
-    """
-    if a < 1:
-        raise GraphError("set size must be at least 1")
-    nbrs = [frozenset(g.adj[u]) for u in range(g.n)]
-
-    visited = 0
-
-    def grow(current: set, frontier: list, forbidden: set) -> int:
-        nonlocal visited
-        visited += 1
-        if visited > CONNECTED_SETS_BUDGET:
-            raise GraphError("search budget exceeded")
-        if len(current) == a:
-            return 1
-        total = 0
-        # classic connected-subgraph enumeration: each frontier vertex is
-        # either taken (and extends the frontier) or permanently excluded
-        local_forbidden = set(forbidden)
-        for i, w in enumerate(frontier):
-            current.add(w)
-            new_frontier = frontier[i + 1 :] + [
-                x for x in nbrs[w] if x not in current and x not in local_forbidden
-                and x not in frontier
-            ]
-            total += grow(current, new_frontier, local_forbidden)
-            current.remove(w)
-            local_forbidden.add(w)
-        return total
-
-    return grow({v}, sorted(nbrs[v]), {v})
 
 
 # ----------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .expansion import CheckResult
-from .graphs import Graph, GraphError, ball, boundary, check_vertex, component_in_square
+from .graphs import Graph, GraphError, ball, check_vertex
 from .heights import phases_hom, phases_lipschitz, validate
 from .samplers import BLOCK_VALUES, enumerate_functions
 
@@ -47,12 +47,14 @@ class Contexts:
     """The contexts of a batch of rows, as arrays.  A row's context holds
     the data of one application of the flattening map: threshold level k,
     the component A of v above the threshold in the distance-<=2 graph, its
-    shells X and Y, and (Lipschitz only) the bounds ell_x <= f(x)-k <= u_x
-    on X; S is the product of {0..u_x} (hom: {-1, 1}) over X.
+    outer boundary X, and (Lipschitz only) the bounds ell_x <= f(x)-k <= u_x
+    on X; S is the product of {0..u_x} (hom: {-1, 1}) over X.  The
+    2-outer boundary Y enters only a claim that ``build_contexts`` checks,
+    and is not kept.
 
-    Row i's A is ``a_sets[a_id[i]]``, and its X and Y sit at the same index;
-    ``a_mask`` / ``x_mask`` hold A and X as vertex masks.  ell and u are
-    (rows, n) arrays, 0 off X (Lipschitz only: zero columns in hom mode).
+    Row i's A and X are the vertex masks ``a_mask[a_id[i]]`` and
+    ``x_mask[a_id[i]]``, one row per distinct A.  ell and u are (rows, n)
+    arrays, 0 off X (Lipschitz only: zero columns in hom mode).
     ``errors`` maps each row whose structural claims fail to its
     ContextError message; such a row has ell = u = 0, and a_id = -1 when it
     has no A.
@@ -64,9 +66,6 @@ class Contexts:
     values: np.ndarray
     k: np.ndarray
     a_id: np.ndarray
-    a_sets: list[frozenset[int]]
-    x_sets: list[frozenset[int]]
-    y_sets: list[frozenset[int]]
     a_mask: np.ndarray
     x_mask: np.ndarray
     ell: np.ndarray
@@ -94,11 +93,13 @@ class Contexts:
 
     def group_key(self, i: int) -> tuple:
         """Row i's (A, S) as witnesses print it: (A, ((x, u_x), ...)) over
-        sorted X, or (A,) in hom mode."""
+        increasing X, or (A,) in hom mode; A is a frozenset built from its
+        increasing vertex ids."""
         a = self.a_id[i]
+        a_set = frozenset(np.flatnonzero(self.a_mask[a]).tolist())
         if self.mode == "hom":
-            return (self.a_sets[a],)
-        return (self.a_sets[a], tuple((x, int(self.u[i, x])) for x in sorted(self.x_sets[a])))
+            return (a_set,)
+        return (a_set, tuple((x, int(self.u[i, x])) for x in np.flatnonzero(self.x_mask[a]).tolist()))
 
 
 def _preimage_bound(mode: str, M: int | None, a_size: int, s_minus):
@@ -136,6 +137,12 @@ def _gather(values: np.ndarray, nbr: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(values, ((0, 0), (0, 1)), constant_values=pad)[:, nbr]
 
 
+def _near(mask: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """N(.) of each row of a (rows, n) vertex mask: the vertices with a
+    neighbour in the row's set."""
+    return _gather(mask, nbr, False).any(axis=2)
+
+
 def _first_occurrence_labels(keys: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
     """Label each key (row, with axis=0) 0, 1, ... in order of first
     occurrence; also return where each label first occurs."""
@@ -161,10 +168,13 @@ def build_contexts(g: Graph, rows, v: int, k, mode: str, M: int | None = None) -
     one threshold level per row in k, checking the structural claims of
     ``build_context`` for each row.
 
-    A depends only on a row's set of vertices above the threshold, so it is
-    formed once per distinct set (keyed by its packed bitmask), and X and Y
-    once per distinct A.  The claims and ell/u come from gathers of the
-    rows' values over every vertex's neighbours, a block of rows at a time.
+    A depends only on a row's set S of vertices above the threshold, so it
+    is grown once per distinct S (keyed by its packed bitmask): from {v},
+    A takes in the vertices of S within distance 2 of it until none is
+    left, for a block of sets at once.  X = N(A) minus A and Y = N(X) minus
+    A and X, and rows share one mask row per distinct A.  The claims and
+    ell/u come from gathers of the rows' values over every vertex's
+    neighbours, a block of rows at a time.
     """
     rows = np.asarray(rows)
     k = np.asarray(k, dtype=np.int64)
@@ -179,29 +189,34 @@ def build_contexts(g: Graph, rows, v: int, k, mode: str, M: int | None = None) -
         errors[i] = "every vertex is above the threshold; no grounding vertex"
     todo = np.setdiff1d(np.arange(count), list(errors))
 
-    a_id = np.full(count, -1, dtype=np.int64)
-    a_index: dict[frozenset[int], int] = {}
     _, first, inverse = np.unique(
         _row_keys(np.packbits(above[todo], axis=1)), return_index=True, return_inverse=True
     )
-    ids = [
-        a_index.setdefault(component_in_square(g, v, np.flatnonzero(above[i]).tolist()), len(a_index))
-        for i in todo[first]
-    ]
-    a_id[todo] = np.asarray(ids, dtype=np.int64)[inverse]
-    a_sets = list(a_index)
-    shells = [boundary(g, a)[1:] for a in a_sets]
-    x_sets, y_sets = [s[0] for s in shells], [s[1] for s in shells]
-    a_mask, x_mask, y_mask = np.zeros((3, len(a_sets), n), dtype=bool)
-    for j, (a, x, y) in enumerate(zip(a_sets, x_sets, y_sets)):
-        a_mask[j, list(a)], x_mask[j, list(x)], y_mask[j, list(y)] = True, True, True
+    nbr = _neighbour_table(g)
+    step = max(1, BLOCK_VALUES // nbr.size)
+    shells = np.zeros((3, first.size, n), dtype=bool)  # A, X, Y per distinct S
+    for start in range(0, first.size, step):
+        s = above[todo[first[start : start + step]]]
+        comp = np.zeros_like(s)
+        comp[:, v] = True
+        while True:
+            grown = comp | _near(comp | _near(comp, nbr), nbr) & s
+            if (grown == comp).all():
+                break
+            comp = grown
+        x = _near(comp, nbr) & ~comp
+        shells[:, start : start + step] = comp, x, _near(x, nbr) & ~(comp | x)
+    _, a_first, a_of_s = np.unique(
+        _row_keys(np.packbits(shells[0], axis=1)), return_index=True, return_inverse=True
+    )
+    a_mask, x_mask, y_mask = shells[:, a_first]
+    a_id = np.full(count, -1, dtype=np.int64)
+    a_id[todo] = a_of_s[inverse]
 
     width = n if lip else 0
     bound_dtype = np.min_scalar_type(M) if lip else np.uint8  # ell, u lie in 1..M
     ell = np.zeros((count, width), dtype=bound_dtype)
     u = np.zeros((count, width), dtype=bound_dtype)
-    nbr = _neighbour_table(g)
-    step = max(1, BLOCK_VALUES // nbr.size)
     for start in range(0, todo.size, step):
         idx = todo[start : start + step]
         vals = rows[idx].astype(np.int64)
@@ -234,7 +249,7 @@ def build_contexts(g: Graph, rows, v: int, k, mode: str, M: int | None = None) -
         off = vals - kk
         chain = (1 <= ell_b) & (ell_b <= off) & (off <= u_b) & (u_b <= M) | ~in_x
         for j in np.flatnonzero(good & ~chain.all(axis=1)).tolist():
-            x = next(x for x in x_sets[ids[j]] if not chain[j, x])
+            x = int(np.argmin(chain[j]))  # the lowest failing vertex of X
             errors[int(idx[j])] = (
                 f"bound chain violated at boundary vertex {x}: "
                 f"1 <= {ell_b[j, x]} <= {off[j, x]} <= {u_b[j, x]} <= {M}"
@@ -244,8 +259,8 @@ def build_contexts(g: Graph, rows, v: int, k, mode: str, M: int | None = None) -
         ell[idx] = np.where(keep, ell_b, 0)
         u[idx] = np.where(keep, u_b, 0)
     return Contexts(
-        mode=mode, M=M, v=v, values=rows, k=k, a_id=a_id, a_sets=a_sets, x_sets=x_sets,
-        y_sets=y_sets, a_mask=a_mask, x_mask=x_mask, ell=ell, u=u, errors=errors,
+        mode=mode, M=M, v=v, values=rows, k=k, a_id=a_id, a_mask=a_mask, x_mask=x_mask,
+        ell=ell, u=u, errors=errors,
     )
 
 
@@ -406,19 +421,15 @@ def verify_counting(
     checks["context_claims"].tick_all(holds, lambda i: (values(i), ctxs.errors[i]))
     omega = np.flatnonzero(holds)
     a_id = ctxs.a_id[omega]
-    a_sets, x_sets = ctxs.a_sets, ctxs.x_sets
-    near = ball(g, v, t - 1)
-    in_a = np.array([near <= a for a in a_sets], dtype=bool)
-    checks["ball_in_A"].tick_all(in_a[a_id], lambda j: values(omega[j]))
+    a_sizes, x_sizes = ctxs.a_mask.sum(axis=1).tolist(), ctxs.x_mask.sum(axis=1).tolist()
+    near = list(ball(g, v, t - 1))
+    checks["ball_in_A"].tick_all(ctxs.a_mask[:, near].all(axis=1)[a_id], lambda j: values(omega[j]))
     if g.glue is not None:
-        avoids = np.array([g.glue not in a | x for a, x in zip(a_sets, x_sets)], dtype=bool)
-        expands = np.array(
-            [len(x) > (g.degree - 2) * len(a) for a, x in zip(a_sets, x_sets)], dtype=bool
-        )
+        avoids = ~(ctxs.a_mask | ctxs.x_mask)[:, g.glue]
+        expands = np.array(x_sizes) > (g.degree - 2) * np.array(a_sizes)
         checks["tree_avoids_leaves"].tick_all(avoids[a_id], lambda j: values(omega[j]))
         checks["tree_expansion"].tick_all(
-            expands[a_id],
-            lambda j: (values(omega[j]), len(a_sets[a_id[j]]), len(x_sets[a_id[j]])),
+            expands[a_id], lambda j: (values(omega[j]), a_sizes[a_id[j]], x_sizes[a_id[j]])
         )
 
     sizes = ctxs.image_sizes(omega)
@@ -462,25 +473,25 @@ def verify_counting(
     s_minus = ctxs.s_minus_sizes(omega[group_first])
     for gi, j in enumerate(group_first.tolist()):
         a = a_id[j]
-        a_size, key0, size = len(a_sets[a]), ctxs.group_key(omega[j]), int(members_of[gi])
-        alpha = _preimage_bound(mode, M, a_size, s_minus[gi])
+        key0, size = ctxs.group_key(omega[j]), int(members_of[gi])
+        alpha = _preimage_bound(mode, M, a_sizes[a], s_minus[gi])
         b, w, un = int(beta[gi]), int(worst[gi]), int(union[gi])
         checks["preimage_bound"].tick(w <= alpha, (key0, w, alpha))
         checks["double_counting"].tick(
             Fraction(size, q_size) <= Fraction(alpha, b), (key0, size, alpha, b)
         )
         checks["ratio_bound_AS"].tick(
-            Fraction(size, un) <= _ratio_bound(mode, M, a_size, len(x_sets[a])), (key0, size, un)
+            Fraction(size, un) <= _ratio_bound(mode, M, a_sizes[a], x_sizes[a]), (key0, size, un)
         )
 
     # bound on P(Omega_A^+) per A, and image disjointness across S
     a_label, a_first = _first_occurrence_labels(a_id)
     members_of_a = np.bincount(a_label, minlength=a_first.size)
     for j, first in enumerate(a_first.tolist()):
-        a_set, x_set = a_sets[a_id[first]], x_sets[a_id[first]]
+        a = a_id[first]
         checks["ratio_bound_A"].tick(
-            Fraction(int(members_of_a[j]), q_size) <= _ratio_bound(mode, M, len(a_set), len(x_set)),
-            (sorted(a_set), int(members_of_a[j])),
+            Fraction(int(members_of_a[j]), q_size) <= _ratio_bound(mode, M, a_sizes[a], x_sizes[a]),
+            (np.flatnonzero(ctxs.a_mask[a]).tolist(), int(members_of_a[j])),
         )
 
     if mode == "lipschitz":
@@ -548,11 +559,8 @@ def _check_images(g: Graph, ctxs: Contexts, omega, root: int, sizes, family) -> 
     edges = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
     nbr = _neighbour_table(g)
     if not lip:
-        # the reconstruction's anchor: the first vertex of A adjacent to X
-        anchor = np.zeros(len(ctxs.a_sets), dtype=np.int64)
-        for a in np.unique(ctxs.a_id[omega]).tolist():
-            x_set = ctxs.x_sets[a]
-            anchor[a] = next(w for w in ctxs.a_sets[a] if any(x in x_set for x in g.adj[w]))
+        # the reconstruction's anchor: the lowest vertex of A adjacent to X
+        anchor = (ctxs.a_mask & _near(ctxs.x_mask, nbr)).argmax(axis=1)
 
     ends = np.cumsum(sizes)
     step = max(1, BLOCK_VALUES // nbr.size)

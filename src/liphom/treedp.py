@@ -100,12 +100,14 @@ class TreeDP:
         return p
 
     def log_tail_probability(self, depth: int, threshold: int) -> float:
-        """log P(|f(v)| > threshold): the log of the exact tail, taken from
-        its reduced numerator and denominator."""
+        """log P(|f(v)| > threshold), as log(numerator) - log(denominator) of
+        the reduced exact tail.  Each log is within about an ulp of
+        log(total), and the difference keeps that absolute error, so a small
+        result loses relative precision: the error is bounded by about
+        2^-52 log(total), not by 2^-52 times the result."""
         p = self.tail_probability(depth, threshold)
         if p == 0:
             return -math.inf
-        # math.log handles arbitrary-size integers exactly enough (< 1e-15 rel)
         return math.log(p.numerator) - math.log(p.denominator)
 
 

@@ -15,7 +15,10 @@ phases with the library, and its context record ``ReferenceContext``
 writes out |S|, |S^-|, alpha and the ratio bound from their definitions.
 The bipartite-generator oracle tests each drawn matching as a set of edge
 tuples, and the tree oracle builds complete and glued trees from a
-breadth-first queue of parent pointers.
+breadth-first queue of parent pointers.  The set-based graph helpers (e(S,
+T), N(A), the shells of A, components in the distance-<=2 graph and
+connected-set counting) live here: the library builds A and its shells as
+vertex masks, and only the oracles and the tests use the sets.
 """
 
 from __future__ import annotations
@@ -30,17 +33,8 @@ import numpy as np
 import pytest
 
 from liphom import build_graph
-from liphom.expansion import SPECTRAL_MAX_ITER, SPECTRAL_TOL, CheckResult, edge_count
-from liphom.graphs import (
-    Graph,
-    GraphError,
-    ball,
-    boundary,
-    check_vertex,
-    component_in_square,
-    distances_from,
-    neighborhood,
-)
+from liphom.expansion import SPECTRAL_MAX_ITER, SPECTRAL_TOL, CheckResult
+from liphom.graphs import Graph, GraphError, ball, check_vertex, distances_from
 from liphom.heights import PhaseError, phases_hom, phases_lipschitz, validate
 from liphom.samplers import enumerate_functions
 from liphom.transform import ContextError, VerifyReport
@@ -90,6 +84,98 @@ def q3():
     even = [v for v in range(8) if bin(v).count("1") % 2 == 0]
     odd = [v for v in range(8) if bin(v).count("1") % 2 == 1]
     return build_graph(8, edges, bipartition=(even, odd))
+
+
+def edge_count(g, s, t) -> int:
+    """e(S,T): ordered pairs (a,b) in S x T with {a,b} an edge."""
+    s = set(s)
+    t = set(t)
+    return sum(1 for a in s for b in g.adj[a] if b in t)
+
+
+def neighborhood(g, a) -> frozenset[int]:
+    """N(A): vertices adjacent to some vertex of A."""
+    out = set()
+    for u in a:
+        out.update(g.adj[u])
+    return frozenset(out)
+
+
+def boundary(g, a) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """(N(A), outer boundary, 2-outer boundary) of a vertex set A."""
+    a = frozenset(a)
+    na = neighborhood(g, a)
+    outer = na - a
+    nna = neighborhood(g, na)
+    outer2 = nna - (a | na)
+    return na, outer, outer2
+
+
+def square_neighbors(g, v: int) -> frozenset[int]:
+    """Neighbors of v in the auxiliary distance-<=2 graph."""
+    out = set()
+    for u in g.adj[v]:
+        out.add(u)
+        out.update(g.adj[u])
+    out.discard(v)
+    return frozenset(out)
+
+
+def component_in_square(g, v: int, s) -> frozenset[int]:
+    """Connected component of v in the distance-<=2 graph restricted to S."""
+    s = frozenset(s)
+    if v not in s:
+        raise GraphError(f"vertex {v} is not in the restricting set")
+    comp = {v}
+    frontier = [v]
+    while frontier:
+        u = frontier.pop()
+        for w in square_neighbors(g, u):
+            if w in s and w not in comp:
+                comp.add(w)
+                frontier.append(w)
+    return frozenset(comp)
+
+
+CONNECTED_SETS_BUDGET = 10_000_000  # search states before count_connected_sets gives up
+
+
+def count_connected_sets(g, v: int, a: int) -> int:
+    """Exact number of connected vertex sets of size a containing v.
+
+    Uses exhaustive growth with an exclusion set, so it is feasible only for
+    small a; aborts when the search touches more than
+    ``CONNECTED_SETS_BUDGET`` states.
+    """
+    if a < 1:
+        raise GraphError("set size must be at least 1")
+    nbrs = [frozenset(g.adj[u]) for u in range(g.n)]
+
+    visited = 0
+
+    def grow(current: set, frontier: list, forbidden: set) -> int:
+        nonlocal visited
+        visited += 1
+        if visited > CONNECTED_SETS_BUDGET:
+            raise GraphError("search budget exceeded")
+        if len(current) == a:
+            return 1
+        total = 0
+        # classic connected-subgraph enumeration: each frontier vertex is
+        # either taken (and extends the frontier) or permanently excluded
+        local_forbidden = set(forbidden)
+        for i, w in enumerate(frontier):
+            current.add(w)
+            new_frontier = frontier[i + 1 :] + [
+                x for x in nbrs[w] if x not in current and x not in local_forbidden
+                and x not in frontier
+            ]
+            total += grow(current, new_frontier, local_forbidden)
+            current.remove(w)
+            local_forbidden.add(w)
+        return total
+
+    return grow({v}, sorted(nbrs[v]), {v})
 
 
 @pytest.fixture
@@ -542,7 +628,9 @@ class ReferenceContext:
 def reference_build_context(g, values, v, k, mode, M=None):
     """The flattening map's context for the function f given by ``values``
     at vertex v and threshold k, built with set operations, asserting the
-    structural claims."""
+    structural claims.  A is a frozenset built from its increasing vertex
+    ids, and "first" means lowest id: the bound-chain failure named is the
+    one at the lowest vertex of X."""
     thresh = k + M if mode == "lipschitz" else k + 1
     vals = tuple(values)
     if vals[v] <= thresh:
@@ -552,7 +640,7 @@ def reference_build_context(g, values, v, k, mode, M=None):
     inducing = frozenset(w for w in range(g.n) if vals[w] > thresh)
     if len(inducing) == g.n:
         raise ContextError("every vertex is above the threshold; no grounding vertex")
-    a = component_in_square(g, v, inducing)
+    a = frozenset(sorted(component_in_square(g, v, inducing)))
     _, x_set, y_set = boundary(g, a)
 
     # structural claims about f on A and its shells
@@ -573,7 +661,7 @@ def reference_build_context(g, values, v, k, mode, M=None):
     u: dict[int, int] = {}
     if mode == "lipschitz":
         ax = a | x_set
-        for x in x_set:
+        for x in sorted(x_set):
             outside = [vals[w] + M - k for w in g.adj[x] if w not in ax]
             u[x] = min(outside + [M])
             inside = [vals[w] - M - k for w in g.adj[x] if w in a]
@@ -803,9 +891,8 @@ def _reference_check_reconstruction(g, ctx, image, check):
         if ctx.mode == "lipschitz":
             shift = ctx.k + ctx.M - h[ctx.v]
         else:
-            w_star = next(
-                w for w in ctx.A if any(x in ctx.X for x in g.adj[w])
-            )
+            # the anchor: the lowest vertex of A adjacent to X
+            w_star = next(w for w in sorted(ctx.A) if any(x in ctx.X for x in g.adj[w]))
             shift = ctx.k - h[w_star]
         rec = list(h)
         for w in range(g.n):

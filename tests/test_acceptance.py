@@ -30,9 +30,19 @@ from liphom.experiments import (
     ExperimentConfig,
     run_experiment,
 )
-from liphom.graphs import count_connected_sets
 
-from .conftest import allowed_values, brute_force_count, c4, c6, hom_far_count, k33, k4, kmm, q3
+from .conftest import (
+    allowed_values,
+    brute_force_count,
+    c4,
+    c6,
+    count_connected_sets,
+    hom_far_count,
+    k33,
+    k4,
+    kmm,
+    q3,
+)
 
 
 def report(num: int, name: str, ok: bool) -> None:

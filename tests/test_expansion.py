@@ -14,12 +14,13 @@ from liphom import (
     spectral_lambda,
 )
 from liphom import expansion
-from liphom.expansion import SPECTRAL_TOL, bi_threshold, edge_count, lipschitz_threshold, resolve_lambda
+from liphom.expansion import SPECTRAL_TOL, bi_threshold, lipschitz_threshold, resolve_lambda
 from liphom.graphs import GraphError
 
 from .conftest import (
     c4,
     c6,
+    edge_count,
     k33,
     k4,
     kmm,

@@ -11,19 +11,20 @@ from liphom import (
     gen_tree,
     graph_from_text,
     graph_to_text,
+    graphs,
 )
-from liphom.graphs import (
+from liphom.graphs import distances_from, tree_ball_size, tree_level_offsets
+
+from .conftest import (
     boundary,
+    c4,
     component_in_square,
     count_connected_sets,
-    distances_from,
-    neighborhood,
+    k4,
+    reference_bipartite_regular,
+    reference_tree,
     square_neighbors,
-    tree_ball_size,
-    tree_level_offsets,
 )
-
-from .conftest import c4, k4, reference_bipartite_regular, reference_tree
 
 
 def test_build_rejects_self_loops_and_duplicates():
@@ -118,12 +119,12 @@ def test_gen_bipartite_dense_matches_reference(n, d, seed):
     assert g.degree == d
 
 
-def test_gen_bipartite_retry_budget_matches_reference():
+def test_gen_bipartite_retry_budget_matches_reference(monkeypatch):
     # gen(4, 4, seed 0) needs a few dozen restarts: small budgets run out
-    outcomes = [
-        edges_or_error(lambda: gen_random_bipartite_regular(4, 4, 0, max_restarts=budget).edges())
-        for budget in range(60)
-    ]
+    outcomes = []
+    for budget in range(60):
+        monkeypatch.setattr(graphs, "BIPARTITE_MAX_RESTARTS", budget)
+        outcomes.append(edges_or_error(lambda: gen_random_bipartite_regular(4, 4, 0).edges()))
     assert outcomes == [
         edges_or_error(lambda: reference_bipartite_regular(4, 4, 0, budget)) for budget in range(60)
     ]
@@ -146,9 +147,13 @@ def test_gen_bipartite_retry_budget_matches_reference():
         (gen_random_regular, 6, 1, "d=1 with n=6"),
     ],
 )
-def test_generators_reject_bad_parameters_at_entry(gen, n, d, match):
+def test_generators_reject_bad_parameters_at_entry(monkeypatch, gen, n, d, match):
+    # a one-restart budget: a check made only after drawing would fail with
+    # the budget's message, not the entry one
+    monkeypatch.setattr(graphs, "REGULAR_MAX_RESTARTS", 1)
+    monkeypatch.setattr(graphs, "BIPARTITE_MAX_RESTARTS", 1)
     with pytest.raises(GraphError, match=match):
-        gen(n, d, 0, max_restarts=1)
+        gen(n, d, 0)
 
 
 def test_gen_regular_single_edge():

@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import math
 from fractions import Fraction
@@ -189,6 +190,22 @@ def test_preconditions():
 def test_tree_dp_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode 'foo'"):
         tree_dp(3, 2, mode="foo")
+
+
+@pytest.mark.parametrize("mode, M", (("lipschitz", 1), ("lipschitz", 2), ("hom", None)))
+def test_log_tail_error_is_bounded_by_log_total(mode, M):
+    # the difference of two logs near log(total) keeps their absolute error:
+    # against a 60-digit evaluation, within 2^-50 log(total) on every
+    # nonzero tail of d = 3, h <= 12
+    ctx = decimal.Context(prec=60)
+    for h in range(1, 13):
+        dp = tree_dp(3, h, mode, M)
+        for depth in range(h + 1):
+            for thr in range((M or 1) * (h - depth)):
+                p = dp.tail_probability(depth, thr)
+                want = ctx.ln(decimal.Decimal(p.numerator)) - ctx.ln(decimal.Decimal(p.denominator))
+                err = abs(decimal.Decimal(dp.log_tail_probability(depth, thr)) - want)
+                assert err <= decimal.Decimal(2.0**-50 * dp.log_total), (h, depth, thr)
 
 
 def _sha1(data: bytes) -> str:

@@ -26,8 +26,9 @@ def glauber_run(adj, values, free, M, hom, words, thin, burnin, out):
     ``words`` yields (vertex words, value words) uint64 array pairs, at most
     ``CHUNK_STEPS`` long; step i consumes the i-th word of each, and the
     run has as many steps as there are words.  After ``burnin`` steps, every
-    ``thin``-th state is copied into ``out`` until it is full.  Returns the
-    number of recorded samples.
+    ``thin``-th state is copied into ``out`` until it is full; ``out`` may
+    be of a narrower integer type, which the caller chooses to hold every
+    reachable height.  Returns the number of recorded samples.
 
     Heights live in a list, and a vertex's neighbor heights are read with one
     precomputed ``itemgetter``.  Burn-in updates only that list; when

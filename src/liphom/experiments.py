@@ -372,8 +372,10 @@ def _run_max(cfg: ExperimentConfig) -> ExperimentResult:
         n_samples=cfg.n_samples,
         seed=cfg.seed,
     )
-    mx = arr.max(axis=1)
-    mxabs = np.abs(arr).max(axis=1)
+    # in int64: np.percentile interpolates in its input's type, which may
+    # be as narrow as int8
+    mx = arr.max(axis=1).astype(np.int64)
+    mxabs = np.abs(arr).max(axis=1).astype(np.int64)
     loglog = math.log(math.log(g.n))
     chash = cfg.hash()
     result = ExperimentResult(config=cfg)

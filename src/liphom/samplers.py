@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .graphs import Graph, GraphError, _is_connected, check_vertex, distances_from
+from .graphs import Graph, GraphError, check_vertex, distances_from
 
 __all__ = [
     "EnumerationResult",
@@ -142,7 +142,7 @@ def mcmc_sample_array(
     seed: int = 0,
     chain: int = 0,
 ) -> np.ndarray:
-    """Deterministic Glauber sampling; returns (n_samples, n) int64 states.
+    """Deterministic Glauber sampling; returns (n_samples, n) states.
 
     Starts from the minimal-oscillation state (all zeros for Lipschitz, 0
     on the root's color class and 1 on the other for hom), discards
@@ -152,13 +152,19 @@ def mcmc_sample_array(
     mode.  Raises GraphError on a root that is not a vertex,
     and on a graph with an isolated vertex or more than one component,
     where the chain cannot move or cannot mix.
+
+    Every state obeys |f(v)| <= slope * dist(v0, v), slope M (1 in hom
+    mode), so the rows take the type enumeration uses for the same bound,
+    ``_value_dtype(slope * ecc(v0))``.  The kernel keeps int64 heights and
+    narrows each state once, as it records it.
     """
     if burnin < 0 or thin <= 0 or n_samples <= 0:
         raise ValueError("burnin must be >= 0, thin and n_samples positive")
     check_vertex(g, v0)
     if any(not nbrs for nbrs in g.adj):
         raise GraphError("MCMC requires every vertex to have a neighbor")
-    if not _is_connected(g):
+    dist = distances_from(g, v0)
+    if min(dist) < 0:
         raise GraphError("MCMC requires a connected graph")
     if mode == "lipschitz":
         if M is None or M < 1:
@@ -173,9 +179,8 @@ def mcmc_sample_array(
         raise ValueError(f"unknown mode {mode!r}")
     free = [v for v in range(g.n) if v != v0]
     words = _draw_words(seed, chain, burnin + thin * n_samples)
-    out = np.empty((n_samples, g.n), dtype=np.int64)
-    n_rec = _kernels.glauber_run(
-        g.adj, values, free, M if M is not None else 1, mode == "hom", words, thin, burnin, out
-    )
+    slope = M if mode == "lipschitz" else 1  # the kernel reads M only in Lipschitz mode
+    out = np.empty((n_samples, g.n), dtype=_value_dtype(slope * max(dist)))
+    n_rec = _kernels.glauber_run(g.adj, values, free, slope, mode == "hom", words, thin, burnin, out)
     assert n_rec == n_samples
     return out

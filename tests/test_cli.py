@@ -77,6 +77,25 @@ def test_sample_mcmc_deterministic(k4_file, tmp_path):
     assert b"seed=3" in outs[0].splitlines()[0]
 
 
+@pytest.mark.parametrize(
+    "gen, mode, M, sha1",
+    [
+        ("regular --n 24", "lipschitz", "1", "5afcb144506d4f2d772f1ea9f9adca3d54b84cd5"),
+        ("regular --n 24", "lipschitz", "2", "9cb53bf15a51ac408bfd709d5176b42135efe4e1"),
+        ("bipartite --n 12", "hom", "1", "a4aa298486e0ac00a5acfd5ea361e1404a8cb04c"),
+    ],
+    ids=["lip-M1", "lip-M2", "hom"],
+)
+def test_sample_mcmc_keeps_its_bytes(tmp_path, gen, mode, M, sha1):
+    # sha1s of the sample file, recorded when the rows were held as int64
+    graph, out = tmp_path / "g.txt", tmp_path / "s.txt"
+    assert main(["gen", "--type", *gen.split(), "--d", "3", "--seed", "5", "--out", str(graph)]) == 0
+    assert main(["sample", "--sampler", "mcmc", "--graph", str(graph), "--mode", mode,
+                 "--M", M, "--burnin", "50", "--thin", "7", "--n-samples", "40",
+                 "--seed", "2", "--out", str(out)]) == 0
+    assert hashlib.sha1(out.read_bytes()).hexdigest() == sha1
+
+
 def test_sample_tree(tmp_path):
     out = tmp_path / "ts.txt"
     assert main(["sample", "--sampler", "tree", "--d", "3", "--h", "2",

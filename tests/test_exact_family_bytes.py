@@ -1,12 +1,15 @@
-"""The benchmark's exact-family workload (``perfbench/workloads.py``), the
-only one that runs ``verify-transform``, at its full size and seed 1: both
-operations pass the workload's own output checks and keep the bytes
-recorded in ``perfbench/reference.json``."""
+"""The benchmark's workloads (``perfbench/workloads.py``) at their full size
+and seed 1: exact-family, the only one that runs ``verify-transform``, and
+the two sampled ones, lip-flatness and hom-sweep.  Every operation passes
+the workload's own output checks and keeps the bytes recorded in
+``perfbench/reference.json``."""
 
 import hashlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -15,17 +18,34 @@ SHA1 = {
     "verify-transform": "bc5c98c34c743dfdaa69a3103733455c61b76295",
 }
 
+SAMPLED_SHA1 = {
+    "lip_flatness": {"experiment": "d66ab58d8f3a6d1b11f52911c0b4869d273522ac"},
+    "hom_sweep": {
+        "gen-bipartite": "1904844c4653ceb9e7e061821800d93f262d90db",
+        "experiment": "55026ad658eb2fd3074b0fc48e79d358a22626a2",
+    },
+}
 
-def test_exact_family_outputs_keep_their_bytes(tmp_path, monkeypatch):
+
+def run_workload(name, sha1, tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     # dataclasses look their module up while the file executes
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     monkeypatch.chdir(tmp_path)
-    ops = workloads.exact_family("full", 1)
-    assert [op.name for op in ops] == list(SHA1)
+    ops = getattr(workloads, name)("full", 1)
+    assert [op.name for op in ops] == list(sha1)
     for op in ops:
         value = op.run()
         op.check(value)
-        assert hashlib.sha1(op.output(value)).hexdigest() == SHA1[op.name], op.name
+        assert hashlib.sha1(op.output(value)).hexdigest() == sha1[op.name], op.name
+
+
+def test_exact_family_outputs_keep_their_bytes(tmp_path, monkeypatch):
+    run_workload("exact_family", SHA1, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", list(SAMPLED_SHA1))
+def test_sampled_outputs_keep_their_bytes(name, tmp_path, monkeypatch):
+    run_workload(name, SAMPLED_SHA1[name], tmp_path, monkeypatch)

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from liphom import (
@@ -284,6 +286,45 @@ def test_max_kind():
     lines = result_to_text(res, "csv").splitlines()
     col = lines[0].split(",").index("bound")
     assert [line.split(",")[col] for line in lines[1:]] == [""] * 4
+
+
+def test_max_kind_reads_narrow_rows_in_int64(monkeypatch):
+    # row maxima -100, 100, 50, -120: np.percentile on them as int8
+    # overflows and reads 103 at q = 50, against -25 in int64
+    rows = np.repeat(np.array([[-100], [100], [50], [-120]], dtype=np.int8), 32, axis=1)
+    cfg = ExperimentConfig(
+        kind="max", graph_type="regular", n=32, d=4, mode="lipschitz", M=1,
+        sampler="mcmc", burnin=0, thin=1, n_samples=4, seed=1,
+    )
+    res = {}
+    for dtype in (np.int8, np.int64):
+        sampled = rows.astype(dtype)
+        monkeypatch.setattr(experiments, "mcmc_sample_array", lambda *a, **k: sampled)
+        res[dtype] = run_experiment(cfg)
+    assert res[np.int8].rows == res[np.int64].rows
+    assert res[np.int8].summary == res[np.int64].summary
+    assert res[np.int8].rows[0]["estimate"] == -25.0
+
+
+@pytest.mark.parametrize(
+    "graph, mode, sha1",
+    [
+        ("graph_type = regular\nn = 40\nd = 4\nM = 2\n", "lipschitz", "549675f3523fdc7b460c834a0db8c66174b03541"),
+        ("graph_type = bipartite\nn = 20\nd = 3\n", "hom", "87096a8b99cb630d53ddca98ce543b98f620e2d2"),
+    ],
+    ids=["lip", "hom"],
+)
+def test_max_report_keeps_its_bytes(tmp_path, graph, mode, sha1):
+    # sha1 of the csv, a NUL byte and the .config sidecar, recorded when the
+    # sampled rows were held as int64
+    cfg, out = tmp_path / "max.cfg", tmp_path / "max.csv"
+    cfg.write_text(
+        f"kind = max\n{graph}mode = {mode}\nsampler = mcmc\n"
+        "burnin = 300\nthin = 3\nn_samples = 150\nseed = 4\n"
+    )
+    assert main(["experiment", str(cfg), "--out", str(out)]) == 0
+    data = out.read_bytes() + b"\0" + (tmp_path / "max.csv.config").read_bytes()
+    assert hashlib.sha1(data).hexdigest() == sha1
 
 
 def test_emit_report_deterministic(tmp_path):

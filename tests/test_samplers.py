@@ -12,7 +12,7 @@ from liphom import (
 )
 from liphom import _kernels
 from liphom.graphs import distances_from
-from liphom.samplers import _draw_words
+from liphom.samplers import _draw_words, _value_dtype
 
 from .conftest import allowed_values, brute_force_count, brute_force_functions, c4, c6, k33, k4, q3
 
@@ -212,6 +212,37 @@ def test_mcmc_rows_match_python_replay(g, root, mode, M, burnin, thin, n_samples
         g, root, mode, M=M, burnin=burnin, thin=thin, n_samples=n_samples, seed=seed, chain=chain
     )
     assert [tuple(r) for r in arr.tolist()] == want
+    assert arr.dtype == _value_dtype((1 if hom else M) * max(distances_from(g, root)))
+
+
+def cycle(n):
+    edges = [(v, (v + 1) % n) for v in range(n)]
+    return build_graph(n, edges, bipartition=(range(0, n, 2), range(1, n, 2)))
+
+
+# (graph, mode, M, dtype of the rows): slope * ecc(0) = 127 still fits
+# int8, 128 does not
+@pytest.mark.parametrize(
+    "g, mode, M, dtype",
+    [
+        (build_graph(2, [(0, 1)]), "lipschitz", 127, np.int8),
+        (build_graph(2, [(0, 1)]), "lipschitz", 128, np.int16),
+        (cycle(254), "hom", None, np.int8),
+        (cycle(256), "hom", None, np.int16),
+    ],
+)
+def test_mcmc_rows_take_the_narrowest_type(g, mode, M, dtype):
+    hom = mode == "hom"
+    n = 5000
+    rnd_v, rnd_x = philox_words(3, 0, n)
+    start = minimal_start(g, 0, hom)
+    want, _ = replay_glauber(g, start, list(range(1, g.n)), M, hom, rnd_v, rnd_x, 1, 0, n)
+    arr = mcmc_sample_array(g, 0, mode, M=M, burnin=0, thin=1, n_samples=n, seed=3)
+    assert arr.dtype == dtype
+    assert [tuple(r) for r in arr.tolist()] == want
+    if not hom:
+        # the free vertex of K2 takes both ends of its range, -M and M
+        assert (arr.min(), arr.max()) == (-M, M)
 
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

@@ -118,15 +118,15 @@ def _draw_words(seed: int, chain: int, count: int) -> Iterator[tuple[np.ndarray,
     (vertex, value) word pairs, yielded as two uint64 arrays of at most
     ``_kernels.CHUNK_STEPS`` words each, drawn one chunk at a time.
 
-    The words are consecutive draws of one Philox generator, so any chunking
-    gives the same stream; a run never holds more than one chunk of words.
+    The words are consecutive raw outputs of one Philox bit generator
+    shifted right by one bit, which is what ``Generator.integers(0, 2**63)``
+    returns for them, so any chunking gives the same stream; a run never
+    holds more than one chunk of words.
     """
-    gen = np.random.Generator(
-        np.random.Philox(key=np.random.SeedSequence((seed, chain)).generate_state(2, np.uint64))
-    )
+    bits = np.random.Philox(key=np.random.SeedSequence((seed, chain)).generate_state(2, np.uint64))
     for start in range(0, count, _kernels.CHUNK_STEPS):
         size = min(_kernels.CHUNK_STEPS, count - start)
-        words = gen.integers(0, 2**63, size=2 * size, dtype=np.uint64)
+        words = bits.random_raw(2 * size) >> np.uint64(1)
         yield words[0::2], words[1::2]
 
 

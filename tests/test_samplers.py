@@ -6,6 +6,8 @@ from liphom import (
     GraphError,
     build_graph,
     enumerate_functions,
+    gen_random_bipartite_regular,
+    gen_random_regular,
     gen_tree,
     mcmc_sample_array,
     validate,
@@ -128,9 +130,13 @@ def philox_words(seed, chain, count):
 
 
 C = _kernels.CHUNK_STEPS
+# graphs that the block solver takes, and a star, which it does not
+REGULAR = gen_random_regular(2048, 8, 0)
+BIPARTITE = gen_random_bipartite_regular(1024, 8, 0)
+STAR = build_graph(300, [(1, v) for v in range(300) if v != 1])  # the root 0 is a leaf
 
 
-@pytest.mark.parametrize("count", [1, C - 1, C, C + 1, 3 * C + 5])
+@pytest.mark.parametrize("count", [1, 8 * C - 1, 8 * C, 8 * C + 1, 24 * C + 5])
 @pytest.mark.parametrize("seed, chain", [(11, 0), (3, 7)])
 def test_draw_words_match_one_shot_philox(seed, chain, count):
     chunks = list(_draw_words(seed, chain, count))
@@ -140,6 +146,12 @@ def test_draw_words_match_one_shot_philox(seed, chain, count):
     want_v, want_x = philox_words(seed, chain, count)
     assert np.array_equal(np.concatenate([v for v, _ in chunks]), want_v)
     assert np.array_equal(np.concatenate([x for _, x in chunks]), want_x)
+    # Generator.integers(0, 2**63) draws the same words
+    key = np.random.SeedSequence((seed, chain)).generate_state(2, np.uint64)
+    drawn = np.random.Generator(np.random.Philox(key=key)).integers(
+        0, 2**63, size=2 * count, dtype=np.uint64
+    )
+    assert np.array_equal(drawn[0::2], want_v) and np.array_equal(drawn[1::2], want_x)
 
 
 def replay_glauber(g, values, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out):
@@ -167,16 +179,31 @@ def replay_glauber(g, values, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out):
         (k4(), "lipschitz", 2, 300, 7, 20, 25),  # more rows than room: stops at n_out
         (q3(), "hom", 1, 400, 3, 0, 200),  # room to spare
         # several word chunks; burn-in and recorded steps off chunk boundaries
-        (q3(), "lipschitz", 2, 2 * C + 777, 13, 1001, 1000),
+        (q3(), "lipschitz", 2, 16 * C + 777, 13, 1001, 1000),
         (c6(), "hom", 1, 500, 1, 0, 600),  # no burn-in, every state recorded
-        (q3(), "hom", 1, C + 50, 1, C, 100),  # burn-in ends at a chunk end
-        (k4(), "lipschitz", 2, 2 * C, 5, C - 1, 2000),  # one step short of a chunk end
+        (q3(), "hom", 1, 8 * C + 50, 1, 8 * C, 100),  # burn-in ends at a chunk end
+        (k4(), "lipschitz", 2, 16 * C, 5, 8 * C - 1, 2000),  # one step short of a chunk end
         (q3(), "lipschitz", 1, 300, 1, 300, 10),  # burn-in takes every step: no rows
         (q3(), "hom", 1, 100, 2, 5000, 10),  # burn-in longer than the run
         (gen_tree(3, 2), "lipschitz", 1, 700, 3, 10, 100),  # degree-1 leaves
+        # graphs the block solver takes: burn-in ending mid-block, a record
+        # inside a block, thin = 1, the run ending mid-block
+        (REGULAR, "lipschitz", 1, 3 * C + 100, 7, C // 2 + 3, 1000),
+        (REGULAR, "lipschitz", 3, 5 * C, C, C, 10),  # every record at a block's last step
+        (REGULAR, "lipschitz", 1, 2 * C + 3, 5, 3 * C, 10),  # the run ends inside burn-in
+        (BIPARTITE, "hom", 1, 6 * C + 11, C + 37, 0, 10),  # thin > block, no burn-in
+        (BIPARTITE, "hom", 1, 2 * C + 5, 1, C - 200, 400),  # thin = 1, out fills mid-block
+        (gen_tree(3, 6), "lipschitz", 1, 3 * C, 3, 100, 500),  # padded neighbor rows
+        (gen_tree(3, 6, glued=True), "hom", 1, 2 * C, 3, 50, 200),  # parallel edges
+        (STAR, "lipschitz", 2, 2 * C, 4, 10, 200),
     ],
 )
 def test_glauber_run_rows_match_python_replay(g, mode, M, n_steps, thin, burnin, n_out):
+    check_glauber_run(g, mode, M, n_steps, thin, burnin, n_out)
+
+
+def check_glauber_run(g, mode, M, n_steps, thin, burnin, n_out):
+    """``glauber_run`` gives ``replay_glauber``'s rows and final state."""
     hom = mode == "hom"
     start = minimal_start(g, 0, hom)
     free = [v for v in range(g.n) if v != 0]
@@ -191,6 +218,31 @@ def test_glauber_run_rows_match_python_replay(g, mode, M, n_steps, thin, burnin,
     assert [tuple(r) for r in out[:n_rec].tolist()] == want
     assert (out[n_rec:] == 99).all()
     assert tuple(values.tolist()) == final
+
+
+def refuse(*args):
+    raise AssertionError("this path must not run")
+
+
+@pytest.mark.parametrize(
+    "g, mode, M", [(REGULAR, "lipschitz", 1), (REGULAR, "lipschitz", 3), (BIPARTITE, "hom", 1)]
+)
+def test_block_solver_runs_every_block_of_a_large_graph(monkeypatch, g, mode, M):
+    monkeypatch.setattr(_kernels, "_run_steps", refuse)
+    check_glauber_run(g, mode, M, 40 * C, 9, 3 * C + 1, 200)
+
+
+@pytest.mark.parametrize("g, mode, M", [(k4(), "lipschitz", 1), (q3(), "hom", 1)])
+def test_small_graphs_run_step_by_step(monkeypatch, g, mode, M):
+    monkeypatch.setattr(_kernels, "_solve_block", refuse)
+    check_glauber_run(g, mode, M, 3 * C + 7, 3, 100, 500)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g, M", [(gen_tree(3, 8), 1), (REGULAR, 2)])
+def test_lipschitz_chain_warns_nothing(g, M):
+    # passes before convergence may read states with an empty window
+    mcmc_sample_array(g, 0, "lipschitz", M=M, burnin=20 * C, thin=C // 4, n_samples=40, seed=4)
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,8 @@ from operator import itemgetter
 
 import numpy as np
 
+from .graphs import neighbour_table
+
 # perfbench's environment block reads this; there is no compiled kernel
 NUMBA_ENABLED = False
 
@@ -35,30 +37,31 @@ PASS_CAP = 8
 _NO_STEP = np.iinfo(np.int64).max  # a vertex with no step in the block
 
 
-def glauber_run(adj, values, free, M, hom, words, thin, burnin, out):
-    """Run heat-bath single-site dynamics in place.
+def glauber_run(g, values, free, M, hom, words, thin, burnin, out):
+    """Run heat-bath single-site dynamics on the graph g in place.
 
-    ``adj`` is the graph's tuple of neighbor tuples, ``values`` the current
-    height vector (int64 array, a state of the family; it ends as the final
-    state), ``free`` the vertices eligible for resampling (everything but the
-    pinned root).  ``words`` yields (vertex words, value words) uint64 array
-    pairs below 2**63, at most ``CHUNK_STEPS`` long; step i consumes the i-th
-    word of each, and the run has as many steps as there are words.  After
-    ``burnin`` steps, every ``thin``-th state is copied into ``out`` until it
-    is full; ``out`` may be of a narrower integer type, which the caller
-    chooses to hold every reachable height.  Returns the number of recorded
-    samples.
+    ``values`` is the current height vector (int64 array, a state of the
+    family; it ends as the final state), ``free`` the vertices eligible for
+    resampling (everything but the pinned root).  ``words`` yields (vertex
+    words, value words) uint64 array pairs below 2**63, at most
+    ``CHUNK_STEPS`` long; step i consumes the i-th word of each, and the run
+    has as many steps as there are words.  After ``burnin`` steps, every
+    ``thin``-th state is copied into ``out`` until it is full; ``out`` may be
+    of a narrower integer type, which the caller chooses to hold every
+    reachable height.  Returns the number of recorded samples.
 
     Each chunk of words is one block of steps.  ``_solve_block`` finds the
     heights its steps write by vectorized passes; a block it declines is run
     step by step on a list of heights, with one precomputed ``itemgetter``
     per vertex reading its neighbors.  A graph on which a block's steps are
     expected to read more than ``PASS_CAP`` in-block writes each, or whose
-    neighbor table would more than double by padding every row to the
-    largest degree (a star, a glued tree), is run step by step throughout.
+    ``graphs.neighbour_table`` would more than double the adjacency by
+    padding every vertex to the largest degree (a star, a glued tree), is
+    run step by step throughout.
     The recorded states and the final state are then built from the block
     start and the writes in step order.
     """
+    adj = g.adj
     n = len(adj)
     deg = list(map(len, adj))
     # a step's expected in-block dependencies are CHUNK_STEPS * mean degree / 2n
@@ -66,8 +69,7 @@ def glauber_run(adj, values, free, M, hom, words, thin, burnin, out):
     width = max(deg)
     blocks = CHUNK_STEPS * n_slots <= 2 * PASS_CAP * n * n and width * n <= 2 * n_slots
     if blocks:
-        # row k holds every vertex's k-th neighbor, its last one past its degree
-        table = np.array(list(zip(*(a + a[-1:] * (width - len(a)) for a in adj))), dtype=np.int64)
+        table = neighbour_table(g)
         first = np.full(n, _NO_STEP, dtype=np.int64)
     heights = None  # ``values`` as a list, while the step-by-step path keeps it
     gather = None

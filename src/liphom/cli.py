@@ -171,10 +171,9 @@ def _cmd_certify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     g = read_graph(args.graph)
-    M = args.M if args.mode == "lipschitz" else None
-    res = enumerate_functions(g, args.v0, args.mode, M=M, cap=args.cap)
+    res = enumerate_functions(g, args.v0, args.mode, M=args.M, cap=args.cap)
     lines = [
-        f"# enumerate mode={args.mode} M={M} v0={args.v0} seed={args.seed} count={res.count}"
+        f"# enumerate mode={args.mode} M={res.M} v0={args.v0} seed={args.seed} count={res.count}"
     ]
     rows = res.rows[np.lexsort(res.rows.T[::-1])]  # rows in increasing tuple order
     lines += [" ".join(map(str, row)) for row in rows.tolist()]
@@ -186,7 +185,7 @@ def _cmd_sample(args) -> int:
     if args.sampler == "tree":
         if args.n_samples < 0:
             raise ValueError(f"--n-samples must be non-negative, got {args.n_samples}")
-        dp = tree_dp(args.d, args.h, mode=args.mode, M=args.M if args.mode == "lipschitz" else None)
+        dp = tree_dp(args.d, args.h, mode=args.mode, M=args.M)
         lines = [
             f"# sample sampler=tree d={args.d} h={args.h} mode={args.mode} "
             f"M={dp.M} n_samples={args.n_samples} seed={args.seed}"
@@ -196,17 +195,17 @@ def _cmd_sample(args) -> int:
         _write_out(args, "\n".join(lines) + "\n")
         return 0
     g = read_graph(args.graph)
-    M = args.M if args.mode == "lipschitz" else None
     arr = mcmc_sample_array(
         g,
         args.v0,
         args.mode,
-        M=M,
+        M=args.M,
         burnin=args.burnin,
         thin=args.thin,
         n_samples=args.n_samples,
         seed=args.seed,
     )
+    M = args.M if args.mode == "lipschitz" else None
     lines = [
         f"# sample sampler=mcmc mode={args.mode} M={M} v0={args.v0} "
         f"burnin={args.burnin} thin={args.thin} n_samples={args.n_samples} seed={args.seed}"
@@ -252,7 +251,6 @@ def _cmd_phase(args) -> int:
 
 def _cmd_verify_transform(args) -> int:
     g = read_graph(args.graph)
-    M = args.M if args.mode == "lipschitz" else None
     if args.k_strategy != "phase" and args.lam is not None:
         raise ValueError(f"--lam is read only with --k-strategy phase, not {args.k_strategy}")
     lam = _lam(g, args) if args.k_strategy == "phase" else None
@@ -262,7 +260,7 @@ def _cmd_verify_transform(args) -> int:
         args.v,
         args.t,
         args.mode,
-        M=M,
+        M=args.M,
         k_strategy=args.k_strategy,
         lam=lam,
         cap=args.cap,
@@ -298,8 +296,8 @@ _DISPATCH = {
 }
 
 
-# flags that one value of a subcommand's choice option needs:
-# command -> (option, {value: flags})
+# flags that one value of a subcommand's choice option reads: command ->
+# (option, {value: flags}); a listed value reads no other flag listed there
 _NEEDS = {
     "gen": ("type", {"regular": ("n", "d"), "bipartite": ("n", "d"), "tree": ("d", "h")}),
     "sample": ("sampler", {"mcmc": ("graph",), "tree": ("d", "h")}),
@@ -312,9 +310,14 @@ def main(argv=None) -> int:
     if args.command in _NEEDS:
         option, needs = _NEEDS[args.command]
         choice = getattr(args, option)
-        missing = [f"--{flag}" for flag in needs.get(choice, ()) if getattr(args, flag) is None]
-        if missing:
-            parser.error(f"{args.command} --{option} {choice} needs {' and '.join(missing)}")
+        if choice in needs:
+            missing = [f"--{flag}" for flag in needs[choice] if getattr(args, flag) is None]
+            if missing:
+                parser.error(f"{args.command} --{option} {choice} needs {' and '.join(missing)}")
+            others = sorted({flag for flags in needs.values() for flag in flags} - set(needs[choice]))
+            unread = [f"--{flag}" for flag in others if getattr(args, flag) is not None]
+            if unread:
+                parser.error(f"{args.command} --{option} {choice} does not read {' or '.join(unread)}")
     try:
         return _DISPATCH[args.command](args)
     except (ValueError, CapExceeded, OSError) as exc:

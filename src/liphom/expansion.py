@@ -10,13 +10,12 @@ it is not an upper bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphError, distances_from
+from .graphs import Graph, GraphError, distances_from, neighbour_table
 
 __all__ = [
     "ExpansionReport",
@@ -36,7 +35,7 @@ SPECTRAL_MAX_ITER = 100_000
 
 def _require_regular(g: Graph) -> int:
     if g.degree is None:
-        raise GraphError("operation requires a regular graph")
+        raise GraphError("operation requires a regular graph with at least one edge")
     return g.degree
 
 
@@ -121,15 +120,6 @@ def _pairwise_rows(x: np.ndarray) -> np.ndarray:
     return _pairwise_rows(x[:half]) + _pairwise_rows(x[half:])
 
 
-def _neighbour_table(g: Graph, d: int) -> np.ndarray:
-    """C-contiguous int64 (d, n) array with [k, v] the k-th entry of g.adj[v]."""
-    for v, nbrs in enumerate(g.adj):
-        if len(nbrs) != d:
-            raise GraphError(f"vertex {v} has degree {len(nbrs)}, not the graph's d={d}")
-    flat = np.fromiter(itertools.chain.from_iterable(g.adj), dtype=np.int64, count=g.n * d)
-    return flat.reshape(g.n, d).T.copy()
-
-
 def spectral_lambda(g: Graph, mode: str = "general") -> float:
     """Second-largest absolute adjacency eigenvalue (general) or second
     singular value of the biadjacency (bipartite), by power iteration with
@@ -139,13 +129,17 @@ def spectral_lambda(g: Graph, mode: str = "general") -> float:
     nor it plus SPECTRAL_TOL is an upper bound.
 
     Every vertex must have exactly d neighbours (a glued tree's glue vertex
-    does not), so that one (d, n) table holds them.  Row v of a product is
-    x[nbr[0, v]] plus the pairwise sum of the other d - 1 gathered terms,
-    the order in which np.add.reduceat sums g.adj[v]: the value is bit for
-    bit that of a per-vertex reduceat product.
+    does not), so that ``graphs.neighbour_table`` holds them unpadded, in d
+    rows.  Row v of a product is x[nbr[0, v]] plus the pairwise sum of the
+    other d - 1 gathered terms, the order in which np.add.reduceat sums
+    g.adj[v]: the value is bit for bit that of a per-vertex reduceat
+    product.
     """
     d = _require_regular(g)
-    nbr = _neighbour_table(g, d)
+    for v, nbrs in enumerate(g.adj):
+        if len(nbrs) != d:
+            raise GraphError(f"vertex {v} has degree {len(nbrs)}, not the graph's d={d}")
+    nbr = neighbour_table(g)
 
     def matvec(x: np.ndarray, table: np.ndarray) -> np.ndarray:
         terms = x.take(table)

@@ -17,7 +17,6 @@ from . import expansion
 from .graphs import (
     Graph,
     GraphError,
-    ball,
     build_graph,
     distances_from,
     gen_random_bipartite_regular,
@@ -27,7 +26,7 @@ from .graphs import (
     tree_ball_size,
     tree_level_offsets,
 )
-from .heights import phases_hom, phases_lipschitz
+from .heights import family_slope, phases_hom, phases_lipschitz
 from .samplers import BLOCK_VALUES, enumerate_functions, mcmc_sample_array
 from .treedp import tree_dp
 
@@ -289,24 +288,23 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
     targets = _target_vertices(g.n, cfg)
     mode = cfg.mode
     d = g.degree
-    M = cfg.M if mode == "lipschitz" else None
     lam = expansion.resolve_lambda(g, mode, cfg.lambda_source, cfg.lambda_value)
     n_norm = g.n // 2 if mode == "hom" else g.n
-    preds = expansion.goodness(d, lam, M)
+    preds = expansion.goodness(d, lam, cfg.M if mode == "lipschitz" else None)
     hyp_ok = preds[f"M-good({cfg.M})"] if mode == "lipschitz" else preds["good-bi"]
 
     result = ExperimentResult(config=cfg)
     chash = cfg.hash()
 
     if cfg.sampler == "exact":
-        rows = enumerate_functions(g, cfg.v0, mode, M=M, cap=cfg.cap).rows
+        rows = enumerate_functions(g, cfg.v0, mode, M=cfg.M, cap=cfg.cap).rows
         exact = True
     else:
         rows = mcmc_sample_array(
             g,
             cfg.v0,
             mode,
-            M=M,
+            M=cfg.M,
             burnin=cfg.burnin,
             thin=cfg.thin,
             n_samples=cfg.n_samples,
@@ -320,6 +318,9 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
     # deviations above every cut share the last bin
     counts = _deviation_counts(g, cfg, lam, rows, targets, max([0] + [c + 1 for c in cuts]))
     for j, v in enumerate(targets):
+        # ball_sizes[t] = |ball(v, t)| for t up to v's eccentricity
+        dist = np.array(distances_from(g, v))
+        ball_sizes = np.cumsum(np.bincount(dist[dist >= 0]))
         prev = None
         for t, cut in zip(trange, cuts):
             hits = int(counts[j, max(cut + 1, 0) :].sum())
@@ -327,7 +328,7 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
             if prev is not None and est > prev + 1e-15:
                 raise AssertionError("deviation tail increased in t")
             prev = est
-            bsize = len(ball(g, v, t))
+            bsize = int(ball_sizes[min(t, ball_sizes.size - 1)])
             if hyp_ok:
                 denom = 5 * (cfg.M + 1) if mode == "lipschitz" else 3
                 bound = math.exp(-bsize / denom)
@@ -361,12 +362,11 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_max(cfg: ExperimentConfig) -> ExperimentResult:
     g = _build_graph_from_config(cfg)
-    mode = cfg.mode
     arr = mcmc_sample_array(
         g,
         cfg.v0,
-        mode,
-        M=cfg.M if mode == "lipschitz" else None,
+        cfg.mode,
+        M=cfg.M,
         burnin=cfg.burnin,
         thin=cfg.thin,
         n_samples=cfg.n_samples,
@@ -398,7 +398,7 @@ def _run_max(cfg: ExperimentConfig) -> ExperimentResult:
         "loglog_n": loglog,
         "mean_max": float(mx.mean()),
         "mean_max_abs": float(mxabs.mean()),
-        "ratio_max_over_M_loglog": float(mx.mean() / (cfg.M * loglog)),
+        "ratio_max_over_M_loglog": float(mx.mean() / (family_slope(cfg.mode, cfg.M) * loglog)),
     }
     return result
 
@@ -410,17 +410,16 @@ def _run_tree(cfg: ExperimentConfig) -> ExperimentResult:
     # the level offsets, so the tree itself is never built
     offsets = tree_level_offsets(d, h)
     targets = _target_vertices(offsets[-1], cfg)
-    dp = tree_dp(d, h, mode=mode, M=M if mode == "lipschitz" else None)
+    dp = tree_dp(d, h, mode=mode, M=M)
     trange = range(cfg.t_min, (cfg.t_max if cfg.t_max is not None else h) + 1)
     chash = cfg.hash()
-    slope = M if mode == "lipschitz" else 1
     hyp_ok = mode == "lipschitz" and d > 40 * (M + 1) * math.log(M + 1)
     result = ExperimentResult(config=cfg)
     for v in targets:
         depth = bisect.bisect_right(offsets, v) - 1
         for t in trange:
-            p = dp.tail_probability(depth, (t - 1) * slope)
-            logp = dp.log_tail_probability(depth, (t - 1) * slope)
+            p = dp.tail_probability(depth, (t - 1) * dp.slope)
+            logp = dp.log_tail_probability(depth, (t - 1) * dp.slope)
             # only odd h - depth - t: at an even gap the exact tails exceed
             # the bound (grounded leaves delay the decay by one level)
             gap = h - depth - t

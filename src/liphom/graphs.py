@@ -8,6 +8,7 @@ they preserve the glue vertex's degree).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ __all__ = [
     "tree_level_children",
     "tree_ball_size",
     "check_vertex",
+    "neighbour_table",
+    "distances_from",
     "ball",
     "read_graph",
     "graph_to_text",
@@ -42,8 +45,9 @@ class Graph:
     """Immutable undirected graph with optional annotations.
 
     adjacency lists are sorted tuples of neighbor ids; ids are 0..n-1.
-    ``degree`` is set iff the graph is regular (the glued tree records the
-    tree arity there instead and is exempt from the regularity invariant).
+    ``degree`` is set iff the graph is regular of positive degree (the glued
+    tree records the tree arity there instead and is exempt from the
+    regularity invariant); a graph without edges has none.
     """
 
     n: int
@@ -78,7 +82,9 @@ def build_graph(
     """Validate an edge list and assemble a Graph.
 
     Rejects self-loops and duplicate edges, and a ``bipartition`` that some
-    edge does not cross.  A uniform degree is recorded automatically.
+    edge does not cross.  A uniform positive degree is recorded
+    automatically (an edgeless graph has none, so no regular-graph check
+    admits it).
     """
     adj = [[] for _ in range(n)]
     seen = set()
@@ -95,7 +101,7 @@ def build_graph(
         adj[v].append(u)
     adj_t = tuple(tuple(sorted(a)) for a in adj)
     degrees = {len(a) for a in adj_t}
-    degree = degrees.pop() if len(degrees) == 1 else None
+    degree = degrees.pop() if len(degrees) == 1 and 0 not in degrees else None
 
     part = None
     if bipartition is not None:
@@ -288,7 +294,7 @@ def gen_tree(d: int, h: int, *, glued: bool = False) -> Graph:
 
 
 def _is_connected(g: Graph) -> bool:
-    return len(ball(g, 0, g.n)) == g.n
+    return min(distances_from(g, 0)) >= 0
 
 
 def check_vertex(g: Graph, v: int) -> None:
@@ -297,24 +303,26 @@ def check_vertex(g: Graph, v: int) -> None:
         raise GraphError(f"vertex {v} out of range")
 
 
+def neighbour_table(g: Graph) -> np.ndarray:
+    """C-contiguous int64 (width, n) array, width = max(1, max degree):
+    row k holds each vertex's k-th entry of g.adj, its last one past its
+    degree, and the vertex itself when it has no neighbour.  A min, max or
+    any over a column is the one over the vertex's neighbours; an isolated
+    vertex reads only itself."""
+    lists = [a or (v,) for v, a in enumerate(g.adj)]
+    deg = np.fromiter(map(len, lists), dtype=np.int64, count=g.n)
+    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64, count=int(deg.sum()))
+    last = np.cumsum(deg) - 1  # each vertex's last entry in flat
+    k = np.arange(deg.max(initial=1))[:, None]
+    return flat[np.minimum(last - deg + 1 + k, last)]
+
+
 def ball(g: Graph, v: int, t: int) -> frozenset[int]:
-    """Vertices at graph distance at most t from v (exact BFS)."""
+    """Vertices at graph distance at most t from v."""
     check_vertex(g, v)
     if t < 0:
         raise GraphError("radius must be non-negative")
-    seen = {v}
-    frontier = [v]
-    for _ in range(t):
-        nxt = []
-        for u in frontier:
-            for w in g.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(w for w, x in enumerate(distances_from(g, v)) if 0 <= x <= t)
 
 
 def distances_from(g: Graph, v: int) -> list[int]:

@@ -8,6 +8,8 @@ from .graphs import Graph, GraphError
 
 __all__ = [
     "PhaseError",
+    "family_slope",
+    "root_classes",
     "validate",
     "phase_lipschitz",
     "phase_hom",
@@ -20,15 +22,33 @@ class PhaseError(ValueError):
     """No level satisfies the phase count bound (invalid lambda)."""
 
 
+def family_slope(mode: str, M: int | None, g: Graph | None = None) -> int:
+    """The family's largest gap along an edge: M in "lipschitz" mode, 1 in
+    "hom" mode (M unread).  Raises ValueError on an unknown mode or a
+    Lipschitz M below 1, GraphError on a hom-mode g with no bipartition."""
+    if mode == "lipschitz":
+        if M is None or M < 1:
+            raise ValueError("lipschitz mode needs a positive slope M")
+        return M
+    if mode != "hom":
+        raise ValueError(f"unknown mode {mode!r}")
+    if g is not None and g.bipartition is None:
+        raise GraphError("hom mode requires a bipartite graph")
+    return 1
+
+
+def root_classes(g: Graph, root: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The colour class of ``root`` in g's bipartition, then the other."""
+    first, second = g.bipartition
+    return (first, second) if root in first else (second, first)
+
+
 def validate(g: Graph, values, root: int, mode: str, M: int | None = None) -> list[str]:
     """Violation messages; empty iff ``values`` (one integer per vertex) is
     a member of the family of functions pinned to 0 at ``root``: slope M in
-    "lipschitz" mode, or "hom".  Raises ValueError on an unknown mode and on
-    a Lipschitz slope below 1."""
-    if mode not in ("lipschitz", "hom"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "lipschitz" and (M is None or M < 1):
-        raise ValueError("lipschitz mode needs a positive slope M")
+    "lipschitz" mode, or "hom".  Raises as ``family_slope`` does on the
+    mode, the slope and a hom graph without a bipartition."""
+    family_slope(mode, M, g)
     out = []
     if len(values) != g.n:
         return [f"value vector has length {len(values)}, graph has {g.n} vertices"]
@@ -36,9 +56,6 @@ def validate(g: Graph, values, root: int, mode: str, M: int | None = None) -> li
         return [f"root vertex {root} out of range"]
     if values[root] != 0:
         out.append(f"root vertex {root} has value {values[root]}, expected 0")
-    if mode == "hom" and g.bipartition is None:
-        out.append("hom mode requires a bipartite graph")
-        return out
     for u in range(g.n):
         for w in g.adj[u]:
             if u < w:
@@ -48,8 +65,7 @@ def validate(g: Graph, values, root: int, mode: str, M: int | None = None) -> li
                 elif mode == "hom" and gap != 1:
                     out.append(f"edge ({u},{w}): |{values[u]} - {values[w]}| != 1")
     if mode == "hom" and not out:
-        side0 = g.bipartition[0] if root in g.bipartition[0] else g.bipartition[1]
-        for v in side0:
+        for v in root_classes(g, root)[0]:
             if values[v] % 2 != 0:
                 out.append(f"vertex {v} in the root's color class has odd value")
     return out
@@ -142,8 +158,7 @@ def phases_hom(g: Graph, rows, lam: float, root: int) -> tuple[np.ndarray, np.nd
     rows = np.asarray(rows)
     n = g.n // 2
     budget = 2 * lam * n / d
-    root_side = 0 if root in g.bipartition[0] else 1
-    classes = (g.bipartition[root_side], g.bipartition[1 - root_side])
+    classes = root_classes(g, root)
     sign = _signs(rows)
     A, (total, *by_class) = _histograms(rows, [None, *map(sorted, classes)])
     level = np.zeros(rows.shape[0], dtype=np.int64)

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import _kernels
 from .graphs import Graph, GraphError, check_vertex, distances_from
+from .heights import family_slope, root_classes
 
 __all__ = [
     "EnumerationResult",
@@ -74,17 +75,11 @@ def enumerate_functions(
     family larger than ``cap`` raises, and so can a smaller family whose
     partial assignments outnumber ``cap`` at some level.
     """
-    if mode not in ("lipschitz", "hom"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "hom" and g.bipartition is None:
-        raise GraphError("hom enumeration requires a bipartite graph")
-    if mode == "lipschitz" and (M is None or M < 1):
-        raise ValueError("lipschitz enumeration needs a positive M")
+    slope = family_slope(mode, M, g)
     if cap <= 0:
         raise ValueError("cap must be positive")
     check_vertex(g, v0)
     order, dist = _bfs_order(g, v0)
-    slope = M if mode == "lipschitz" else 1
     step = 2 if mode == "hom" else 1
     position = [0] * g.n
     for pos, v in enumerate(order):
@@ -149,9 +144,10 @@ def mcmc_sample_array(
     ``burnin`` steps, then records every ``thin``-th state.  Each step
     resamples a uniform vertex other than v0 uniformly on the values its
     neighbours allow: within M of each in Lipschitz mode, 1 from each in hom
-    mode.  Raises GraphError on a root that is not a vertex,
-    and on a graph with an isolated vertex or more than one component,
-    where the chain cannot move or cannot mix.
+    mode.  Raises as ``heights.family_slope`` does on the family, and
+    GraphError on a root that is not a vertex and on a graph with an
+    isolated vertex or more than one component, where the chain cannot move
+    or cannot mix.
 
     Every state obeys |f(v)| <= slope * dist(v0, v), slope M (1 in hom
     mode), so the rows take the type enumeration uses for the same bound,
@@ -160,27 +156,19 @@ def mcmc_sample_array(
     """
     if burnin < 0 or thin <= 0 or n_samples <= 0:
         raise ValueError("burnin must be >= 0, thin and n_samples positive")
+    slope = family_slope(mode, M, g)
     check_vertex(g, v0)
     if any(not nbrs for nbrs in g.adj):
         raise GraphError("MCMC requires every vertex to have a neighbor")
     dist = distances_from(g, v0)
     if min(dist) < 0:
         raise GraphError("MCMC requires a connected graph")
-    if mode == "lipschitz":
-        if M is None or M < 1:
-            raise ValueError("lipschitz mode needs a positive slope M")
-        values = np.zeros(g.n, dtype=np.int64)
-    elif mode == "hom":
-        if g.bipartition is None:
-            raise GraphError("hom mode requires a bipartite graph")
-        side0 = g.bipartition[0] if v0 in g.bipartition[0] else g.bipartition[1]
-        values = np.array([v not in side0 for v in range(g.n)], dtype=np.int64)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    values = np.zeros(g.n, dtype=np.int64)
+    if mode == "hom":
+        values[list(root_classes(g, v0)[1])] = 1
     free = [v for v in range(g.n) if v != v0]
     words = _draw_words(seed, chain, burnin + thin * n_samples)
-    slope = M if mode == "lipschitz" else 1  # the kernel reads M only in Lipschitz mode
     out = np.empty((n_samples, g.n), dtype=_value_dtype(slope * max(dist)))
-    n_rec = _kernels.glauber_run(g.adj, values, free, slope, mode == "hom", words, thin, burnin, out)
+    n_rec = _kernels.glauber_run(g, values, free, slope, mode == "hom", words, thin, burnin, out)
     assert n_rec == n_samples
     return out

@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .expansion import CheckResult
-from .graphs import Graph, GraphError, ball, check_vertex
-from .heights import phases_hom, phases_lipschitz, validate
+from .graphs import Graph, GraphError, ball, check_vertex, neighbour_table
+from .heights import family_slope, phases_hom, phases_lipschitz, validate
 from .samplers import BLOCK_VALUES, enumerate_functions
 
 __all__ = [
@@ -34,7 +34,8 @@ __all__ = [
     "VerifyReport",
 ]
 
-# neutral value of the neighbour gathers' min / max (far from any overflow)
+# stands in for the values a neighbour gather's min / max must skip (far
+# from any overflow)
 _BIG = np.iinfo(np.int64).max // 4
 
 
@@ -123,24 +124,13 @@ def _row_keys(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
 
 
-def _neighbour_table(g: Graph) -> np.ndarray:
-    """(n, max(1, max degree)) neighbour ids, padded with n: gathers append a
-    column holding the reduction's neutral value."""
-    table = np.full((g.n, max(1, *map(len, g.adj))), g.n, dtype=np.int64)
-    for u, nbrs in enumerate(g.adj):
-        table[u, : len(nbrs)] = nbrs
-    return table
-
-
-def _gather(values: np.ndarray, nbr: np.ndarray, pad: int) -> np.ndarray:
-    """(rows, n, width): values at each vertex's neighbours, pad for padding."""
-    return np.pad(values, ((0, 0), (0, 1)), constant_values=pad)[:, nbr]
-
-
 def _near(mask: np.ndarray, nbr: np.ndarray) -> np.ndarray:
-    """N(.) of each row of a (rows, n) vertex mask: the vertices with a
-    neighbour in the row's set."""
-    return _gather(mask, nbr, False).any(axis=2)
+    """N(.) of each row of a (rows, n) vertex mask, from the
+    ``graphs.neighbour_table`` nbr: the vertices with a neighbour in the
+    row's set, and the set's isolated vertices, whose column holds only
+    themselves (every caller joins the result to the set or removes the set
+    from it, so they change nothing)."""
+    return mask[:, nbr].any(axis=1)
 
 
 def _first_occurrence_labels(keys: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +170,7 @@ def build_contexts(g: Graph, rows, v: int, k, mode: str, M: int | None = None) -
     k = np.asarray(k, dtype=np.int64)
     count, n = rows.shape
     lip = mode == "lipschitz"
-    thresh = k + (M if lip else 1)
+    thresh = k + family_slope(mode, M)
     errors: dict[int, str] = {}
     for i in np.flatnonzero(rows[:, v] <= thresh).tolist():
         errors[i] = f"f({v}) = {int(rows[i, v])} does not exceed the threshold {int(thresh[i])}"
@@ -192,7 +182,7 @@ def build_contexts(g: Graph, rows, v: int, k, mode: str, M: int | None = None) -
     _, first, inverse = np.unique(
         _row_keys(np.packbits(above[todo], axis=1)), return_index=True, return_inverse=True
     )
-    nbr = _neighbour_table(g)
+    nbr = neighbour_table(g)
     step = max(1, BLOCK_VALUES // nbr.size)
     shells = np.zeros((3, first.size, n), dtype=bool)  # A, X, Y per distinct S
     for start in range(0, first.size, step):
@@ -244,8 +234,8 @@ def build_contexts(g: Graph, rows, v: int, k, mode: str, M: int | None = None) -
         if not lip:
             continue
         # u_x = min({f(w)+M-k : w ~ x outside A u X} u {M}), ell_x = max{f(w)-M-k : w ~ x in A}
-        u_b = np.minimum(_gather(np.where(in_a | in_x, _BIG, vals + M - kk), nbr, _BIG).min(axis=2), M)
-        ell_b = _gather(np.where(in_a, vals - M - kk, -_BIG), nbr, -_BIG).max(axis=2)
+        u_b = np.minimum(np.where(in_a | in_x, _BIG, vals + M - kk)[:, nbr].min(axis=1), M)
+        ell_b = np.where(in_a, vals - M - kk, -_BIG)[:, nbr].max(axis=1)
         off = vals - kk
         chain = (1 <= ell_b) & (ell_b <= off) & (off <= u_b) & (u_b <= M) | ~in_x
         for j in np.flatnonzero(good & ~chain.all(axis=1)).tolist():
@@ -386,6 +376,7 @@ def verify_counting(
         raise ValueError("k strategy 'phase' needs lam")
     if t < 1:
         raise ValueError("t must be at least 1")
+    slope = family_slope(mode, M, g)
     for u in (v0, v):
         check_vertex(g, u)
     fam = enumerate_functions(g, v0, mode, M=M, cap=cap)
@@ -396,7 +387,6 @@ def verify_counting(
         k_all = phases_lipschitz(g, rows, lam, M)[0]
     else:
         k_all = phases_hom(g, rows, lam, v0)[0]
-    slope = M if mode == "lipschitz" else 1
     high = np.flatnonzero(rows[:, v] > k_all + t * slope)
     q_size = rows.shape[0]
 
@@ -557,7 +547,7 @@ def _check_images(g: Graph, ctxs: Contexts, omega, root: int, sizes, family) -> 
     limits = np.iinfo(family.dtype)
     outside: dict[bytes, int] = {}
     edges = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
-    nbr = _neighbour_table(g)
+    nbr = neighbour_table(g)
     if not lip:
         # the reconstruction's anchor: the lowest vertex of A adjacent to X
         anchor = (ctxs.a_mask & _near(ctxs.x_mask, nbr)).argmax(axis=1)
@@ -581,7 +571,7 @@ def _check_images(g: Graph, ctxs: Contexts, omega, root: int, sizes, family) -> 
         flags = {"image_members_valid": valid}
         if lip:
             # u_x = min({h(w) - h(v) + 2M : w ~ x outside A u X} u {M})
-            low = _gather(np.where(in_a | in_x, _BIG, members), nbr, _BIG).min(axis=2)
+            low = np.where(in_a | in_x, _BIG, members)[:, nbr].min(axis=1)
             u = np.minimum(low - members[:, [v]] + 2 * M, M)
             flags["u_recovery"] = ((u == ctxs.u[row]) | ~in_x).all(axis=1)
             shift = ctxs.k[row] + M - members[:, v]

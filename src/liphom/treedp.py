@@ -18,6 +18,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .graphs import GraphError, tree_level_children, tree_level_offsets
+from .heights import family_slope
 
 __all__ = ["TreeDP", "tree_dp", "tree_sample"]
 
@@ -49,8 +50,9 @@ class TreeDP:
     def log_total(self) -> float:
         return math.log(self.total)
 
-    def _slope(self) -> int:
-        return self.M if self.mode == "lipschitz" else 1
+    @property
+    def slope(self) -> int:
+        return family_slope(self.mode, self.M)
 
     @cached_property
     def _kids(self) -> list[int]:
@@ -60,7 +62,7 @@ class TreeDP:
     def _outside(self) -> tuple[dict[int, int], ...]:
         """One top-down pass: _outside[j][x] counts the completions of
         everything outside the subtree of a depth-j vertex with value x."""
-        slope = self._slope()
+        slope = self.slope
         # depth 0: nothing outside the root's subtree, so weight 1 for every
         # attainable root value
         g = {x: 1 for x in self.counts[0]}
@@ -129,14 +131,10 @@ def _window_sums(table: dict[int, int], slope: int, mode: str) -> dict[int, int]
 
 def tree_dp(d: int, h: int, mode: str = "lipschitz", M: int | None = 1) -> TreeDP:
     """Bottom-up exact DP over value tables; one table per level."""
-    if mode not in ("lipschitz", "hom"):
-        raise ValueError(f"unknown mode {mode!r}")
+    slope = family_slope(mode, M)
     kids = tree_level_children(tree_level_offsets(d, h))
-    if mode == "lipschitz" and (M is None or M < 1):
-        raise ValueError("lipschitz mode needs a positive M")
     if mode == "hom":
         M = None
-    slope = M if mode == "lipschitz" else 1
 
     counts: list[dict[int, int]] = [{0: 1}]
     for m in reversed(kids):
@@ -152,7 +150,7 @@ def tree_sample(dp: TreeDP, seed: int) -> list[int]:
     """
     offsets = tree_level_offsets(dp.d, dp.h)
     rng = random.Random((seed, dp.d, dp.h, dp.mode, dp.M).__repr__())
-    slope = dp._slope()
+    slope = dp.slope
 
     def weights(table: dict[int, int], support) -> tuple[list[int], list[int]]:
         # the values of support in table, increasing, and their running counts

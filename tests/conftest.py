@@ -44,6 +44,17 @@ def k4():
     return build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
+# (mode, M, message): what every entry point that takes a family raises on
+# k4(), which has no bipartition, in place of any other check
+FAMILY_ERRORS = [
+    ("homomorphism", None, "unknown mode 'homomorphism'"),
+    ("lipschitz", None, "lipschitz mode needs a positive slope M"),
+    ("lipschitz", 0, "lipschitz mode needs a positive slope M"),
+    ("lipschitz", -2, "lipschitz mode needs a positive slope M"),
+    ("hom", None, "hom mode requires a bipartite graph"),
+]
+
+
 def c4():
     return build_graph(
         4, [(0, 1), (1, 2), (2, 3), (0, 3)], bipartition=([0, 2], [1, 3])

@@ -244,6 +244,17 @@ def test_experiment_seed_override(tmp_path, argv, seed):
          "--lam is read only with --k-strategy phase, not zero"),
         (["experiment", "{bad_targets}"], "config targets = '1,x'"),
         (["phase", "{k4}", "{flat}", "--mode", "lipschitz", "--M", "0"], "lipschitz mode needs a positive slope M"),
+        # an edgeless graph records no uniform degree
+        (["certify", "{edgeless}"], "requires a regular graph with at least one edge"),
+        (["phase", "{edgeless}", "{flat3}", "--mode", "lipschitz"], "requires a regular graph with at least one edge"),
+        (["verify-transform", "{one_vertex}", "--mode", "lipschitz", "--v", "0"],
+         "requires a regular graph with at least one edge"),
+        # a flag that the chosen --type / --sampler does not read
+        (["sample", "--sampler", "tree", "--graph", "{missing}", "--d", "3", "--h", "2", "--burnin", "5"],
+         "sample --sampler tree does not read --graph"),
+        (["sample", "--sampler", "mcmc", "--graph", "{k4}", "--d", "3"], "sample --sampler mcmc does not read --d"),
+        (["gen", "--type", "tree", "--d", "3", "--h", "2", "--n", "99"], "gen --type tree does not read --n"),
+        (["gen", "--type", "regular", "--n", "8", "--d", "3", "--h", "2"], "gen --type regular does not read --h"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):
@@ -257,6 +268,9 @@ def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):
         "lam_unread": f"kind = deviation\ngraph_path = {k4_file}\nlambda_value = 0.25\n",
         "lam_missing": f"kind = deviation\ngraph_path = {k4_file}\nlambda_source = explicit\n",
         "bad_targets": f"kind = deviation\ngraph_path = {k4_file}\ntargets = 1,x\n",
+        "edgeless": "3 0\n",
+        "flat3": "0\n0\n0\n",
+        "one_vertex": "1 0\n",
     }
     paths = {"{k4}": k4_file, "{missing}": str(tmp_path / "missing.txt")}
     for name, text in files.items():

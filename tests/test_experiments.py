@@ -306,6 +306,16 @@ def test_max_kind_reads_narrow_rows_in_int64(monkeypatch):
     assert res[np.int8].rows[0]["estimate"] == -25.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_max_kind_reads_no_slope_in_hom_mode():
+    # M is not read in hom mode: the ratio divides by the slope, 1
+    base = dict(kind="max", graph_type="bipartite", n=8, d=3, mode="hom", sampler="mcmc",
+                burnin=10, thin=1, n_samples=5, seed=1)
+    want = run_experiment(ExperimentConfig(M=1, **base)).summary
+    for M in (0, 3):
+        assert run_experiment(ExperimentConfig(M=M, **base)).summary == want
+
+
 @pytest.mark.parametrize(
     "graph, mode, sha1",
     [

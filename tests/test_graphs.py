@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from liphom import (
     graph_to_text,
     graphs,
 )
-from liphom.graphs import distances_from, tree_ball_size, tree_level_offsets
+from liphom.graphs import distances_from, neighbour_table, tree_ball_size, tree_level_offsets
 
 from .conftest import (
     boundary,
@@ -199,6 +200,26 @@ def test_ball_examples():
     assert len(ball(t, t.root, 1)) == 4
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        build_graph(6, [(2, v) for v in range(6) if v != 2]),  # a star
+        gen_tree(3, 3, glued=True),  # parallel edges at the glue vertex
+        build_graph(3, []),
+        gen_random_regular(64, 8, 1),
+    ],
+    ids=["star", "glued-tree", "edgeless", "regular"],
+)
+def test_neighbour_table_columns_hold_the_neighbours(g):
+    table = neighbour_table(g)
+    width = max(1, *map(len, g.adj))
+    assert table.shape == (width, g.n) and table.dtype == np.int64 and table.flags.c_contiguous
+    for v, nbrs in enumerate(g.adj):
+        # the k-th neighbour, the last one past the degree, v itself if none
+        assert table[:, v].tolist() == [(nbrs or (v,))[min(k, len(nbrs) - 1)] for k in range(width)]
+        assert set(table[:, v].tolist()) == set(nbrs or (v,))
+
+
 @pytest.mark.parametrize("glued", (False, True))
 def test_gen_tree_matches_reference(glued):
     for d in range(3, 7):
@@ -215,8 +236,9 @@ def test_tree_ball_size_matches_bfs():
             depth = distances_from(g, g.root)
             for v in range(g.n):
                 assert offsets[depth[v]] <= v < offsets[depth[v] + 1]
+                dist = np.array(distances_from(g, v))  # one BFS gives every radius's ball
                 for t in range(h + 3):
-                    assert tree_ball_size(d, h, depth[v], t) == len(ball(g, v, t))
+                    assert tree_ball_size(d, h, depth[v], t) == np.count_nonzero(dist <= t)
     with pytest.raises(GraphError):
         tree_ball_size(3, 2, 3, 1)
     with pytest.raises(GraphError):

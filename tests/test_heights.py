@@ -16,6 +16,7 @@ from liphom import (
 from liphom.heights import phases_hom, phases_lipschitz
 
 from .conftest import (
+    FAMILY_ERRORS,
     brute_force_functions,
     c6,
     hom_far_count,
@@ -42,15 +43,7 @@ def test_validate_hom():
     assert validate(g, (0, 0, 1, 1, 1, 1), 0, "hom")
 
 
-@pytest.mark.parametrize(
-    "mode, M, message",
-    [
-        ("homomorphism", None, "unknown mode 'homomorphism'"),
-        ("lipschitz", None, "lipschitz mode needs a positive slope M"),
-        ("lipschitz", 0, "lipschitz mode needs a positive slope M"),
-        ("lipschitz", -2, "lipschitz mode needs a positive slope M"),
-    ],
-)
+@pytest.mark.parametrize("mode, M, message", FAMILY_ERRORS)
 def test_validate_rejects_mode_and_slope(mode, M, message):
     # checked before the values: a valid row does not get past them
     with pytest.raises(ValueError, match=f"^{message}$"):

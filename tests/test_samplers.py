@@ -16,7 +16,17 @@ from liphom import _kernels
 from liphom.graphs import distances_from
 from liphom.samplers import _draw_words, _value_dtype
 
-from .conftest import allowed_values, brute_force_count, brute_force_functions, c4, c6, k33, k4, q3
+from .conftest import (
+    FAMILY_ERRORS,
+    allowed_values,
+    brute_force_count,
+    brute_force_functions,
+    c4,
+    c6,
+    k33,
+    k4,
+    q3,
+)
 
 
 def test_enumeration_matches_brute_force_k4():
@@ -49,9 +59,12 @@ def test_enumeration_cap():
         enumerate_functions(k4(), 0, "lipschitz", M=1, cap=10)
 
 
-def test_enumeration_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="unknown mode 'foo'"):
-        enumerate_functions(k4(), 0, "foo", M=1)
+@pytest.mark.parametrize("mode, M, message", FAMILY_ERRORS)
+def test_samplers_reject_bad_family(mode, M, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        enumerate_functions(k4(), 0, mode, M=M)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mcmc_sample_array(k4(), 0, mode, M=M, burnin=1, thin=1, n_samples=1)
 
 
 def k3():
@@ -212,7 +225,7 @@ def check_glauber_run(g, mode, M, n_steps, thin, burnin, n_out):
     out = np.full((n_out, g.n), 99, dtype=np.int64)
     values = np.array(start, dtype=np.int64)
     n_rec = _kernels.glauber_run(
-        g.adj, values, free, M, hom, _draw_words(11, 0, n_steps), thin, burnin, out,
+        g, values, free, M, hom, _draw_words(11, 0, n_steps), thin, burnin, out,
     )
     assert n_rec == len(want) == min(n_out, max(0, (n_steps - burnin) // thin))
     assert [tuple(r) for r in out[:n_rec].tolist()] == want

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import liphom
-from liphom import _kernels, enumerate_functions, exhaustive_lambda, phase_lipschitz, tree_dp, tree_sample
+from liphom import ExperimentConfig, _kernels, enumerate_functions, exhaustive_lambda, phase_lipschitz, tree_dp, tree_sample
 from liphom.treedp import TreeDP
 
 from .conftest import k4
@@ -74,3 +74,20 @@ def test_tracer_install_and_uninstall_restore_every_attribute():
     assert all(after[key] is val for key, val in before.items())
     assert liphom.enumerate_functions is enumerate_functions
     assert (liphom.tree_dp, liphom.tree_sample) == (tree_dp, tree_sample)
+
+
+def test_mcmc_counter_reads_the_call_keywords():
+    # the counter takes burnin, thin and n_samples from the call's keywords
+    # (its defaults otherwise): a caller passing them by position would
+    # miscount the steps
+    tracing = load_tracing()
+    cfg = ExperimentConfig(kind="deviation", graph_type="regular", n=8, d=3, sampler="mcmc",
+                           burnin=7, thin=3, n_samples=5, lambda_source="exhaustive", t_max=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        liphom.run_experiment(cfg)
+    finally:
+        tracer.uninstall()
+    counts = [kv for idx, kv in tracer.counts if tracer.spans[idx][0] == "samplers.mcmc_sample_array"]
+    assert counts == [{"steps": 7 + 3 * 5, "rows": 5, "bytes": 16 * 22 + 8 * 8 * 5}]

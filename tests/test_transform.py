@@ -27,6 +27,7 @@ from liphom.transform import build_contexts
 
 from . import conftest
 from .conftest import (
+    FAMILY_ERRORS,
     c4,
     c6,
     k33,
@@ -197,9 +198,10 @@ def test_t_must_be_positive():
         verify_counting(k4(), 0, 1, 0, "lipschitz", M=1, lam=1.0)
 
 
-def test_verify_counting_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="unknown mode 'lip'"):
-        verify_counting(k4(), 0, 1, 1, "lip", M=1, k_strategy="zero")
+@pytest.mark.parametrize("mode, M, message", FAMILY_ERRORS)
+def test_verify_counting_rejects_bad_family(mode, M, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_counting(k4(), 0, 1, 1, mode, M=M, k_strategy="zero")
 
 
 def test_verify_counting_phase_needs_lam():

@@ -8,6 +8,9 @@ import pytest
 from liphom import GraphError, enumerate_functions, gen_tree, tree_dp, tree_sample, validate
 from liphom.cli import main
 from liphom.graphs import distances_from, tree_level_offsets
+from liphom.treedp import TreeDP
+
+from .conftest import FAMILY_ERRORS
 
 
 def test_totals_small():
@@ -187,9 +190,13 @@ def test_preconditions():
         tree_dp(3, 2, "lipschitz", 0)
 
 
-def test_tree_dp_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="unknown mode 'foo'"):
-        tree_dp(3, 2, mode="foo")
+# every tree is bipartite: the hom case of FAMILY_ERRORS cannot arise
+@pytest.mark.parametrize("mode, M, message", [case for case in FAMILY_ERRORS if case[0] != "hom"])
+def test_tree_dp_rejects_bad_family(mode, M, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tree_dp(3, 2, mode=mode, M=M)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tree_sample(TreeDP(d=3, h=2, mode=mode, M=M, counts=({0: 1},) * 3), 0)
 
 
 @pytest.mark.parametrize("mode, M", (("lipschitz", 1), ("lipschitz", 2), ("hom", None)))

@@ -85,9 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--graph")
     s.add_argument("--mode", default="lipschitz", choices=("lipschitz", "hom"))
     s.add_argument("--M", type=int, default=1)
-    s.add_argument("--v0", type=int, default=0)
-    s.add_argument("--burnin", type=int, default=10_000)
-    s.add_argument("--thin", type=int, default=10)
+    # mcmc only; their defaults are in _NEEDS, so that tree can reject them
+    s.add_argument("--v0", type=int)
+    s.add_argument("--burnin", type=int)
+    s.add_argument("--thin", type=int)
     s.add_argument("--n-samples", type=int, default=100)
     s.add_argument("--d", type=int)
     s.add_argument("--h", type=int)
@@ -296,11 +297,19 @@ _DISPATCH = {
 }
 
 
-# flags that one value of a subcommand's choice option reads: command ->
-# (option, {value: flags}); a listed value reads no other flag listed there
+# flags that one value of a subcommand's choice option reads, each with its
+# default (None: the flag is required): command -> (option, {value: {flag:
+# default}}); a listed value reads no other flag listed there
 _NEEDS = {
-    "gen": ("type", {"regular": ("n", "d"), "bipartite": ("n", "d"), "tree": ("d", "h")}),
-    "sample": ("sampler", {"mcmc": ("graph",), "tree": ("d", "h")}),
+    "gen": ("type", {
+        "regular": {"n": None, "d": None},
+        "bipartite": {"n": None, "d": None},
+        "tree": {"d": None, "h": None},
+    }),
+    "sample": ("sampler", {
+        "mcmc": {"graph": None, "v0": 0, "burnin": 10_000, "thin": 10},
+        "tree": {"d": None, "h": None},
+    }),
 }
 
 
@@ -311,10 +320,14 @@ def main(argv=None) -> int:
         option, needs = _NEEDS[args.command]
         choice = getattr(args, option)
         if choice in needs:
-            missing = [f"--{flag}" for flag in needs[choice] if getattr(args, flag) is None]
+            reads = needs[choice]
+            for flag, default in reads.items():
+                if getattr(args, flag) is None:
+                    setattr(args, flag, default)
+            missing = [f"--{flag}" for flag in reads if getattr(args, flag) is None]
             if missing:
                 parser.error(f"{args.command} --{option} {choice} needs {' and '.join(missing)}")
-            others = sorted({flag for flags in needs.values() for flag in flags} - set(needs[choice]))
+            others = dict.fromkeys(flag for flags in needs.values() for flag in flags if flag not in reads)
             unread = [f"--{flag}" for flag in others if getattr(args, flag) is not None]
             if unread:
                 parser.error(f"{args.command} --{option} {choice} does not read {' or '.join(unread)}")

@@ -39,6 +39,20 @@ def _require_regular(g: Graph) -> int:
     return g.degree
 
 
+def _sides(g: Graph, mode: str) -> tuple[list[int], list[int]]:
+    """The sorted vertex lists whose set pairs a lambda mode ranges over:
+    V twice for "general", the two colour classes for "bipartite"."""
+    if mode == "general":
+        vertices = list(range(g.n))
+        return vertices, vertices
+    if mode != "bipartite":
+        raise ValueError(f"unknown mode {mode!r}")
+    if g.bipartition is None:
+        raise GraphError("bipartite mode requires a bipartition")
+    left, right = (sorted(part) for part in g.bipartition)
+    return left, right
+
+
 def _all_subset_sums(c: np.ndarray, op=np.add) -> np.ndarray:
     """sums[mask] = the rows c[w] over bits w set in mask, combined with the
     ufunc op (whose identity must be 0; mask 0 gets 0); O(m 2^m)."""
@@ -65,22 +79,10 @@ def exhaustive_lambda(g: Graph, mode: str = "general") -> float:
     enumerated.
     """
     d = _require_regular(g)
-    if mode == "general":
-        if 2 * g.n > EXHAUSTIVE_GUARD_BITS:
-            raise GraphError(f"graph too large for exhaustive lambda (2n={2 * g.n})")
-        left = list(range(g.n))
-        right = list(range(g.n))
-        norm = d / g.n
-    elif mode == "bipartite":
-        if g.bipartition is None:
-            raise GraphError("bipartite mode requires a bipartition")
-        v0, v1 = (sorted(g.bipartition[0]), sorted(g.bipartition[1]))
-        if len(v0) + len(v1) > EXHAUSTIVE_GUARD_BITS:
-            raise GraphError("graph too large for exhaustive lambda")
-        left, right = v0, v1
-        norm = d / len(v0)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    left, right = _sides(g, mode)
+    if len(left) + len(right) > EXHAUSTIVE_GUARD_BITS:
+        raise GraphError(f"graph too large for exhaustive lambda ({len(left) + len(right)} bits)")
+    norm = d / len(left)
 
     right_pos = {v: j for j, v in enumerate(right)}
     counts = np.zeros((len(left), len(right)), dtype=np.int64)
@@ -154,10 +156,8 @@ def spectral_lambda(g: Graph, mode: str = "general") -> float:
         def op(x):
             return matvec(deflate(matvec(x, nbr)), nbr)  # A^2 avoids +-pair oscillation
 
-    elif mode == "bipartite":
-        if g.bipartition is None:
-            raise GraphError("bipartite mode requires a bipartition")
-        v0, v1 = (sorted(part) for part in g.bipartition)
+    else:
+        v0, v1 = _sides(g, mode)
         pos = np.empty(g.n, dtype=np.int64)
         pos[v0] = np.arange(len(v0))
         pos[v1] = np.arange(len(v1))
@@ -168,9 +168,6 @@ def spectral_lambda(g: Graph, mode: str = "general") -> float:
 
         def op(x):
             return matvec(matvec(x, to_v1), to_v0)  # B^T B x
-
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     rng = np.random.default_rng(20240527)
     x = deflate(rng.standard_normal(dim))
@@ -288,9 +285,11 @@ class ExpansionReport:
 
 
 def certify(g: Graph, M: int | None = None) -> ExpansionReport:
-    """Compute spectral (always) and exhaustive (when feasible) lambda and
-    evaluate the goodness predicates at the spectral estimate plus
-    SPECTRAL_TOL, the value ``resolve_lambda`` uses."""
+    """Compute spectral (always) and exhaustive (when feasible) lambda, in
+    bipartite mode when g has a bipartition, and evaluate the goodness
+    predicates at the spectral estimate plus SPECTRAL_TOL, the value
+    ``resolve_lambda`` uses: good-bi at this mode's estimate, M-good at the
+    general-mode one, as Lipschitz functions take lambda over all of V."""
     d = _require_regular(g)
     mode = "bipartite" if g.bipartition is not None else "general"
     lam_s = spectral_lambda(g, mode)
@@ -298,14 +297,18 @@ def certify(g: Graph, M: int | None = None) -> ExpansionReport:
         lam_e = exhaustive_lambda(g, mode)
     except GraphError:
         lam_e = None
-    n = len(g.bipartition[0]) if mode == "bipartite" else g.n
+    predicates = goodness(d, lam_s + SPECTRAL_TOL)
+    if M is not None:
+        lam_lip = lam_s if mode == "general" else spectral_lambda(g, "general")
+        # good-bi from the line above replaces the one at the general lambda
+        predicates = {**goodness(d, lam_lip + SPECTRAL_TOL, M), **predicates}
     return ExpansionReport(
         lambda_spectral=lam_s,
         lambda_exhaustive=lam_e,
         d=d,
-        n=n,
+        n=len(_sides(g, mode)[0]),
         mode=mode,
-        predicates=goodness(d, lam_s + SPECTRAL_TOL, M),
+        predicates=predicates,
     )
 
 
@@ -328,20 +331,12 @@ def check_expansion_props(g: Graph, lam: float, mode: str = "general") -> dict[s
     such an A fails iff more than lambda*n/d vertices of B's side avoid N(A),
     and its first failing B is the lowest floor(lambda*n/d) + 1 of them.
     """
-    if mode not in ("general", "bipartite"):
-        raise ValueError(f"unknown mode {mode!r}")
+    left, right = _sides(g, mode)
     d = _require_regular(g)
     if 2 * g.n > EXHAUSTIVE_GUARD_BITS:  # both modes list all 2^n subsets of V
         raise GraphError("graph too large for exhaustive checks")
     vertices = list(range(g.n))
-    if mode == "bipartite":
-        if g.bipartition is None:
-            raise GraphError("bipartite mode requires a bipartition")
-        left, right = (sorted(part) for part in g.bipartition)
-        n = len(left)
-    else:
-        left = right = vertices
-        n = g.n
+    n = len(left)
 
     ratio = math.inf if lam == 0 else (d * d) / (4 * lam * lam)
     checks = {

@@ -246,6 +246,24 @@ def _fmt_fraction(q: Fraction) -> str:
     return f"{decimal.Decimal(q.numerator):f}/{decimal.Decimal(q.denominator):f}"
 
 
+def _row(cfg, vertex, t, estimate, exact, bound, ball_size, n_samples, note="") -> dict:
+    """One report row, keyed by COLUMNS; seed and config_hash come from cfg."""
+    values = (vertex, t, estimate, exact, bound, ball_size, n_samples, cfg.seed, cfg.hash(), note)
+    return dict(zip(COLUMNS, values))
+
+
+def _rows(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
+    """The config's functions on g, one per row: the whole family
+    (sampler = exact) or the Glauber chain's samples (sampler = mcmc)."""
+    if cfg.sampler == "exact":
+        return enumerate_functions(g, cfg.v0, cfg.mode, M=cfg.M, cap=cfg.cap).rows
+    # burnin, thin and n_samples by keyword: perfbench's tracer counts steps from them
+    return mcmc_sample_array(
+        g, cfg.v0, cfg.mode, M=cfg.M,
+        burnin=cfg.burnin, thin=cfg.thin, n_samples=cfg.n_samples, seed=cfg.seed,
+    )
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.kind == "max":
         return _run_max(cfg)
@@ -294,23 +312,7 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
     hyp_ok = preds[f"M-good({cfg.M})"] if mode == "lipschitz" else preds["good-bi"]
 
     result = ExperimentResult(config=cfg)
-    chash = cfg.hash()
-
-    if cfg.sampler == "exact":
-        rows = enumerate_functions(g, cfg.v0, mode, M=cfg.M, cap=cfg.cap).rows
-        exact = True
-    else:
-        rows = mcmc_sample_array(
-            g,
-            cfg.v0,
-            mode,
-            M=cfg.M,
-            burnin=cfg.burnin,
-            thin=cfg.thin,
-            n_samples=cfg.n_samples,
-            seed=cfg.seed,
-        )
-        exact = False
+    rows = _rows(g, cfg)
     n_s = rows.shape[0]
 
     trange = _t_range(g, cfg, lam, d, n_norm)
@@ -334,23 +336,9 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
                 bound = math.exp(-bsize / denom)
             else:
                 bound = HYPOTHESES_NOT_MET
-            note = ""
-            if mode == "hom" and t == 1:
-                note = "t1"
-            result.rows.append(
-                {
-                    "vertex": v,
-                    "t": t,
-                    "estimate": est,
-                    "exact": _fmt_fraction(Fraction(hits, n_s)) if exact else None,
-                    "bound": bound,
-                    "ball_size": bsize,
-                    "n_samples": n_s,
-                    "seed": cfg.seed,
-                    "config_hash": chash,
-                    "note": note,
-                }
-            )
+            exact = _fmt_fraction(Fraction(hits, n_s)) if cfg.sampler == "exact" else None
+            note = "t1" if mode == "hom" and t == 1 else ""
+            result.rows.append(_row(cfg, v, t, est, exact, bound, bsize, n_s, note))
     result.summary = {
         "lambda": lam,
         "lambda_source": cfg.lambda_source,
@@ -362,37 +350,17 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_max(cfg: ExperimentConfig) -> ExperimentResult:
     g = _build_graph_from_config(cfg)
-    arr = mcmc_sample_array(
-        g,
-        cfg.v0,
-        cfg.mode,
-        M=cfg.M,
-        burnin=cfg.burnin,
-        thin=cfg.thin,
-        n_samples=cfg.n_samples,
-        seed=cfg.seed,
-    )
+    arr = _rows(g, cfg)  # the config pins kind = max to sampler = mcmc
     # in int64: np.percentile interpolates in its input's type, which may
     # be as narrow as int8
     mx = arr.max(axis=1).astype(np.int64)
     mxabs = np.abs(arr).max(axis=1).astype(np.int64)
     loglog = math.log(math.log(g.n))
-    chash = cfg.hash()
     result = ExperimentResult(config=cfg)
     for q in (50, 90, 99, 100):
+        # the paper gives no constant for M log log n, so no bound
         result.rows.append(
-            {
-                "vertex": -1,
-                "t": q,
-                "estimate": float(np.percentile(mx, q)),
-                "exact": None,
-                "bound": None,  # the paper gives no constant for M log log n
-                "ball_size": g.n,
-                "n_samples": len(mx),
-                "seed": cfg.seed,
-                "config_hash": chash,
-                "note": "max-quantile",
-            }
+            _row(cfg, -1, q, float(np.percentile(mx, q)), None, None, g.n, len(mx), "max-quantile")
         )
     result.summary = {
         "loglog_n": loglog,
@@ -412,7 +380,6 @@ def _run_tree(cfg: ExperimentConfig) -> ExperimentResult:
     targets = _target_vertices(offsets[-1], cfg)
     dp = tree_dp(d, h, mode=mode, M=M)
     trange = range(cfg.t_min, (cfg.t_max if cfg.t_max is not None else h) + 1)
-    chash = cfg.hash()
     hyp_ok = mode == "lipschitz" and d > 40 * (M + 1) * math.log(M + 1)
     result = ExperimentResult(config=cfg)
     for v in targets:
@@ -429,20 +396,8 @@ def _run_tree(cfg: ExperimentConfig) -> ExperimentResult:
             else:
                 bound = HYPOTHESES_NOT_MET
                 note = ""
-            result.rows.append(
-                {
-                    "vertex": v,
-                    "t": t,
-                    "estimate": logp,
-                    "exact": _fmt_fraction(p),
-                    "bound": bound,
-                    "ball_size": tree_ball_size(d, h, depth, t),
-                    "n_samples": 0,
-                    "seed": cfg.seed,
-                    "config_hash": chash,
-                    "note": note,
-                }
-            )
+            bsize = tree_ball_size(d, h, depth, t)
+            result.rows.append(_row(cfg, v, t, logp, _fmt_fraction(p), bound, bsize, 0, note))
     result.summary = {
         "total": str(dp.total) if dp.total < 10**40 else f"~exp({dp.log_total:.3f})",
         "hypotheses_met": hyp_ok,

@@ -93,10 +93,7 @@ def enumerate_functions(
         near = rows[:, prev]
         lo = np.maximum(near.max(axis=1).astype(np.int64) - slope, -radius)
         hi = np.minimum(near.min(axis=1).astype(np.int64) + slope, radius)
-        if mode == "hom":
-            # values of parity dist(v); an earlier neighbor w has the other
-            # parity, so x in [w-1, w+1] of that parity is w +- 1
-            lo += (lo - dist[v]) % 2
+        # hom: every earlier neighbor is at dist(v) - 1, so lo has v's parity
         counts = np.maximum((hi - lo) // step + 1, 0)
         total = int(counts.sum())
         if total > cap:

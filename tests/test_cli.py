@@ -255,6 +255,12 @@ def test_experiment_seed_override(tmp_path, argv, seed):
         (["sample", "--sampler", "mcmc", "--graph", "{k4}", "--d", "3"], "sample --sampler mcmc does not read --d"),
         (["gen", "--type", "tree", "--d", "3", "--h", "2", "--n", "99"], "gen --type tree does not read --n"),
         (["gen", "--type", "regular", "--n", "8", "--d", "3", "--h", "2"], "gen --type regular does not read --h"),
+        (["sample", "--sampler", "tree", "--d", "3", "--h", "2", "--burnin", "5"],
+         "sample --sampler tree does not read --burnin"),
+        (["sample", "--sampler", "tree", "--d", "3", "--h", "2", "--thin", "9"],
+         "sample --sampler tree does not read --thin"),
+        (["sample", "--sampler", "tree", "--d", "3", "--h", "2", "--v0", "4"],
+         "sample --sampler tree does not read --v0"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):

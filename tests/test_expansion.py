@@ -179,6 +179,21 @@ def test_certify_bipartite():
     assert rep.predicates["good-bi"] is True
 
 
+def test_certify_m_good_reads_the_general_lambda():
+    # Lipschitz functions take lambda over all of V, also on a bipartite
+    # graph: K_{6,6} has bipartite lambda 0 but is not M-good
+    g = kmm(6)
+    rep = certify(g, M=1)
+    assert rep.mode == "bipartite" and rep.lambda_spectral == 0.0
+    lam_lip = resolve_lambda(g, "lipschitz", "spectral")
+    assert rep.predicates == {
+        "M-good(1)": goodness(6, lam_lip, 1)["M-good(1)"],
+        "good-bi": goodness(6, resolve_lambda(g, "hom", "spectral"))["good-bi"],
+    }
+    assert rep.predicates["M-good(1)"] is False
+    assert rep.predicates["good-bi"] is True
+
+
 def test_props_exhaustive_small():
     for g, mode in ((k4(), "general"), (c4(), "bipartite"), (q3(), "bipartite")):
         lam = exhaustive_lambda(g, mode)
@@ -235,9 +250,16 @@ def test_props_boundary_counts_outer_vertices_only():
     assert not boundary.passed and boundary.witness == [0, 1, 2]
 
 
-def test_props_unknown_mode():
-    with pytest.raises(ValueError, match="unknown mode"):
-        check_expansion_props(k4(), 1.0, "bipartitte")
+@pytest.mark.parametrize(
+    "fn",
+    [exhaustive_lambda, spectral_lambda, lambda g, mode: check_expansion_props(g, 1.0, mode)],
+    ids=["exhaustive_lambda", "spectral_lambda", "check_expansion_props"],
+)
+def test_lambda_mode_errors(fn):
+    with pytest.raises(ValueError, match="unknown mode 'bipartitte'"):
+        fn(k4(), "bipartitte")
+    with pytest.raises(GraphError, match="bipartite mode requires a bipartition"):
+        fn(k4(), "bipartite")
 
 
 def test_props_lambda_zero_bipartite():

@@ -79,15 +79,16 @@ def test_tracer_install_and_uninstall_restore_every_attribute():
 def test_mcmc_counter_reads_the_call_keywords():
     # the counter takes burnin, thin and n_samples from the call's keywords
     # (its defaults otherwise): a caller passing them by position would
-    # miscount the steps
+    # miscount the steps.  kind = max reaches the sampler by the same call
     tracing = load_tracing()
-    cfg = ExperimentConfig(kind="deviation", graph_type="regular", n=8, d=3, sampler="mcmc",
-                           burnin=7, thin=3, n_samples=5, lambda_source="exhaustive", t_max=1)
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        liphom.run_experiment(cfg)
-    finally:
-        tracer.uninstall()
-    counts = [kv for idx, kv in tracer.counts if tracer.spans[idx][0] == "samplers.mcmc_sample_array"]
-    assert counts == [{"steps": 7 + 3 * 5, "rows": 5, "bytes": 16 * 22 + 8 * 8 * 5}]
+    for kind in ("deviation", "max"):
+        cfg = ExperimentConfig(kind=kind, graph_type="regular", n=8, d=3, sampler="mcmc",
+                               burnin=7, thin=3, n_samples=5, lambda_source="exhaustive", t_max=1)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            liphom.run_experiment(cfg)
+        finally:
+            tracer.uninstall()
+        counts = [kv for idx, kv in tracer.counts if tracer.spans[idx][0] == "samplers.mcmc_sample_array"]
+        assert counts == [{"steps": 7 + 3 * 5, "rows": 5, "bytes": 16 * 22 + 8 * 8 * 5}], kind

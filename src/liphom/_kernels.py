@@ -52,14 +52,14 @@ def glauber_run(g, values, free, M, hom, words, thin, burnin, out):
 
     Each chunk of words is one block of steps.  ``_solve_block`` finds the
     heights its steps write by vectorized passes; a block it declines is run
-    step by step on a list of heights, with one precomputed ``itemgetter``
-    per vertex reading its neighbors.  A graph on which a block's steps are
-    expected to read more than ``PASS_CAP`` in-block writes each, or whose
-    ``graphs.neighbour_table`` would more than double the adjacency by
-    padding every vertex to the largest degree (a star, a glued tree), is
-    run step by step throughout.
-    The recorded states and the final state are then built from the block
-    start and the writes in step order.
+    step by step on a list copy of its start state, with one precomputed
+    ``itemgetter`` per vertex reading its neighbors.  A graph on which a
+    block's steps are expected to read more than ``PASS_CAP`` in-block writes
+    each, or whose ``graphs.neighbour_table`` would more than double the
+    adjacency by padding every vertex to the largest degree (a star, a glued
+    tree), is run step by step throughout.  The recorded states and the
+    final state are then built from the block start and the writes in step
+    order.
     """
     adj = g.adj
     n = len(adj)
@@ -71,7 +71,6 @@ def glauber_run(g, values, free, M, hom, words, thin, burnin, out):
     if blocks:
         table = neighbour_table(g)
         first = np.full(n, _NO_STEP, dtype=np.int64)
-    heights = None  # ``values`` as a list, while the step-by-step path keeps it
     gather = None
     free_arr = np.asarray(free, dtype=np.int64)
     n_free = len(free)
@@ -90,11 +89,7 @@ def glauber_run(g, values, free, M, hom, words, thin, burnin, out):
             if gather is None:
                 # a degree-1 vertex repeats its neighbor, so every gather is a tuple
                 gather = [itemgetter(*a) if len(a) > 1 else itemgetter(a[0], a[0]) for a in adj]
-            if heights is None:
-                heights = values.tolist()
-            writes = _run_steps(heights, gather, vertices.tolist(), value_words.tolist(), M, hom)
-        else:
-            heights = None
+            writes = _run_steps(values.tolist(), gather, vertices.tolist(), value_words.tolist(), M, hom)
         # the next record is the state after step count burnin + thin * (n_rec + 1)
         k0 = burnin + thin * (n_rec + 1) - done
         if n_rec < n_out and k0 <= size:
@@ -121,8 +116,8 @@ def _next_steps(vertices):
 
 
 def _run_steps(heights, gather, vertices, value_words, M, hom):
-    """The heights a block's steps write, one step at a time; ``heights``
-    (a list) ends as the state after the block."""
+    """The heights a block's steps write, one step at a time, from the
+    block-start state ``heights`` (a list, which they overwrite)."""
     writes = []
     append = writes.append
     for v, wx in zip(vertices, value_words):

@@ -10,6 +10,7 @@ exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -39,6 +40,12 @@ def _write_out(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_rows(args, header: str, rows) -> None:
+    """The header line, then one line of space-separated values per row."""
+    lines = [header] + [" ".join(map(str, row)) for row in rows]
+    _write_out(args, "\n".join(lines) + "\n")
 
 
 def _common(sub: argparse.ArgumentParser) -> None:
@@ -75,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sp.add_parser("enumerate", help="enumerate a height-function family")
     e.add_argument("graph")
     e.add_argument("--mode", required=True, choices=("lipschitz", "hom"))
-    e.add_argument("--M", type=int, default=1)
+    e.add_argument("--M", type=int)
     e.add_argument("--v0", type=int, default=0)
     e.add_argument("--cap", type=int, default=10_000_000, help=_CAP_HELP)
     _common(e)
@@ -84,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sampler", required=True, choices=("mcmc", "tree"))
     s.add_argument("--graph")
     s.add_argument("--mode", default="lipschitz", choices=("lipschitz", "hom"))
-    s.add_argument("--M", type=int, default=1)
-    # mcmc only; their defaults are in _NEEDS, so that tree can reject them
+    # defaults in _NEEDS, so that a choice that does not read a flag rejects it
+    s.add_argument("--M", type=int)
     s.add_argument("--v0", type=int)
     s.add_argument("--burnin", type=int)
     s.add_argument("--thin", type=int)
@@ -98,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("graph")
     ph.add_argument("function", help="file with one integer per vertex per line")
     ph.add_argument("--mode", required=True, choices=("lipschitz", "hom"))
-    ph.add_argument("--M", type=int, default=1)
+    ph.add_argument("--M", type=int)
     ph.add_argument("--v0", type=int, default=0)
     ph.add_argument("--lam", type=float, default=None, help="explicit lambda")
     ph.add_argument(
@@ -110,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     vt = sp.add_parser("verify-transform", help="verify the flattening-map counting machinery")
     vt.add_argument("graph")
     vt.add_argument("--mode", required=True, choices=("lipschitz", "hom"))
-    vt.add_argument("--M", type=int, default=1)
+    vt.add_argument("--M", type=int)
     vt.add_argument("--v0", type=int, default=0)
     vt.add_argument("--v", type=int, required=True)
     vt.add_argument("--t", type=int, default=1)
@@ -157,15 +164,7 @@ def _cmd_gen(args) -> int:
 def _cmd_certify(args) -> int:
     g = read_graph(args.graph)
     rep = expansion.certify(g, args.M)
-    payload = {
-        "lambda_spectral": rep.lambda_spectral,
-        "lambda_exhaustive": rep.lambda_exhaustive,
-        "d": rep.d,
-        "n": rep.n,
-        "mode": rep.mode,
-        "predicates": rep.predicates,
-        "seed": args.seed,
-    }
+    payload = {**dataclasses.asdict(rep), "seed": args.seed}
     _write_out(args, json.dumps(payload, sort_keys=True) + "\n")
     return 0
 
@@ -173,12 +172,9 @@ def _cmd_certify(args) -> int:
 def _cmd_enumerate(args) -> int:
     g = read_graph(args.graph)
     res = enumerate_functions(g, args.v0, args.mode, M=args.M, cap=args.cap)
-    lines = [
-        f"# enumerate mode={args.mode} M={res.M} v0={args.v0} seed={args.seed} count={res.count}"
-    ]
+    header = f"# enumerate mode={args.mode} M={res.M} v0={args.v0} seed={args.seed} count={res.count}"
     rows = res.rows[np.lexsort(res.rows.T[::-1])]  # rows in increasing tuple order
-    lines += [" ".join(map(str, row)) for row in rows.tolist()]
-    _write_out(args, "\n".join(lines) + "\n")
+    _write_rows(args, header, rows.tolist())
     return 0
 
 
@@ -187,13 +183,11 @@ def _cmd_sample(args) -> int:
         if args.n_samples < 0:
             raise ValueError(f"--n-samples must be non-negative, got {args.n_samples}")
         dp = tree_dp(args.d, args.h, mode=args.mode, M=args.M)
-        lines = [
+        header = (
             f"# sample sampler=tree d={args.d} h={args.h} mode={args.mode} "
             f"M={dp.M} n_samples={args.n_samples} seed={args.seed}"
-        ]
-        for i in range(args.n_samples):
-            lines.append(" ".join(map(str, tree_sample(dp, args.seed + i))))
-        _write_out(args, "\n".join(lines) + "\n")
+        )
+        _write_rows(args, header, (tree_sample(dp, args.seed + i) for i in range(args.n_samples)))
         return 0
     g = read_graph(args.graph)
     arr = mcmc_sample_array(
@@ -206,14 +200,11 @@ def _cmd_sample(args) -> int:
         n_samples=args.n_samples,
         seed=args.seed,
     )
-    M = args.M if args.mode == "lipschitz" else None
-    lines = [
-        f"# sample sampler=mcmc mode={args.mode} M={M} v0={args.v0} "
+    header = (
+        f"# sample sampler=mcmc mode={args.mode} M={args.M} v0={args.v0} "
         f"burnin={args.burnin} thin={args.thin} n_samples={args.n_samples} seed={args.seed}"
-    ]
-    for row in arr:
-        lines.append(" ".join(map(str, row.tolist())))
-    _write_out(args, "\n".join(lines) + "\n")
+    )
+    _write_rows(args, header, (row.tolist() for row in arr))
     return 0
 
 
@@ -298,26 +289,29 @@ _DISPATCH = {
 
 
 # flags that one value of a subcommand's choice option reads, each with its
-# default (None: the flag is required): command -> (option, {value: {flag:
-# default}}); a listed value reads no other flag listed there
+# default (None: the flag is required): command -> [(option, {value: {flag:
+# default}}), ...]; a listed value reads no other flag listed in its table
+_MODE_M = ("mode", {"lipschitz": {"M": 1}, "hom": {}})
 _NEEDS = {
-    "gen": ("type", {
+    "gen": [("type", {
         "regular": {"n": None, "d": None},
         "bipartite": {"n": None, "d": None},
         "tree": {"d": None, "h": None},
-    }),
-    "sample": ("sampler", {
+    })],
+    "enumerate": [_MODE_M],
+    "sample": [("sampler", {
         "mcmc": {"graph": None, "v0": 0, "burnin": 10_000, "thin": 10},
         "tree": {"d": None, "h": None},
-    }),
+    }), _MODE_M],
+    "phase": [_MODE_M],
+    "verify-transform": [_MODE_M],
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in _NEEDS:
-        option, needs = _NEEDS[args.command]
+    for option, needs in _NEEDS.get(args.command, ()):
         choice = getattr(args, option)
         if choice in needs:
             reads = needs[choice]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphError, distances_from, neighbour_table
+from .graphs import Graph, GraphError, distances_from, neighbour_table, require_regular
 
 __all__ = [
     "ExpansionReport",
@@ -31,12 +31,6 @@ __all__ = [
 EXHAUSTIVE_GUARD_BITS = 24  # bits in a set pair: 2n, or n0 + n1 for bipartite lambda
 SPECTRAL_TOL = 1e-9  # power iteration's relative stopping tolerance, added to its value
 SPECTRAL_MAX_ITER = 100_000
-
-
-def _require_regular(g: Graph) -> int:
-    if g.degree is None:
-        raise GraphError("operation requires a regular graph with at least one edge")
-    return g.degree
 
 
 def _sides(g: Graph, mode: str) -> tuple[list[int], list[int]]:
@@ -78,7 +72,7 @@ def exhaustive_lambda(g: Graph, mode: str = "general") -> float:
     deviation for (S, k) is taken at one of these two ends, and no T is
     enumerated.
     """
-    d = _require_regular(g)
+    d = require_regular(g)
     left, right = _sides(g, mode)
     if len(left) + len(right) > EXHAUSTIVE_GUARD_BITS:
         raise GraphError(f"graph too large for exhaustive lambda ({len(left) + len(right)} bits)")
@@ -137,7 +131,7 @@ def spectral_lambda(g: Graph, mode: str = "general") -> float:
     g.adj[v]: the value is bit for bit that of a per-vertex reduceat
     product.
     """
-    d = _require_regular(g)
+    d = require_regular(g)
     for v, nbrs in enumerate(g.adj):
         if len(nbrs) != d:
             raise GraphError(f"vertex {v} has degree {len(nbrs)}, not the graph's d={d}")
@@ -290,7 +284,7 @@ def certify(g: Graph, M: int | None = None) -> ExpansionReport:
     predicates at the spectral estimate plus SPECTRAL_TOL, the value
     ``resolve_lambda`` uses: good-bi at this mode's estimate, M-good at the
     general-mode one, as Lipschitz functions take lambda over all of V."""
-    d = _require_regular(g)
+    d = require_regular(g)
     mode = "bipartite" if g.bipartition is not None else "general"
     lam_s = spectral_lambda(g, mode)
     try:
@@ -332,7 +326,7 @@ def check_expansion_props(g: Graph, lam: float, mode: str = "general") -> dict[s
     and its first failing B is the lowest floor(lambda*n/d) + 1 of them.
     """
     left, right = _sides(g, mode)
-    d = _require_regular(g)
+    d = require_regular(g)
     if 2 * g.n > EXHAUSTIVE_GUARD_BITS:  # both modes list all 2^n subsets of V
         raise GraphError("graph too large for exhaustive checks")
     vertices = list(range(g.n))

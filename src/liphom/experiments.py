@@ -162,14 +162,9 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
 
 
-_INT_KEYS = {
-    "n", "d", "h", "m", "M", "v0", "t_min", "t_max",
-    "burnin", "thin", "n_samples", "seed", "cap",
-}
-
-
 def parse_config(text: str) -> ExperimentConfig:
-    """Flat key = value lines; '#' starts a comment."""
+    """Flat key = value lines, each read as its field's type; '#' starts a comment."""
+    parsers = {"int": int, "float": float, "str": str}
     data: dict = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -178,14 +173,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in ExperimentConfig.__dataclass_fields__:
+        fld = ExperimentConfig.__dataclass_fields__.get(key)
+        if fld is None:
             raise ValueError(f"unknown config key {key!r}")
-        if key in _INT_KEYS:
-            data[key] = int(val)
-        elif key == "lambda_value":
-            data[key] = float(val)
-        else:
-            data[key] = val
+        data[key] = parsers[fld.type.removesuffix(" | None")](val)
     if "kind" not in data:
         raise ValueError("config must set 'kind'")
     return ExperimentConfig(**data)
@@ -410,8 +401,6 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return str(value)
 
 

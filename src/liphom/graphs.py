@@ -24,6 +24,7 @@ __all__ = [
     "tree_level_children",
     "tree_ball_size",
     "check_vertex",
+    "require_regular",
     "neighbour_table",
     "distances_from",
     "ball",
@@ -301,6 +302,13 @@ def check_vertex(g: Graph, v: int) -> None:
     """Raise GraphError unless v is a vertex of g."""
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} out of range")
+
+
+def require_regular(g: Graph) -> int:
+    """g's degree; raise GraphError unless g records one (see Graph)."""
+    if g.degree is None:
+        raise GraphError("operation requires a regular graph with at least one edge")
+    return g.degree
 
 
 def neighbour_table(g: Graph) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, require_regular
 
 __all__ = [
     "PhaseError",
@@ -56,14 +56,12 @@ def validate(g: Graph, values, root: int, mode: str, M: int | None = None) -> li
         return [f"root vertex {root} out of range"]
     if values[root] != 0:
         out.append(f"root vertex {root} has value {values[root]}, expected 0")
-    for u in range(g.n):
-        for w in g.adj[u]:
-            if u < w:
-                gap = abs(values[u] - values[w])
-                if mode == "lipschitz" and gap > M:
-                    out.append(f"edge ({u},{w}): |{values[u]} - {values[w]}| > M={M}")
-                elif mode == "hom" and gap != 1:
-                    out.append(f"edge ({u},{w}): |{values[u]} - {values[w]}| != 1")
+    for u, w in g.edges():
+        gap = abs(values[u] - values[w])
+        if mode == "lipschitz" and gap > M:
+            out.append(f"edge ({u},{w}): |{values[u]} - {values[w]}| > M={M}")
+        elif mode == "hom" and gap != 1:
+            out.append(f"edge ({u},{w}): |{values[u]} - {values[w]}| != 1")
     if mode == "hom" and not out:
         for v in root_classes(g, root)[0]:
             if values[v] % 2 != 0:
@@ -112,9 +110,7 @@ def phases_lipschitz(g: Graph, rows, lam: float, M: int) -> tuple[np.ndarray, np
     meets the bound, minus M.  Raises PhaseError if some nonzero row has no
     such x.
     """
-    d = g.degree
-    if d is None:
-        raise GraphError("phase requires a regular graph")
+    d = require_regular(g)
     rows = np.asarray(rows)
     n = rows.shape[1]
     budget = 2 * lam * g.n / d
@@ -152,9 +148,8 @@ def phases_hom(g: Graph, rows, lam: float, root: int) -> tuple[np.ndarray, np.nd
     or, when lambda < d/3, violates the refinement bound
     |{v : |f(v)-k| >= 2}| <= 3*lambda*n/d.
     """
-    d = g.degree
-    if d is None or g.bipartition is None:
-        raise GraphError("phase requires a regular bipartite graph")
+    d = require_regular(g)
+    family_slope("hom", None, g)  # raises on a graph with no bipartition
     rows = np.asarray(rows)
     n = g.n // 2
     budget = 2 * lam * n / d

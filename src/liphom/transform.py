@@ -38,6 +38,8 @@ __all__ = [
 # from any overflow)
 _BIG = np.iinfo(np.int64).max // 4
 
+IMAGE_GUARD = 1 << 20  # the most image members of one function that are materialized
+
 
 class ContextError(ValueError):
     pass
@@ -143,14 +145,12 @@ def _first_occurrence_labels(keys: np.ndarray, axis=None) -> tuple[np.ndarray, n
 
 
 def _distinct_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct pairs (a[i], b[i]) of two int arrays, sorted, as two
-    arrays, and how often each occurs."""
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    new = np.ones(a.size, dtype=bool)
-    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    starts = np.flatnonzero(new)
-    return a[starts], b[starts], np.diff(np.append(starts, a.size))
+    """The distinct pairs (a[i], b[i]) of two non-negative int64 arrays, sorted, as
+    two arrays, and how often each occurs.  A pair's key a * width + b stays far
+    below 2**63: every caller's a and b count rows held in memory."""
+    width = int(b.max(initial=0)) + 1
+    keys, counts = np.unique(a * width + b, return_counts=True)
+    return keys // width, keys % width, counts
 
 
 def build_contexts(g: Graph, rows, v: int, k, mode: str, M: int | None = None) -> Contexts:
@@ -292,7 +292,7 @@ def image_rows(ctxs: Contexts, idx, root: int) -> tuple[np.ndarray, np.ndarray]:
     return members - members[:, [root]], owner
 
 
-def apply_transform(ctx: Contexts, root: int, *, guard: int = 1 << 20) -> frozenset[tuple[int, ...]]:
+def apply_transform(ctx: Contexts, root: int, *, guard: int = IMAGE_GUARD) -> frozenset[tuple[int, ...]]:
     """Materialize the full image set of ctx's one function under the
     flattening map, shifted to vanish at ``root``; ctx is the one-row
     Contexts from ``build_context``.  Members are not validated here;
@@ -350,7 +350,6 @@ def verify_counting(
     k_strategy: str = "phase",
     lam: float | None = None,
     cap: int = 10_000_000,
-    guard: int = 1 << 20,
 ) -> VerifyReport:
     """Enumerate the family, build the high-deviation event at vertex v, and
     check every counting property of the flattening map exactly.
@@ -423,9 +422,9 @@ def verify_counting(
         )
 
     sizes = ctxs.image_sizes(omega)
-    over = np.flatnonzero(sizes > guard)
+    over = np.flatnonzero(sizes > IMAGE_GUARD)
     if over.size:
-        raise GraphError(f"image has {sizes[over[0]]} members, beyond the guard {guard}")
+        raise GraphError(f"image has {sizes[over[0]]} members, beyond the guard {IMAGE_GUARD}")
     sizes = sizes.astype(np.int64)
 
     found = _check_images(g, ctxs, omega, v0, sizes, rows)

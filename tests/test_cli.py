@@ -82,16 +82,18 @@ def test_sample_mcmc_deterministic(k4_file, tmp_path):
     [
         ("regular --n 24", "lipschitz", "1", "5afcb144506d4f2d772f1ea9f9adca3d54b84cd5"),
         ("regular --n 24", "lipschitz", "2", "9cb53bf15a51ac408bfd709d5176b42135efe4e1"),
-        ("bipartite --n 12", "hom", "1", "a4aa298486e0ac00a5acfd5ea361e1404a8cb04c"),
+        ("bipartite --n 12", "hom", None, "a4aa298486e0ac00a5acfd5ea361e1404a8cb04c"),
     ],
     ids=["lip-M1", "lip-M2", "hom"],
 )
 def test_sample_mcmc_keeps_its_bytes(tmp_path, gen, mode, M, sha1):
     # sha1s of the sample file, recorded when the rows were held as int64
+    # (the hom case then passed --M 1, which hom mode does not read)
     graph, out = tmp_path / "g.txt", tmp_path / "s.txt"
     assert main(["gen", "--type", *gen.split(), "--d", "3", "--seed", "5", "--out", str(graph)]) == 0
+    slope = ["--M", M] if M else []
     assert main(["sample", "--sampler", "mcmc", "--graph", str(graph), "--mode", mode,
-                 "--M", M, "--burnin", "50", "--thin", "7", "--n-samples", "40",
+                 *slope, "--burnin", "50", "--thin", "7", "--n-samples", "40",
                  "--seed", "2", "--out", str(out)]) == 0
     assert hashlib.sha1(out.read_bytes()).hexdigest() == sha1
 
@@ -172,7 +174,7 @@ def test_verify_transform_zero_strategy_reads_no_lambda(k4_file, capsys):
     assert payload["all_passed"] is True and payload["lambda"] is None
 
 
-def test_experiment_reproducible(tmp_path):
+def test_experiment_reproducible(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
         "kind = hom-exact\ngraph_type = complete_bipartite\nm = 2\n"
@@ -185,6 +187,10 @@ def test_experiment_reproducible(tmp_path):
         outs.append(out.read_bytes())
         assert (tmp_path / (name + ".config")).exists()
     assert outs[0] == outs[1]
+    # without --out the report goes to stdout
+    assert capsys.readouterr().out == ""
+    assert main(["experiment", str(cfg)]) == 0
+    assert capsys.readouterr().out.encode() == outs[0]
 
 
 @pytest.mark.parametrize("argv, seed", [([], "5"), (["--seed", "0"], "0"), (["--seed", "3"], "3")])
@@ -261,9 +267,18 @@ def test_experiment_seed_override(tmp_path, argv, seed):
          "sample --sampler tree does not read --thin"),
         (["sample", "--sampler", "tree", "--d", "3", "--h", "2", "--v0", "4"],
          "sample --sampler tree does not read --v0"),
+        # --M is read only in lipschitz mode
+        (["enumerate", "{k33}", "--mode", "hom", "--M", "1"], "enumerate --mode hom does not read --M"),
+        (["sample", "--sampler", "mcmc", "--graph", "{k33}", "--mode", "hom", "--M", "5"],
+         "sample --mode hom does not read --M"),
+        (["sample", "--sampler", "tree", "--d", "3", "--h", "2", "--mode", "hom", "--M", "1"],
+         "sample --mode hom does not read --M"),
+        (["phase", "{k33}", "{flat6}", "--mode", "hom", "--M", "2"], "phase --mode hom does not read --M"),
+        (["verify-transform", "{k33}", "--mode", "hom", "--v", "1", "--M", "1"],
+         "verify-transform --mode hom does not read --M"),
     ],
 )
-def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):
+def test_rejected_input_exits_2(k4_file, k33_file, tmp_path, capsys, argv, expect):
     files = {
         "bad_cfg": "kind = deviation\ngraph_type = complete_bipartite\nsampler = exakt\n",
         "v0_cfg": f"kind = deviation\ngraph_path = {k4_file}\nv0 = 99\ntargets = 1,2\n"
@@ -277,8 +292,9 @@ def test_rejected_input_exits_2(k4_file, tmp_path, capsys, argv, expect):
         "edgeless": "3 0\n",
         "flat3": "0\n0\n0\n",
         "one_vertex": "1 0\n",
+        "flat6": "0\n0\n0\n1\n1\n1\n",
     }
-    paths = {"{k4}": k4_file, "{missing}": str(tmp_path / "missing.txt")}
+    paths = {"{k4}": k4_file, "{k33}": k33_file, "{missing}": str(tmp_path / "missing.txt")}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
         paths["{" + name + "}"] = str(tmp_path / name)

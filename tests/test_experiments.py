@@ -20,10 +20,10 @@ from liphom import (
     tree_dp,
 )
 from liphom.cli import main
-from liphom.graphs import tree_level_offsets
+from liphom.graphs import distances_from, graph_to_text, tree_level_offsets
 from liphom.experiments import HYPOTHESES_NOT_MET, result_to_text
 
-from .conftest import reference_phase_hom, reference_phase_lipschitz
+from .conftest import c6, k4, reference_phase_hom, reference_phase_lipschitz
 
 
 def test_parse_config_roundtrip():
@@ -335,6 +335,27 @@ def test_max_report_keeps_its_bytes(tmp_path, graph, mode, sha1):
     assert main(["experiment", str(cfg), "--out", str(out)]) == 0
     data = out.read_bytes() + b"\0" + (tmp_path / "max.csv.config").read_bytes()
     assert hashlib.sha1(data).hexdigest() == sha1
+
+
+@pytest.mark.parametrize("graph, t_hi", [(k4, 2), (c6, 3)], ids=["k4", "c6"])
+def test_default_t_range(tmp_path, graph, t_hi):
+    # without t_max, t runs from t_min to the diameter corollary's
+    # ceil(log n / log(d / 2 lambda)) when lambda < d/2 (K4: lambda = 3/4),
+    # else to ecc(v0) (C6: lambda = 1 = d/2)
+    g = graph()
+    path = tmp_path / "g.txt"
+    path.write_text(graph_to_text(g))
+    cfg = ExperimentConfig(kind="deviation", graph_path=str(path), targets="all",
+                           lambda_source="exhaustive")
+    res = run_experiment(cfg)
+    lam, d = res.summary["lambda"], g.degree
+    if lam < d / 2:
+        expect = math.ceil(math.log(g.n) / math.log(d / (2 * lam)))
+    else:
+        expect = max(distances_from(g, cfg.v0))
+    assert expect == t_hi
+    for v in range(g.n):
+        assert [r["t"] for r in res.rows if r["vertex"] == v] == list(range(1, t_hi + 1))
 
 
 def test_emit_report_deterministic(tmp_path):

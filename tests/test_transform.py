@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +142,17 @@ def test_apply_transform_guard():
     ctx = build_context(t, vals, t.root, 0, "lipschitz", 1)
     with pytest.raises(Exception):
         apply_transform(ctx, v0, guard=4)
+
+
+@pytest.mark.parametrize("size, high", [(0, 1), (50, 3), (5000, 10**6)])
+def test_distinct_pairs_match_counter(size, high):
+    rng = np.random.default_rng(size)
+    a, b = rng.integers(0, high, size), rng.integers(0, 3 * high, size)
+    if size:
+        a, b = np.concatenate([a, a[:9]]), np.concatenate([b, b[:9]])  # repeated pairs
+    pa, pb, counts = transform._distinct_pairs(a, b)
+    want = sorted(Counter(zip(a.tolist(), b.tolist())).items())
+    assert list(zip(zip(pa.tolist(), pb.tolist()), counts.tolist())) == want
 
 
 def test_hom_image_size_q3():

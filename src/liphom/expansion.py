@@ -259,7 +259,9 @@ class CheckResult:
     def tick_all(self, ok, witness, ticks=None) -> None:
         """Record outcomes ok[0], ok[1], ... in order: one tick each, or
         ticks[i] for entry i when given.  witness(i) gives entry i's witness
-        and is called for the first failing entry only."""
+        and is called for the first failing entry only.  The first failing
+        call keeps the witness, so ticking a sequence in order, block by
+        block, keeps its first failure overall."""
         ok = np.asarray(ok, dtype=bool)
         self.checked += int(ok.size if ticks is None else np.sum(ticks))
         if not ok.all():

@@ -341,6 +341,10 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_max(cfg: ExperimentConfig) -> ExperimentResult:
     g = _build_graph_from_config(cfg)
+    if g.n < 3:  # log log n > 0 needs n >= 3; checked before sampling
+        raise GraphError(
+            f"config kind = max needs at least 3 vertices; graph_type = {cfg.graph_type} gave {g.n}"
+        )
     arr = _rows(g, cfg)  # the config pins kind = max to sampler = mcmc
     # in int64: np.percentile interpolates in its input's type, which may
     # be as narrow as int8

@@ -426,65 +426,57 @@ def verify_counting(
     if over.size:
         raise GraphError(f"image has {sizes[over[0]]} members, beyond the guard {IMAGE_GUARD}")
     sizes = sizes.astype(np.int64)
-
-    found = _check_images(g, ctxs, omega, v0, sizes, rows)
-    checks["image_size"].tick_all(found.distinct == sizes, lambda j: values(omega[j]))
-    checks["image_members_valid"].tick_all(
-        found.ok["image_members_valid"], lambda j: found.invalid_witness(g, values(omega[j]), fam)
-    )
-    checks["image_in_family"].tick_all(found.in_family, lambda j: values(omega[j]))
-    for name in ("u_recovery", "reconstruction"):
-        if name in checks:
-            checks[name].tick_all(
-                found.ok[name],
-                lambda j, name=name: (values(omega[j]), found.first_bad[name]),
-                found.distinct,
-            )
+    pair_pos, pair_key = _check_images(g, ctxs, omega, v0, sizes, rows, checks, values)
 
     # the partition by (A, S) (by A in hom mode)
+    a_label, a_first = _first_occurrence_labels(a_id)
+    group, group_first = a_label, a_first
     if mode == "lipschitz":
         group, group_first = _first_occurrence_labels(
             np.column_stack([a_id, ctxs.u[omega]]), axis=0
         )
-    else:
-        group, group_first = _first_occurrence_labels(a_id)
+    group_a = a_label[group_first]
 
     # per group: the preimage bound alpha, the double-counting ratio and the
-    # ratio to |union of images|, from the distinct (group, member) pairs
+    # ratio to |union of images|, from the distinct (group, member) pairs;
+    # per A: the bound on P(Omega_A^+).  The corollary's bound is one per A.
     n_groups = group_first.size
-    members_of = np.bincount(group, minlength=n_groups)
+    size = np.bincount(group, minlength=n_groups).tolist()
+    size_a = np.bincount(a_label, minlength=a_first.size).tolist()
     beta = np.full(n_groups, np.iinfo(np.int64).max)
     np.minimum.at(beta, group, sizes)
-    pair_group, pair_key, preimages = _distinct_pairs(group[found.pairs[0]], found.pairs[1])
-    union = np.bincount(pair_group, minlength=n_groups)
+    pair_group, pair_key, preimages = _distinct_pairs(group[pair_pos], pair_key)
+    union = np.bincount(pair_group, minlength=n_groups).tolist()
     worst = np.zeros(n_groups, dtype=np.int64)
     np.maximum.at(worst, pair_group, preimages)
+    worst, beta = worst.tolist(), beta.tolist()
     s_minus = ctxs.s_minus_sizes(omega[group_first])
-    for gi, j in enumerate(group_first.tolist()):
-        a = a_id[j]
-        key0, size = ctxs.group_key(omega[j]), int(members_of[gi])
-        alpha = _preimage_bound(mode, M, a_sizes[a], s_minus[gi])
-        b, w, un = int(beta[gi]), int(worst[gi]), int(union[gi])
-        checks["preimage_bound"].tick(w <= alpha, (key0, w, alpha))
-        checks["double_counting"].tick(
-            Fraction(size, q_size) <= Fraction(alpha, b), (key0, size, alpha, b)
-        )
-        checks["ratio_bound_AS"].tick(
-            Fraction(size, un) <= _ratio_bound(mode, M, a_sizes[a], x_sizes[a]), (key0, size, un)
-        )
+    alpha = [
+        _preimage_bound(mode, M, a_sizes[a], s) for a, s in zip(a_id[group_first].tolist(), s_minus)
+    ]
+    ratio = [_ratio_bound(mode, M, a_sizes[a], x_sizes[a]) for a in a_id[a_first].tolist()]
 
-    # bound on P(Omega_A^+) per A, and image disjointness across S
-    a_label, a_first = _first_occurrence_labels(a_id)
-    members_of_a = np.bincount(a_label, minlength=a_first.size)
-    for j, first in enumerate(a_first.tolist()):
-        a = a_id[first]
-        checks["ratio_bound_A"].tick(
-            Fraction(int(members_of_a[j]), q_size) <= _ratio_bound(mode, M, a_sizes[a], x_sizes[a]),
-            (np.flatnonzero(ctxs.a_mask[a]).tolist(), int(members_of_a[j])),
-        )
+    def key(gi):
+        return ctxs.group_key(omega[group_first[gi]])
 
+    checks["preimage_bound"].tick_all(
+        [w <= al for w, al in zip(worst, alpha)], lambda gi: (key(gi), worst[gi], alpha[gi])
+    )
+    checks["double_counting"].tick_all(
+        [Fraction(s, q_size) <= Fraction(al, b) for s, al, b in zip(size, alpha, beta)],
+        lambda gi: (key(gi), size[gi], alpha[gi], beta[gi]),
+    )
+    checks["ratio_bound_AS"].tick_all(
+        [Fraction(s, un) <= ratio[a] for s, un, a in zip(size, union, group_a.tolist())],
+        lambda gi: (key(gi), size[gi], union[gi]),
+    )
+    checks["ratio_bound_A"].tick_all(
+        [Fraction(s, q_size) <= r for s, r in zip(size_a, ratio)],
+        lambda j: (np.flatnonzero(ctxs.a_mask[a_id[a_first[j]]]).tolist(), size_a[j]),
+    )
+
+    # image disjointness across the S of one A
     if mode == "lipschitz":
-        group_a = a_label[group_first]
         groups_of_a = np.bincount(group_a, minlength=a_first.size)
         # the A's with a member in the images of two of their groups
         pair_a, _, in_groups = _distinct_pairs(group_a[pair_group], pair_key)
@@ -507,38 +499,20 @@ def verify_counting(
     )
 
 
-@dataclass
-class _ImageChecks:
-    """Per-member checks of the images of the functions of Omega, as one
-    outcome per function (indexed by position in Omega)."""
+def _check_images(g: Graph, ctxs: Contexts, omega, root: int, sizes, family, checks, values):
+    """Build the images of rows omega of ctxs, a block of whole images at a
+    time, check every member and tick each block's per-function checks:
+    image_size, image_members_valid (edge gaps, root and parity columns),
+    image_in_family (by key lookup), and u_recovery and reconstruction once
+    per distinct member.  values(i) is row i of ctxs as witnesses print it.
 
-    distinct: np.ndarray  # distinct image members
-    in_family: np.ndarray  # every member is a family row
-    ok: dict[str, np.ndarray]  # every member passes the check
-    # per failed check: the first failing function's first failing member
-    first_bad: dict[str, tuple[int, ...]]
-    pairs: tuple[np.ndarray, np.ndarray]  # distinct (function, member key) pairs
-
-    def invalid_witness(self, g: Graph, values, fam) -> tuple:
-        """(f, its first invalid member, that member's first violation) for
-        the first function with an invalid member."""
-        h = self.first_bad["image_members_valid"]
-        return values, h, validate(g, h, fam.root, fam.mode, fam.M)[0]
-
-
-def _check_images(g: Graph, ctxs: Contexts, omega, root: int, sizes, family) -> _ImageChecks:
-    """Build the images of rows omega of ctxs, a block of members at a time,
-    and check every member: validity (edge gaps, root and parity columns),
-    u_recovery and reconstruction as column operations, and membership of
-    the family rows by key lookup.  A member's key is its rank among the
-    family rows' keys, or a number from len(family) up for members outside
-    the family."""
+    Blocks follow Omega's order and ``tick_all`` keeps the first witness, so
+    a check's witness is its first failing function.  Returns the distinct
+    (position in omega, member key) pairs as two arrays; a member's key is
+    its rank among the family rows' keys, or a number from len(family) up
+    for members outside the family."""
     lip = ctxs.mode == "lipschitz"
     M, v = ctxs.M, ctxs.v
-    names = ["image_members_valid", "reconstruction"] + (["u_recovery"] if lip else [])
-    ok = {name: np.ones(omega.size, dtype=bool) for name in names}
-    first_bad: dict[str, tuple[int, ...]] = {}
-    in_family = np.ones(omega.size, dtype=bool)
     pairs = [(np.zeros(0, dtype=np.int64),) * 2]
 
     q = family.shape[0]
@@ -557,9 +531,9 @@ def _check_images(g: Graph, ctxs: Contexts, omega, root: int, sizes, family) -> 
     while start < omega.size:
         done = ends[start - 1] if start else 0
         end = max(start + 1, int(np.searchsorted(ends, done + step, side="right")))
-        members, owner = image_rows(ctxs, omega[start:end], root)
-        pos = owner + start
-        row = omega[pos]
+        block = omega[start:end]
+        members, owner = image_rows(ctxs, block, root)
+        row = block[owner]
         ids = ctxs.a_id[row]
         in_a, in_x = ctxs.a_mask[ids], ctxs.x_mask[ids]
 
@@ -567,7 +541,7 @@ def _check_images(g: Graph, ctxs: Contexts, omega, root: int, sizes, family) -> 
         # gaps and the root value, the family's graph being connected
         gap = np.abs(members[:, edges[:, 0]] - members[:, edges[:, 1]])
         valid = (members[:, root] == 0) & ((gap <= M) if lip else (gap == 1)).all(axis=1)
-        flags = {"image_members_valid": valid}
+        flags = {}
         if lip:
             # u_x = min({h(w) - h(v) + 2M : w ~ x outside A u X} u {M})
             low = np.where(in_a | in_x, _BIG, members)[:, nbr].min(axis=1)
@@ -588,23 +562,28 @@ def _check_images(g: Graph, ctxs: Contexts, omega, root: int, sizes, family) -> 
         key[fits] = np.where(family_keys[at] == probe, at, -1)
         for i in np.flatnonzero(key < 0).tolist():
             key[i] = outside.setdefault(members[i].tobytes(), q + len(outside))
-        in_family[pos[key >= q]] = False
-        pairs.append(_distinct_pairs(pos, key)[:2])
+        pos, pos_key, _ = _distinct_pairs(owner, key)
+        pairs.append((pos + start, pos_key))
+        distinct = np.bincount(pos, minlength=block.size)
 
+        def all_pass(flag):  # per function of the block: every member passes
+            ok = np.ones(block.size, dtype=bool)
+            ok[owner[~flag]] = False
+            return ok
+
+        def first_bad(flag, j):  # function j's first failing member, in image_rows order
+            return tuple(members[np.flatnonzero(~flag & (owner == j))[0]].tolist())
+
+        def invalid(j):  # f, its first invalid member and that member's first violation
+            h = first_bad(valid, j)
+            return values(block[j]), h, validate(g, h, root, ctxs.mode, M)[0]
+
+        checks["image_size"].tick_all(distinct == sizes[start:end], lambda j: values(block[j]))
+        checks["image_members_valid"].tick_all(all_pass(valid), invalid)
+        checks["image_in_family"].tick_all(all_pass(key < q), lambda j: values(block[j]))
         for name, flag in flags.items():
-            bad = np.flatnonzero(~flag)
-            ok[name][pos[bad]] = False
-            # blocks follow Omega's order, so the first block with a failure
-            # holds the first failing function; argmin finds its first member
-            if bad.size and name not in first_bad:
-                first_bad[name] = tuple(members[bad[np.argmin(pos[bad])]].tolist())
+            checks[name].tick_all(
+                all_pass(flag), lambda j: (values(block[j]), first_bad(flag, j)), distinct
+            )
         start = end
-
-    pairs = tuple(map(np.concatenate, zip(*pairs)))
-    return _ImageChecks(
-        distinct=np.bincount(pairs[0], minlength=omega.size),
-        in_family=in_family,
-        ok=ok,
-        first_bad=first_bad,
-        pairs=pairs,
-    )
+    return tuple(map(np.concatenate, zip(*pairs)))

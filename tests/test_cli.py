@@ -1,9 +1,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from liphom import build_graph, experiments, graph_to_text, read_graph
+from liphom import build_graph, experiments, graph_to_text, read_graph, transform
 from liphom.cli import main
 
 from .conftest import k33, k4, q3
@@ -166,6 +167,24 @@ def test_verify_transform(k4_file, capsys):
     assert payload["all_passed"] is True
 
 
+def test_verify_transform_exits_1_on_a_failed_check(k4_file, capsys, monkeypatch):
+    # every image gains the member (0, 5, 0, 0), whose edge (0,1) has gap 5 > M
+    real = transform.image_rows
+
+    def with_bad(ctxs, idx, root):
+        members, owner = real(ctxs, idx, root)
+        extra = np.tile((0, 5, 0, 0), (len(idx), 1))
+        return np.vstack([members, extra]), np.concatenate([owner, np.arange(len(idx))])
+
+    monkeypatch.setattr(transform, "image_rows", with_bad)
+    assert main(["verify-transform", k4_file, "--mode", "lipschitz",
+                 "--M", "1", "--v", "2", "--t", "1"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    check = payload["checks"]["image_members_valid"]
+    assert payload["all_passed"] is False and check["passed"] is False
+    assert "(0, 5, 0, 0)" in check["witness"] and "edge (0,1)" in check["witness"]
+
+
 def test_verify_transform_zero_strategy_reads_no_lambda(k4_file, capsys):
     # the default --lam-source is accepted; no lambda is computed or echoed
     assert main(["verify-transform", k4_file, "--mode", "lipschitz", "--v", "2",
@@ -321,8 +340,11 @@ def test_rejected_input_exits_2(k4_file, k33_file, tmp_path, capsys, argv, expec
          "config kind = hom-exact needs a regular graph; graph_type = tree"),
         ("kind = deviation\ngraph_type = complete_bipartite\nm = 0\n",
          "config m = 0 must be at least 1"),
+        # log log n is negative at n = 2
+        ("kind = max\ngraph_type = complete_bipartite\nm = 1\nmode = hom\nsampler = mcmc\n",
+         "config kind = max needs at least 3 vertices; graph_type = complete_bipartite gave 2"),
     ],
-    ids=["tree", "path-file", "hom-exact-tree", "kmm-m0"],
+    ids=["tree", "path-file", "hom-exact-tree", "kmm-m0", "max-k11"],
 )
 def test_experiment_rejects_graph_before_sampling(tmp_path, capsys, monkeypatch, text, expect):
     # the explicit lambda source reached expansion.goodness(None, ...) and

@@ -543,7 +543,8 @@ def test_invalid_image_member_matches_reference(monkeypatch, bad_member):
 
 def test_sparse_failures_follow_family_order(monkeypatch):
     # a bad member in the images of a few scattered functions: the witness is
-    # the first of them in family order, whatever their groups
+    # the first of them in family order, whatever their groups, and whether
+    # they share a block of images or (one-member blocks) each has its own
     bad_member = (0, 5, 0, 0, 0, 0, 0, 0)
 
     def marked(values):
@@ -564,8 +565,30 @@ def test_sparse_failures_follow_family_order(monkeypatch):
         "reference_image_members",
         lambda ctx, root: real_ref(ctx, root) + ([bad_member] if marked(ctx.values) else []),
     )
-    rep = assert_matches_reference(regular(8, 1), 0, 3, 1, "lipschitz", 2)
-    assert not rep["checks"]["image_members_valid"]["passed"]
+    for block in (transform.BLOCK_VALUES, 1):
+        monkeypatch.setattr(transform, "BLOCK_VALUES", block)
+        rep = assert_matches_reference(regular(8, 1), 0, 3, 1, "lipschitz", 2)
+        assert not rep["checks"]["image_members_valid"]["passed"]
+
+
+def test_group_failures_match_reference(monkeypatch):
+    # 300 more copies of the one function of Omega whose A is {3, 5}, the
+    # third of five groups: that group and its A outgrow every bound, so the
+    # group and per-A witnesses must name it, not the first group
+    def padded(*args, **kw):
+        fam = enumerate_functions(*args, **kw)
+        copies = np.repeat(fam.rows[[35]], 300, axis=0)
+        return dataclasses.replace(fam, rows=np.vstack([fam.rows, copies]))
+
+    monkeypatch.setattr(transform, "enumerate_functions", padded)
+    monkeypatch.setattr(conftest, "enumerate_functions", padded)
+    rep = assert_matches_reference(q3(), 0, 3, 1, "hom", k_strategy="zero")
+    for name in ("preimage_bound", "double_counting", "ratio_bound_AS", "ratio_bound_A"):
+        assert rep["checks"][name]["checked"] == 5 and not rep["checks"][name]["passed"]
+    for name in ("preimage_bound", "double_counting", "ratio_bound_AS"):
+        assert rep["checks"][name]["witness"].startswith("((frozenset({3, 5}),), 301, ")
+    assert rep["checks"]["ratio_bound_A"]["witness"] == "([3, 5], 301)"
+    assert rep["checks"]["image_members_valid"]["passed"]
 
 
 def test_u_recovery_failure_matches_reference(monkeypatch):

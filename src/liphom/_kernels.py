@@ -2,9 +2,9 @@
 
 It consumes pre-drawn random words, so a chain's samples depend only on its
 seed and chain id.  Steps are solved a block at a time by vectorized
-fixed-point passes; a block whose steps read each other's writes too often
-is run step by step in plain Python.  Both give the sequential chain's
-states, bit for bit.
+fixed-point passes, except on a graph where that is expected to be slower
+(see ``glauber_run``), which is run step by step in plain Python.  Both give
+the sequential chain's states, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,15 +24,13 @@ NUMBA_ENABLED = False
 # 1024; in hom mode, with rare records, 0.41 against 0.51 and 0.37.
 CHUNK_STEPS = 512
 
-# fixed-point passes tried on a block before it is run step by step, and the
-# in-block dependencies per step past which it is not tried.  Counting the
-# pass that confirms convergence, blocks on random 8-regular graphs took 2.8
-# passes on average (at most 5) at n = 4096 in hom mode, 3.0 (6) and 4.0 (6)
-# at M = 1 and 3, 3.3 (6) at n = 2048 and 4.1 (9) at n = 512.  At n = 256
-# (8 expected dependencies per step) blocks took 0.85 us per step against
-# 1.26 us step by step; on a 4-regular graph with n = 64 (16 per step), 2.2
-# against 1.4.
-PASS_CAP = 8
+# expected in-block dependencies per step past which a graph is run step by
+# step.  Run to convergence, blocks on random 8-regular graphs took 3.2
+# passes on average (at most 5) at n = 4096 and M = 1, 4.0 (6) at M = 3, 4.3
+# (9) at n = 512.  At 8 per step (8-regular n = 256, 4-regular n = 128: 9.6
+# and 10.7 passes) blocks took 0.67-0.70 us per step against 0.72-0.97 step
+# by step; at 16 (4-regular n = 64), 0.96 against 0.71.
+DEPS_CAP = 8
 
 _NO_STEP = np.iinfo(np.int64).max  # a vertex with no step in the block
 
@@ -50,16 +48,14 @@ def glauber_run(g, values, free, M, hom, words, thin, burnin, out):
     of a narrower integer type, which the caller chooses to hold every
     reachable height.  Returns the number of recorded samples.
 
-    Each chunk of words is one block of steps.  ``_solve_block`` finds the
-    heights its steps write by vectorized passes; a block it declines is run
-    step by step on a list copy of its start state, with one precomputed
-    ``itemgetter`` per vertex reading its neighbors.  A graph on which a
-    block's steps are expected to read more than ``PASS_CAP`` in-block writes
-    each, or whose ``graphs.neighbour_table`` would more than double the
-    adjacency by padding every vertex to the largest degree (a star, a glued
-    tree), is run step by step throughout.  The recorded states and the
-    final state are then built from the block start and the writes in step
-    order.
+    Each chunk of words is one block of steps, whose writes ``_solve_block``
+    finds by vectorized passes.  A graph on which a step is expected to read
+    more than ``DEPS_CAP`` in-block writes, or whose ``graphs.neighbour_table``
+    would more than double the adjacency by padding every vertex to the
+    largest degree (a star, a glued tree), is run step by step instead, on
+    one height list kept for the whole run and one ``itemgetter`` per vertex.
+    The recorded states and the final state are then built from the block
+    start and the writes in step order.
     """
     adj = g.adj
     n = len(adj)
@@ -67,11 +63,14 @@ def glauber_run(g, values, free, M, hom, words, thin, burnin, out):
     # a step's expected in-block dependencies are CHUNK_STEPS * mean degree / 2n
     n_slots = sum(deg)
     width = max(deg)
-    blocks = CHUNK_STEPS * n_slots <= 2 * PASS_CAP * n * n and width * n <= 2 * n_slots
+    blocks = CHUNK_STEPS * n_slots <= 2 * DEPS_CAP * n * n and width * n <= 2 * n_slots
     if blocks:
         table = neighbour_table(g)
         first = np.full(n, _NO_STEP, dtype=np.int64)
-    gather = None
+    else:
+        # a degree-1 vertex repeats its neighbor, so every gather is a tuple
+        gather = [itemgetter(*a) if len(a) > 1 else itemgetter(a[0], a[0]) for a in adj]
+        heights = values.tolist()  # kept equal to values at every block start
     free_arr = np.asarray(free, dtype=np.int64)
     n_free = len(free)
     n_out = out.shape[0]
@@ -82,14 +81,10 @@ def glauber_run(g, values, free, M, hom, words, thin, burnin, out):
         value_words = words_x & 1 if hom else words_x.view(np.int64)
         size = len(vertices)
         nxt = _next_steps(vertices)
-        writes = None
         if blocks:
             writes = _solve_block(values, vertices, value_words, nxt, table, first, M, hom)
-        if writes is None:
-            if gather is None:
-                # a degree-1 vertex repeats its neighbor, so every gather is a tuple
-                gather = [itemgetter(*a) if len(a) > 1 else itemgetter(a[0], a[0]) for a in adj]
-            writes = _run_steps(values.tolist(), gather, vertices.tolist(), value_words.tolist(), M, hom)
+        else:
+            writes = _run_steps(heights, gather, vertices.tolist(), value_words.tolist(), M, hom)
         # the next record is the state after step count burnin + thin * (n_rec + 1)
         k0 = burnin + thin * (n_rec + 1) - done
         if n_rec < n_out and k0 <= size:
@@ -143,8 +138,7 @@ def _solve_block(values, vertices, value_words, nxt, table, first, M, hom):
     the previous pass's writes.  Since step j reads only steps before j, the
     map has one fixed point, the sequential writes, and the passes reach it
     within (longest dependency chain + 1) passes; a pass that reproduces its
-    input is at it.  Returns None when the block's dependencies outnumber
-    ``PASS_CAP`` per step, or ``PASS_CAP`` passes do not converge.
+    input is at it, so the passes always end.
     """
     size = len(vertices)
     steps = np.arange(size)
@@ -156,8 +150,6 @@ def _solve_block(values, vertices, value_words, nxt, table, first, M, hom):
     writer = first[slot_vertex]
     first[vertices] = _NO_STEP
     dep = np.flatnonzero(writer < steps)
-    if len(dep) > PASS_CAP * size:
-        return None
     writer = writer.reshape(-1)[dep]
     reader = dep % size
     while True:
@@ -166,10 +158,10 @@ def _solve_block(values, vertices, value_words, nxt, table, first, M, hom):
         if not ahead.any():
             break
         writer = np.where(ahead, later, writer)
-    start_heights = values[slot_vertex]
-    heights = start_heights
+    # dependent slots start at the block-start state; each pass overwrites them
+    heights = values[slot_vertex]
     writes = None
-    for _ in range(PASS_CAP):
+    while True:
         mn = heights.min(axis=0)
         mx = heights.max(axis=0)
         if hom:
@@ -182,9 +174,7 @@ def _solve_block(values, vertices, value_words, nxt, table, first, M, hom):
         if writes is not None and np.array_equal(new, writes):
             return writes
         writes = new
-        heights = start_heights.copy()
         heights.reshape(-1)[dep] = writes[writer]
-    return None
 
 
 def _record(rows, values, vertices, writes, nxt, k0, thin):

@@ -311,6 +311,8 @@ _NEEDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed {args.seed} must be at least 0")
     for option, needs in _NEEDS.get(args.command, ()):
         choice = getattr(args, option)
         if choice in needs:

@@ -134,7 +134,7 @@ class ExperimentConfig:
             raise ValueError("config kind = hom-exact needs mode = hom")
         if self.kind == "hom-exact" and self.sampler != "exact":
             raise ValueError("config kind = hom-exact needs sampler = exact")
-        lows = {"t_min": 0, "cap": 1}
+        lows = {"seed": 0, "t_min": 0, "cap": 1}
         if self.graph_type == "complete_bipartite" and not tree:
             lows["m"] = 1
         if self.mode == "lipschitz":
@@ -401,11 +401,7 @@ def _run_tree(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def result_to_text(result: ExperimentResult, fmt: str = "csv") -> str:

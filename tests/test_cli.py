@@ -295,6 +295,13 @@ def test_experiment_seed_override(tmp_path, argv, seed):
         (["phase", "{k33}", "{flat6}", "--mode", "hom", "--M", "2"], "phase --mode hom does not read --M"),
         (["verify-transform", "{k33}", "--mode", "hom", "--v", "1", "--M", "1"],
          "verify-transform --mode hom does not read --M"),
+        # a negative seed, before any graph is built
+        (["gen", "--type", "regular", "--n", "8", "--d", "3", "--seed", "-1"], "--seed -1 must be at least 0"),
+        (["sample", "--sampler", "mcmc", "--graph", "{k4}", "--seed", "-3"], "--seed -3 must be at least 0"),
+        (["sample", "--sampler", "tree", "--d", "3", "--h", "2", "--seed", "-3"], "--seed -3 must be at least 0"),
+        (["experiment", "{bad_cfg}", "--seed", "-1"], "--seed -1 must be at least 0"),
+        (["experiment", "{seed_cfg}"], "config seed = -2 must be at least 0"),
+        (["experiment", "{tree_seed_cfg}"], "config seed = -2 must be at least 0"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, k33_file, tmp_path, capsys, argv, expect):
@@ -312,6 +319,8 @@ def test_rejected_input_exits_2(k4_file, k33_file, tmp_path, capsys, argv, expec
         "flat3": "0\n0\n0\n",
         "one_vertex": "1 0\n",
         "flat6": "0\n0\n0\n1\n1\n1\n",
+        "seed_cfg": f"kind = deviation\ngraph_path = {k4_file}\nsampler = mcmc\nseed = -2\n",
+        "tree_seed_cfg": "kind = tree\ngraph_type = tree\nd = 3\nh = 2\nseed = -2\n",
     }
     paths = {"{k4}": k4_file, "{k33}": k33_file, "{missing}": str(tmp_path / "missing.txt")}
     for name, text in files.items():

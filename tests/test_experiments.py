@@ -288,6 +288,14 @@ def test_max_kind():
     assert [line.split(",")[col] for line in lines[1:]] == [""] * 4
 
 
+def test_csv_prints_a_numpy_float_as_its_value():
+    # isinstance(np.float64(0.25), float) holds, and repr reads np.float64(0.25)
+    cfg = ExperimentConfig(kind="deviation", graph_type="complete_bipartite", m=2)
+    row = experiments._row(cfg, 1, 0, np.float64(0.25), None, 0.1, 3, 10)
+    line = result_to_text(experiments.ExperimentResult(cfg, [row]), "csv").splitlines()[1]
+    assert line.split(",")[2:5] == ["0.25", "", "0.1"]
+
+
 def test_max_kind_reads_narrow_rows_in_int64(monkeypatch):
     # row maxima -100, 100, 50, -120: np.percentile on them as int8
     # overflows and reads 103 at q = 50, against -25 in int64
@@ -487,6 +495,9 @@ def assert_rejected_at_entry(kwargs, message, tmp_path, capsys):
         ),
         ({"kind": "hom-exact"}, "kind = hom-exact needs mode = hom"),
         ({"kind": "hom-exact", "mode": "hom", "sampler": "mcmc"}, "kind = hom-exact needs sampler = exact"),
+        ({"seed": -2}, "seed = -2 must be at least 0"),
+        ({"sampler": "mcmc", "seed": -2}, "seed = -2 must be at least 0"),
+        ({"kind": "tree", "graph_type": "tree", "d": 3, "h": 2, "seed": -2}, "seed = -2 must be at least 0"),
     ],
 )
 def test_config_rejects_out_of_range(fields, message, tmp_path, capsys):

@@ -1,3 +1,5 @@
+from operator import itemgetter
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from liphom import (
     validate,
 )
 from liphom import _kernels
-from liphom.graphs import distances_from
+from liphom.graphs import distances_from, neighbour_table
 from liphom.samplers import _draw_words, _value_dtype
 
 from .conftest import (
@@ -238,17 +240,63 @@ def refuse(*args):
 
 
 @pytest.mark.parametrize(
-    "g, mode, M", [(REGULAR, "lipschitz", 1), (REGULAR, "lipschitz", 3), (BIPARTITE, "hom", 1)]
+    "g, mode, M",
+    [
+        (REGULAR, "lipschitz", 1),
+        (REGULAR, "lipschitz", 3),
+        (BIPARTITE, "hom", 1),
+        # graphs the rule admits whose blocks often need more than 8 passes
+        (gen_tree(3, 6), "lipschitz", 1),
+        (gen_random_regular(300, 8, 1), "lipschitz", 3),
+    ],
 )
 def test_block_solver_runs_every_block_of_a_large_graph(monkeypatch, g, mode, M):
     monkeypatch.setattr(_kernels, "_run_steps", refuse)
     check_glauber_run(g, mode, M, 40 * C, 9, 3 * C + 1, 200)
 
 
-@pytest.mark.parametrize("g, mode, M", [(k4(), "lipschitz", 1), (q3(), "hom", 1)])
+@pytest.mark.parametrize(
+    "g, mode, M",
+    [
+        (k4(), "lipschitz", 1),
+        (q3(), "hom", 1),
+        (STAR, "lipschitz", 2),
+        (gen_tree(3, 6, glued=True), "hom", 1),
+    ],
+)
 def test_small_graphs_run_step_by_step(monkeypatch, g, mode, M):
     monkeypatch.setattr(_kernels, "_solve_block", refuse)
+    lists = []
+    run_steps = _kernels._run_steps
+
+    def spy(heights, *args):
+        lists.append(heights)
+        return run_steps(heights, *args)
+
+    monkeypatch.setattr(_kernels, "_run_steps", spy)
     check_glauber_run(g, mode, M, 3 * C + 7, 3, 100, 500)
+    # one height list serves the whole run
+    assert len(lists) == 4 and all(h is lists[0] for h in lists)
+
+
+@pytest.mark.parametrize("M", [1, 3])
+def test_block_solver_finishes_a_block_that_is_one_chain(M):
+    # on K4 with a pinned root, nearly every step reads the step before it,
+    # so the dependency chain spans the block (21 and 95 passes here)
+    g = k4()
+    free = np.array([1, 2, 3])
+    rnd_v, rnd_x = philox_words(5, 0, C)
+    vertices = free[rnd_v % 3]
+    value_words = rnd_x.view(np.int64)
+    start = np.array([0, 1, 1, 0], dtype=np.int64)
+    first = np.full(g.n, _kernels._NO_STEP, dtype=np.int64)
+    nxt = _kernels._next_steps(vertices)
+    table = neighbour_table(g)
+    writes = _kernels._solve_block(start, vertices, value_words, nxt, table, first, M, False)
+    gather = [itemgetter(*a) for a in g.adj]
+    want = _kernels._run_steps(start.tolist(), gather, vertices.tolist(), value_words.tolist(), M, False)
+    assert np.array_equal(writes, want)
+    assert (first == _kernels._NO_STEP).all()
 
 
 @pytest.mark.filterwarnings("error")

@@ -299,8 +299,10 @@ def _run_deviation(cfg: ExperimentConfig) -> ExperimentResult:
     d = g.degree
     lam = expansion.resolve_lambda(g, mode, cfg.lambda_source, cfg.lambda_value)
     n_norm = g.n // 2 if mode == "hom" else g.n
-    preds = expansion.goodness(d, lam, cfg.M if mode == "lipschitz" else None)
-    hyp_ok = preds[f"M-good({cfg.M})"] if mode == "lipschitz" else preds["good-bi"]
+    # only the mode's own predicate: good-bi belongs to the class-pair lambda
+    key = f"M-good({cfg.M})" if mode == "lipschitz" else "good-bi"
+    hyp_ok = expansion.goodness(d, lam, cfg.M if mode == "lipschitz" else None)[key]
+    preds = {key: hyp_ok}
 
     result = ExperimentResult(config=cfg)
     rows = _rows(g, cfg)

@@ -5,12 +5,13 @@ enumeration and phase machinery: they are plain assignment searches over
 explicit value ranges and by-definition phase scans of one function at a
 time, used as ground truth.  The exhaustive-lambda oracle scores every set
 pair (S, T), not only the extreme T of each S; the spectral-lambda oracle
-is the power iteration with one reduceat product per vertex; and the
-expansion-property oracle walks every subset, and every (A, B) pair, as
-frozensets.  The heat-bath rule ``allowed_values`` lists one vertex's
-values for the Glauber tests.  The flattening-map oracles build each
-context, image and check one function and one image member at a time in
-Python; the verifier oracle shares only the family enumeration and the
+is a dense eigenvalue (singular value) routine, and the power iteration
+with one reduceat product per vertex is kept as the oracle of the old
+stopping rule; and the expansion-property oracle walks every subset, and
+every (A, B) pair, as frozensets.  The heat-bath rule ``allowed_values``
+lists one vertex's values for the Glauber tests.  The flattening-map
+oracles build each context, image and check one function and one image
+member at a time in Python; the verifier oracle shares only the family enumeration and the
 phases with the library, and its context record ``ReferenceContext``
 writes out |S|, |S^-|, alpha and the ratio bound from their definitions.
 The bipartite-generator oracle tests each drawn matching as a set of edge
@@ -33,7 +34,7 @@ import numpy as np
 import pytest
 
 from liphom import build_graph
-from liphom.expansion import SPECTRAL_MAX_ITER, SPECTRAL_TOL, CheckResult
+from liphom.expansion import SPECTRAL_TOL, CheckResult
 from liphom.graphs import Graph, GraphError, ball, check_vertex, distances_from
 from liphom.heights import PhaseError, phases_hom, phases_lipschitz, validate
 from liphom.samplers import enumerate_functions
@@ -464,11 +465,30 @@ def reference_exhaustive_lambda(g, mode):
     return best
 
 
+def dense_spectral_lambda(g, mode="general"):
+    """The mixing-lemma lambda from the dense matrix: the largest |eigenvalue|
+    of A - (d/n)J (general), or the top singular value of B - (d/|V0|)J for
+    the biadjacency B between the sorted colour classes (bipartite)."""
+    a = np.zeros((g.n, g.n))
+    for v, nbrs in enumerate(g.adj):
+        for w in nbrs:
+            a[v, w] += 1
+    if mode == "general":
+        return float(np.abs(np.linalg.eigvalsh(a - g.degree / g.n)).max())
+    v0, v1 = (sorted(part) for part in g.bipartition)
+    b = a[np.ix_(v0, v1)] - g.degree / len(v0)
+    return float(np.linalg.svd(b, compute_uv=False)[0])
+
+
+REFERENCE_SPECTRAL_MAX_ITER = 100_000
+
+
 def reference_spectral_lambda(g, mode="general", tol=SPECTRAL_TOL):
     """spectral_lambda as it was written before the (d, n) neighbour table:
     a CSR gather with np.add.reduceat per vertex, and in bipartite mode two
-    full-n products on zero-padded vectors.  The tests compare its float
-    bits with the library's."""
+    full-n products on zero-padded vectors, stopped when the Rayleigh
+    quotient changes by at most tol (relative).  It is the oracle of that
+    old stopping rule, which a test shows is not a bound."""
     d = g.degree
     indptr = np.cumsum([0, *map(len, g.adj)])
     indices = np.fromiter((w for nbrs in g.adj for w in nbrs), dtype=np.int64, count=indptr[-1])
@@ -505,7 +525,7 @@ def reference_spectral_lambda(g, mode="general", tol=SPECTRAL_TOL):
         return 0.0
     x /= nrm
     est = 0.0
-    for it in range(SPECTRAL_MAX_ITER):
+    for it in range(REFERENCE_SPECTRAL_MAX_ITER):
         y = deflate(op(x))
         nrm = np.linalg.norm(y)
         if nrm <= 1e-14 * (d * d):

@@ -122,6 +122,17 @@ def test_hom_exact_zero_tail():
         assert row["estimate"] <= row["bound"]
 
 
+@pytest.mark.parametrize(
+    "mode, predicates", [("lipschitz", {"M-good(1)": False}), ("hom", {"good-bi": True})]
+)
+def test_deviation_scores_only_its_mode_predicate(mode, predicates):
+    # K_{6,6} has class-pair lambda 0, so good-bi holds there, but a
+    # lipschitz run's lambda is the general one: good-bi is not scored at it
+    res = run_experiment(hom_cfg(kind="deviation", m=6, mode=mode, M=1, targets="1", t_max=1))
+    assert res.summary["predicates"] == predicates
+    assert res.summary["hypotheses_met"] is next(iter(predicates.values()))
+
+
 def test_hom_exact_reports_its_own_config(tmp_path):
     # the run reads the config it was given, not a kind = deviation copy
     cfg = hom_cfg()

@@ -101,9 +101,10 @@ def _next_steps(vertices):
     """For each step of a block, the next step on the same vertex, or the
     block length if there is none."""
     size = len(vertices)
-    # steps grouped by vertex, in step order within a group
-    order = np.argsort(vertices, kind="stable")
-    by_vertex = vertices[order]
+    # steps grouped by vertex, in step order within a group: one sort of the
+    # distinct keys vertex * size + step
+    keys = np.sort(vertices * size + np.arange(size))
+    by_vertex, order = np.divmod(keys, size)
     repeat = by_vertex[1:] == by_vertex[:-1]
     nxt = np.full(size, size)
     nxt[order[:-1][repeat]] = order[1:][repeat]

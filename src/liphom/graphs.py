@@ -8,7 +8,10 @@ they preserve the glue vertex's degree).
 
 from __future__ import annotations
 
+import io
 import itertools
+import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,7 @@ __all__ = [
     "check_vertex",
     "require_regular",
     "neighbour_table",
+    "edge_array",
     "distances_from",
     "ball",
     "read_graph",
@@ -35,6 +39,7 @@ __all__ = [
 
 REGULAR_MAX_RESTARTS = 10_000  # whole-pairing restarts before gen_random_regular gives up
 BIPARTITE_MAX_RESTARTS = 100_000  # matching re-draws before gen_random_bipartite_regular gives up
+MAX_VERTICES = 2**31 - 1  # directed-edge keys u * n + w fit in int64
 
 
 class GraphError(ValueError):
@@ -61,13 +66,8 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list with u < v, sorted; parallel edges appear repeatedly."""
-        out = []
-        for u in range(self.n):
-            for w in self.adj[u]:
-                if u < w:
-                    out.append((u, w))
-        out.sort()
-        return out
+        u, w = edge_array(self).T
+        return list(zip(u.tolist(), w.tolist()))
 
     @property
     def n_edges(self) -> int:
@@ -82,14 +82,80 @@ def build_graph(
 ) -> Graph:
     """Validate an edge list and assemble a Graph.
 
-    Rejects self-loops and duplicate edges, and a ``bipartition`` that some
-    edge does not cross.  A uniform positive degree is recorded
-    automatically (an edgeless graph has none, so no regular-graph check
-    admits it).
+    ``edges`` is an (m, 2) integer array or any iterable of (u, v) pairs; it
+    is converted to one int64 array and checked on it.  Rejects a vertex
+    count outside 0..MAX_VERTICES and, naming the first bad edge in input
+    order, a pair that is not two integer ids in 0..n-1, a self-loop and an
+    edge given twice (in either orientation); then a ``bipartition`` that
+    some edge does not cross (the least such edge (u, w), u < w).  A uniform
+    positive degree is recorded automatically (an edgeless graph has none,
+    so no regular-graph check admits it).
     """
-    adj = [[] for _ in range(n)]
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphError(f"vertex count n={n} must be between 0 and {MAX_VERTICES}")
+    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+    e = _int_pairs(pairs)
+    # the scan raises at the first bad pair; it returns only when numpy could
+    # not hold good pairs as integers (bools, int64 mixed with uint64)
+    if e is None or (len(e) and (e.min() < 0 or e.max() >= n or (e[:, 0] == e[:, 1]).any())):
+        e = _int_pairs(_checked_pairs(n, pairs))
+    # one sort of the directed edges u * n + w gives every adjacency list
+    # in order, and puts an edge given twice next to its copy
+    keys = np.sort(np.concatenate((e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0])))
+    if (keys[1:] == keys[:-1]).any():
+        _checked_pairs(n, pairs)
+    src = keys // max(n, 1)
+    dst = keys - src * n
+    deg = np.bincount(src, minlength=n)
+    degree = int(deg[0]) if n and deg[0] and (deg == deg[0]).all() else None
+
+    part = None
+    if bipartition is not None:
+        part = (frozenset(bipartition[0]), frozenset(bipartition[1]))
+        side = np.fromiter((u in part[0] for u in range(n)), dtype=bool, count=n)
+        same = side[src] == side[dst]
+        if same.any():
+            i = same.argmax()
+            raise GraphError(f"edge ({src[i]},{dst[i]}) does not cross the bipartition")
+
+    nbr = dst.tolist()
+    ends = np.cumsum(deg).tolist()
+    adj_t = tuple([tuple(nbr[a:b]) for a, b in zip([0] + ends, ends)])
+    return Graph(
+        n=n,
+        adj=adj_t,
+        degree=degree,
+        bipartition=part,
+    )
+
+
+def _int_pairs(pairs) -> np.ndarray | None:
+    """pairs as an (m, 2) int64 array, or None unless numpy reads them as
+    integer pairs.  A uint64 id at or past 2**63 wraps to a negative one,
+    which the range check then rejects."""
+    try:
+        arr = np.asarray(pairs)
+    except ValueError:  # pairs of different lengths
+        return None
+    if arr.ndim and not len(arr):
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        return None
+    return arr.astype(np.int64, copy=False)
+
+
+def _checked_pairs(n: int, pairs) -> list[tuple[int, int]]:
+    """The pairs as ints, checked one at a time in input order: raise
+    GraphError at the first one that is not two integer ids in 0..n-1, is a
+    self-loop or repeats an earlier edge."""
+    out = []
     seen = set()
-    for u, v in edges:
+    for pair in pairs:
+        try:
+            u, v = pair
+            u, v = operator.index(u), operator.index(v)
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {pair!r} is not a pair of integer vertex ids") from None
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
@@ -98,26 +164,18 @@ def build_graph(
         if key in seen:
             raise GraphError(f"duplicate edge {key}")
         seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-    adj_t = tuple(tuple(sorted(a)) for a in adj)
-    degrees = {len(a) for a in adj_t}
-    degree = degrees.pop() if len(degrees) == 1 and 0 not in degrees else None
+        out.append((u, v))
+    return out
 
-    part = None
-    if bipartition is not None:
-        part = (frozenset(bipartition[0]), frozenset(bipartition[1]))
-        for u in range(n):
-            for w in adj_t[u]:
-                if (u in part[0]) == (w in part[0]):
-                    raise GraphError(f"edge ({u},{w}) does not cross the bipartition")
 
-    return Graph(
-        n=n,
-        adj=adj_t,
-        degree=degree,
-        bipartition=part,
-    )
+def edge_array(g: Graph) -> np.ndarray:
+    """g's edges as a C-contiguous int64 (m, 2) array of rows (u, w), u < w,
+    sorted; parallel edges appear repeatedly."""
+    deg = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n)
+    dst = np.fromiter(itertools.chain.from_iterable(g.adj), dtype=np.int64, count=int(deg.sum()))
+    src = np.repeat(np.arange(g.n), deg)
+    keys = np.sort((src * g.n + dst)[src < dst])
+    return np.column_stack(np.divmod(keys, max(g.n, 1)))
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:
@@ -175,7 +233,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
             edges.add((min(int(u), int(v)), max(int(u), int(v))))
         if stuck:
             continue
-        g = build_graph(n, sorted(edges))
+        g = build_graph(n, edges)
         if not _is_connected(g):
             continue
         return g
@@ -188,9 +246,9 @@ def gen_random_bipartite_regular(n: int, d: int, seed: int) -> Graph:
     Built as the union of d random perfect matchings, held as the rows of one
     (d, n) array of right-class partners: a drawn permutation that gives some
     left vertex a partner an earlier matching already gave it is re-drawn, at
-    the cost of one array comparison.  The edge list is built once, at the
-    end.  Raises GraphError for n < 1, d < 1 or d > n, and after
-    ``BIPARTITE_MAX_RESTARTS`` re-draws.  Deterministic per (n, d, seed).
+    the cost of one array comparison.  The partner array, paired with the
+    left ids, is build_graph's edge array.  Raises GraphError for n < 1,
+    d < 1 or d > n, and after ``BIPARTITE_MAX_RESTARTS`` re-draws.  Deterministic per (n, d, seed).
     """
     if n < 1:
         raise GraphError(f"class size n={n} must be at least 1")
@@ -209,9 +267,8 @@ def gen_random_bipartite_regular(n: int, d: int, seed: int) -> Graph:
                 raise GraphError("retry budget exhausted generating bipartite regular graph")
             perm = rng.permutation(n)
         partners[k] = perm
-    # left vertex i joins n + partners[k, i] for each k: sorted (u, v) pairs
-    right = np.sort(partners.T, axis=1) + n
-    edges = zip(np.repeat(np.arange(n), d).tolist(), right.ravel().tolist())
+    # left vertex i joins n + partners[k, i] for each k
+    edges = np.column_stack((np.tile(np.arange(n), d), partners.ravel() + n))
     return build_graph(2 * n, edges, bipartition=(range(n), range(n, 2 * n)))
 
 
@@ -350,10 +407,21 @@ def distances_from(g: Graph, v: int) -> list[int]:
 
 
 # ----------------------------------------------------------------------------
-# Text format: "n m" header, optional "bipartite n0 [v ...]" line, then
-# "u v" lines.  The bipartite line lists the n0 vertices of V0 unless V0 is
-# {0..n0-1}.
+# Text format.  Lines end in "\n" ("\r\n" is read as "\n"); fields are
+# separated by spaces and tabs.  A line that holds only spaces and tabs is
+# blank, one whose first other character is "#" is a comment, and both are
+# skipped wherever they stand.  The first other line is the header "n m",
+# then comes an optional "bipartite n0 [v ...]" line, which lists the n0
+# vertices of V0 unless V0 is {0..n0-1}, then exactly m edge lines "u v"
+# with u < v.  Every number is an ASCII decimal integer with an optional
+# sign, [+-]?[0-9]+ (Python's int() also takes "1_0" and "\u0663"; this
+# format does not).  Malformed text raises GraphError quoting the line.
 # ----------------------------------------------------------------------------
+
+_FIELD_SEP = re.compile(r"[ \t]+")
+_INT = re.compile(r"[+-]?[0-9]+")
+_COMMENT_LINE = re.compile(r"^[ \t]*#.*$", re.MULTILINE)
+_EDGE_BYTES = b"0123456789+- \t\n"  # every byte of well-formed edge lines
 
 
 def graph_to_text(g: Graph) -> str:
@@ -362,9 +430,8 @@ def graph_to_text(g: Graph) -> str:
         v0 = sorted(g.bipartition[0])
         listed = "" if v0 == list(range(len(v0))) else "".join(f" {v}" for v in v0)
         lines.append(f"bipartite {len(v0)}{listed}")
-    for u, v in g.edges():
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    edges = edge_array(g)
+    return "\n".join(lines) + "\n" + "%d %d\n" * len(edges) % tuple(edges.ravel().tolist())
 
 
 def read_graph(path) -> Graph:
@@ -374,35 +441,80 @@ def read_graph(path) -> Graph:
 
 
 def graph_from_text(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    """The graph a text in the format above describes."""
+    text = text.replace("\r\n", "\n")
+    lines = _data_lines(text, 0)
+    line, pos = next(lines, (None, 0))
+    if line is None:
         raise GraphError("empty graph file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise GraphError(f"bad header line: {lines[0]!r}")
-    n, m = int(header[0]), int(header[1])
-    idx = 1
+    header = _ints(_FIELD_SEP.split(line))
+    if header is None or len(header) != 2 or not 0 <= header[0] <= MAX_VERTICES or header[1] < 0:
+        raise GraphError(f"bad header line: {line!r}")
+    n, m = header
     part0 = None
-    if idx < len(lines) and lines[idx].startswith("bipartite"):
-        fields = [int(x) for x in lines[idx].split()[1:]]
-        if not fields or len(fields) not in (1, 1 + fields[0]):
-            raise GraphError(f"bad bipartite line: {lines[idx]!r}")
+    line, end = next(lines, (None, pos))
+    if line is not None and line.startswith("bipartite"):
+        fields = _ints(_FIELD_SEP.split(line)[1:])
+        if not fields or len(fields) not in (1, 1 + fields[0]) or not 0 <= fields[0] <= n:
+            raise GraphError(f"bad bipartite line: {line!r}")
         part0 = set(fields[1:]) if len(fields) > 1 else set(range(fields[0]))
         if len(part0) != fields[0] or not all(0 <= v < n for v in part0):
-            raise GraphError(f"bad bipartite line: {lines[idx]!r}")
-        idx += 1
-    edges = []
-    for ln in lines[idx:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if not u < v:
-            raise GraphError(f"edge line must have u < v: {ln!r}")
-        edges.append((u, v))
+            raise GraphError(f"bad bipartite line: {line!r}")
+        pos = end
+    edges = _edge_lines(text, pos)
     if len(edges) != m:
         raise GraphError(f"header declares {m} edges, file has {len(edges)}")
     if part0 is not None:
         return build_graph(n, edges, bipartition=(part0, set(range(n)) - part0))
     return build_graph(n, edges)
+
+
+def _data_lines(text: str, pos: int):
+    """(line, end) for each line of text from offset pos on that is neither
+    blank nor a comment: the line without its outer spaces, tabs and
+    newline, and the offset just past it."""
+    while pos < len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end + 1
+        line = text[pos:end].strip(" \t\n")
+        pos = end
+        if line and line[0] != "#":
+            yield line, end
+
+
+def _ints(fields: list[str]) -> list[int] | None:
+    """The fields as ints, or None if one is not [+-]?[0-9]+."""
+    if all(_INT.fullmatch(f) for f in fields):
+        return [int(f) for f in fields]
+    return None
+
+
+def _edge_lines(text: str, pos: int):
+    """The edge lines of text from offset pos on: an (m, 2) int64 array,
+    parsed by np.loadtxt in one pass.  When the body holds another
+    character, a line without two fields, a number past int64 or a pair
+    with u >= v, the lines are read one at a time instead: the first bad one
+    raises GraphError, and a body that has none (only numbers past int64)
+    comes back as a list of int pairs for build_graph to reject."""
+    body = text[pos:]
+    if "#" in body:
+        body = _COMMENT_LINE.sub("", body)
+    if not body.strip(" \t\n"):
+        return np.empty((0, 2), dtype=np.int64)
+    if body.isascii() and not body.encode().translate(None, _EDGE_BYTES):
+        try:
+            edges = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if edges.shape[1] == 2 and (edges[:, 0] < edges[:, 1]).all():
+                return edges
+    edges = []
+    for line, _ in _data_lines(text, pos):
+        pair = _ints(_FIELD_SEP.split(line))
+        if pair is None or len(pair) != 2:
+            raise GraphError(f"bad edge line: {line!r}")
+        if not pair[0] < pair[1]:
+            raise GraphError(f"edge line must have u < v: {line!r}")
+        edges.append(tuple(pair))
+    return edges

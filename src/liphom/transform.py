@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .expansion import CheckResult
-from .graphs import Graph, GraphError, ball, check_vertex, neighbour_table
+from .graphs import Graph, GraphError, ball, check_vertex, edge_array, neighbour_table
 from .heights import family_slope, phases_hom, phases_lipschitz, validate
 from .samplers import BLOCK_VALUES, enumerate_functions
 
@@ -519,7 +519,7 @@ def _check_images(g: Graph, ctxs: Contexts, omega, root: int, sizes, family, che
     family_keys = np.sort(_row_keys(family))
     limits = np.iinfo(family.dtype)
     outside: dict[bytes, int] = {}
-    edges = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
+    edges = edge_array(g)
     nbr = neighbour_table(g)
     if not lip:
         # the reconstruction's anchor: the lowest vertex of A adjacent to X

@@ -14,8 +14,10 @@ oracles build each context, image and check one function and one image
 member at a time in Python; the verifier oracle shares only the family enumeration and the
 phases with the library, and its context record ``ReferenceContext``
 writes out |S|, |S^-|, alpha and the ratio bound from their definitions.
-The bipartite-generator oracle tests each drawn matching as a set of edge
-tuples, and the tree oracle builds complete and glued trees from a
+The graph-building oracle checks and adds one edge at a time against a set
+of edge tuples, the text oracle parses one line at a time, and the edge-list
+oracle walks every adjacency list; the bipartite-generator oracle tests
+each drawn matching as a set of edge tuples, and the tree oracle builds complete and glued trees from a
 breadth-first queue of parent pointers.  The set-based graph helpers (e(S,
 T), N(A), the shells of A, components in the distance-<=2 graph and
 connected-set counting) live here: the library builds A and its shells as
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +39,7 @@ import pytest
 
 from liphom import build_graph
 from liphom.expansion import SPECTRAL_TOL, CheckResult
-from liphom.graphs import Graph, GraphError, ball, check_vertex, distances_from
+from liphom.graphs import MAX_VERTICES, Graph, GraphError, ball, check_vertex, distances_from
 from liphom.heights import PhaseError, phases_hom, phases_lipschitz, validate
 from liphom.samplers import enumerate_functions
 from liphom.transform import ContextError, VerifyReport
@@ -232,6 +236,107 @@ def allowed_values(g, values, v, mode, M=None):
     if lo > hi:
         raise ValueError("state is not M-Lipschitz around this vertex")
     return list(range(lo, hi + 1))
+
+
+def reference_build_graph(n: int, edges, *, bipartition: tuple | None = None) -> Graph:
+    """``build_graph`` one edge at a time, the way it was first written: each
+    pair is checked (integer ids, range, self-loop, repeat) and added to
+    Python adjacency lists, and the bipartition is checked by walking every
+    sorted list."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphError(f"vertex count n={n} must be between 0 and {MAX_VERTICES}")
+    adj = [[] for _ in range(n)]
+    seen = set()
+    for pair in edges:
+        try:
+            u, v = pair
+            u, v = operator.index(u), operator.index(v)
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {pair!r} is not a pair of integer vertex ids") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphError(f"duplicate edge {key}")
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    adj_t = tuple(tuple(sorted(a)) for a in adj)
+    degrees = {len(a) for a in adj_t}
+    degree = degrees.pop() if len(degrees) == 1 and 0 not in degrees else None
+    part = None
+    if bipartition is not None:
+        part = (frozenset(bipartition[0]), frozenset(bipartition[1]))
+        for u in range(n):
+            for w in adj_t[u]:
+                if (u in part[0]) == (w in part[0]):
+                    raise GraphError(f"edge ({u},{w}) does not cross the bipartition")
+    return Graph(n=n, adj=adj_t, degree=degree, bipartition=part)
+
+
+def reference_edges(g) -> list[tuple[int, int]]:
+    """``g.edges()`` by walking the adjacency lists."""
+    out = [(u, w) for u in range(g.n) for w in g.adj[u] if u < w]
+    out.sort()
+    return out
+
+
+def reference_graph_from_text(text: str) -> Graph:
+    """``graph_from_text`` one line at a time: split the text into lines,
+    drop blank and comment lines, then read the header, the optional
+    bipartite line and each edge line with one regular expression per
+    number, and build the graph with ``reference_build_graph``."""
+
+    def numbers(fields):
+        if all(re.fullmatch(r"[+-]?[0-9]+", f) for f in fields):
+            return [int(f) for f in fields]
+        return None
+
+    lines = [ln.strip(" \t") for ln in text.replace("\r\n", "\n").split("\n")]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise GraphError("empty graph file")
+    header = numbers(re.split(r"[ \t]+", lines[0]))
+    if header is None or len(header) != 2 or not 0 <= header[0] <= MAX_VERTICES or header[1] < 0:
+        raise GraphError(f"bad header line: {lines[0]!r}")
+    n, m = header
+    idx = 1
+    part0 = None
+    if idx < len(lines) and lines[idx].startswith("bipartite"):
+        fields = numbers(re.split(r"[ \t]+", lines[idx])[1:])
+        if not fields or len(fields) not in (1, 1 + fields[0]) or not 0 <= fields[0] <= n:
+            raise GraphError(f"bad bipartite line: {lines[idx]!r}")
+        part0 = set(fields[1:]) if len(fields) > 1 else set(range(fields[0]))
+        if len(part0) != fields[0] or not all(0 <= v < n for v in part0):
+            raise GraphError(f"bad bipartite line: {lines[idx]!r}")
+        idx += 1
+    edges = []
+    for ln in lines[idx:]:
+        parts = numbers(re.split(r"[ \t]+", ln))
+        if parts is None or len(parts) != 2:
+            raise GraphError(f"bad edge line: {ln!r}")
+        u, v = parts
+        if not u < v:
+            raise GraphError(f"edge line must have u < v: {ln!r}")
+        edges.append((u, v))
+    if len(edges) != m:
+        raise GraphError(f"header declares {m} edges, file has {len(edges)}")
+    if part0 is not None:
+        return reference_build_graph(n, edges, bipartition=(part0, set(range(n)) - part0))
+    return reference_build_graph(n, edges)
+
+
+def reference_next_steps(vertices):
+    """``_kernels._next_steps`` by a stable argsort of the vertices."""
+    size = len(vertices)
+    order = np.argsort(vertices, kind="stable")
+    by_vertex = vertices[order]
+    repeat = by_vertex[1:] == by_vertex[:-1]
+    nxt = np.full(size, size)
+    nxt[order[:-1][repeat]] = order[1:][repeat]
+    return nxt
 
 
 def reference_bipartite_regular(n: int, d: int, seed: int, max_restarts: int):

@@ -302,6 +302,13 @@ def test_experiment_seed_override(tmp_path, argv, seed):
         (["experiment", "{bad_cfg}", "--seed", "-1"], "--seed -1 must be at least 0"),
         (["experiment", "{seed_cfg}"], "config seed = -2 must be at least 0"),
         (["experiment", "{tree_seed_cfg}"], "config seed = -2 must be at least 0"),
+        (["certify", "{neg_n}"], "bad header line: '-1 0'"),
+        (["certify", "{bad_id}"], "bad edge line: '0 x'"),
+        (["certify", "{bad_m}"], "bad header line: '3 x'"),
+        (["certify", "{late_bipartite}"], "bad edge line: 'bipartite 2'"),
+        (["certify", "{underscore_id}"], "bad edge line: '0 1_0'"),
+        (["certify", "{arabic_id}"], "bad edge line: '0 ٣'"),
+        (["certify", "{huge_id}"], "edge (0,99999999999999999999) out of range for n=3"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, k33_file, tmp_path, capsys, argv, expect):
@@ -321,6 +328,13 @@ def test_rejected_input_exits_2(k4_file, k33_file, tmp_path, capsys, argv, expec
         "flat6": "0\n0\n0\n1\n1\n1\n",
         "seed_cfg": f"kind = deviation\ngraph_path = {k4_file}\nsampler = mcmc\nseed = -2\n",
         "tree_seed_cfg": "kind = tree\ngraph_type = tree\nd = 3\nh = 2\nseed = -2\n",
+        "neg_n": "-1 0\n",
+        "bad_id": "3 1\n0 x\n",
+        "bad_m": "3 x\n0 1\n",
+        "late_bipartite": "4 1\n0 1\nbipartite 2\n",
+        "underscore_id": "20 1\n0 1_0\n",
+        "arabic_id": "4 1\n0 \u0663\n",
+        "huge_id": "3 1\n0 99999999999999999999\n",
     }
     paths = {"{k4}": k4_file, "{k33}": k33_file, "{missing}": str(tmp_path / "missing.txt")}
     for name, text in files.items():

@@ -14,7 +14,13 @@ from liphom import (
     graph_to_text,
     graphs,
 )
-from liphom.graphs import distances_from, neighbour_table, tree_ball_size, tree_level_offsets
+from liphom.graphs import (
+    MAX_VERTICES,
+    distances_from,
+    neighbour_table,
+    tree_ball_size,
+    tree_level_offsets,
+)
 
 from .conftest import (
     boundary,
@@ -23,6 +29,9 @@ from .conftest import (
     count_connected_sets,
     k4,
     reference_bipartite_regular,
+    reference_build_graph,
+    reference_edges,
+    reference_graph_from_text,
     reference_tree,
     square_neighbors,
 )
@@ -331,3 +340,185 @@ def test_text_bipartite_header():
     from .conftest import k33
 
     assert graph_to_text(k33()).splitlines()[1] == "bipartite 3"
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the GraphError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+# ids that are not plain ints: floats (never truncated), ids past int64,
+# strings, None, numpy scalars (accepted) and bools (ints in Python)
+ODD_IDS = [1.5, 2.0, 2**63, 2**70, -(2**63) - 1, "1", None, np.int64(2), np.uint64(3), True]
+
+
+@st.composite
+def edge_inputs(draw):
+    """(n, pairs, bipartition): mostly valid simple graphs, a third of them
+    across a bipartition, with at most one corrupted pair."""
+    n = draw(st.integers(-2, 9))
+    part0 = draw(st.sets(st.integers(-1, 9))) if draw(st.integers(0, 2)) == 0 else None
+    pairs = [
+        (u, v) if draw(st.booleans()) else (v, u)
+        for u in range(max(n, 0))
+        for v in range(u + 1, max(n, 0))
+        if draw(st.booleans()) and (part0 is None or (u in part0) != (v in part0))
+    ]
+    pairs = draw(st.permutations(pairs))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(pairs)))
+        u, v = pairs[i] if i < len(pairs) else (0, 1)
+        bad = draw(
+            st.sampled_from(
+                [(u, n), (-1, v), (u, u), (v, u), (u, v), (u, n + 2**40), (u,), (u, v, 0), "uv"]
+                + [(u, x) for x in ODD_IDS]
+            )
+        )
+        pairs.insert(draw(st.integers(0, len(pairs))), bad)
+    bipartition = None if part0 is None else (part0, set(range(max(n, 0))) - part0)
+    return n, pairs, bipartition
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_inputs(), st.sampled_from(["list", "iterator", "array"]))
+def test_build_graph_matches_reference(case, form):
+    n, pairs, bipartition = case
+    edges = pairs
+    if form == "array":
+        try:
+            edges = np.array(pairs)
+        except ValueError:  # pairs of different lengths
+            pass
+    want = outcome(reference_build_graph, n, edges, bipartition=bipartition)
+    if form == "iterator":
+        edges = iter(pairs)
+    assert outcome(build_graph, n, edges, bipartition=bipartition) == want
+
+
+# numbers and fields the grammar rejects or reads in only one way
+BAD_TOKENS = ["x", "1_0", "٣", "1.5", "99999999999999999999", "-1", "+2", "07", "#", "0x1", "", "9" * 19]
+
+
+@st.composite
+def graph_texts(draw):
+    """graph_to_text of a random graph, with up to three lines added,
+    dropped or changed and either line ending."""
+    lines = graph_to_text(draw(text_graphs())).split("\n")[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(" ")
+        op = draw(st.sampled_from(["blank", "comment", "token", "swap", "copy", "drop", "spaces", "tail"]))
+        if op == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " \t ", "\x0c"])))
+        elif op == "comment":
+            lines.insert(i, draw(st.sampled_from(["# note", "  #", "\t# 0 1"])))
+        elif op == "token":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+            lines[i] = " ".join(fields)
+        elif op == "swap":
+            lines[i] = " ".join(reversed(fields))
+        elif op == "copy":
+            lines.insert(i, lines[i])
+        elif op == "drop":
+            del lines[i]
+        elif op == "spaces":
+            lines[i] = "\t" + " \t ".join(fields) + "  "
+        else:
+            lines[i] += draw(st.sampled_from([" # c", " 5", " bipartite", "\r"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_texts())
+def test_graph_from_text_matches_reference(text):
+    assert outcome(graph_from_text, text) == outcome(reference_graph_from_text, text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 1\n0 x\n", "bad edge line: '0 x'"),
+        ("3 x\n0 1\n", "bad header line: '3 x'"),
+        ("4 1\n0 1\nbipartite 2\n", "bad edge line: 'bipartite 2'"),
+        ("20 1\n0 1_0\n", "bad edge line: '0 1_0'"),
+        ("4 1\n0 ٣\n", "bad edge line: '0 ٣'"),
+        ("1_0 0\n", "bad header line: '1_0 0'"),
+        ("3 1\n0 99999999999999999999\n", "edge (0,99999999999999999999) out of range for n=3"),
+        ("99999999999999999999 0\n", "bad header line: '99999999999999999999 0'"),
+        ("4 1\nbipartite 99999999999999999999\n0 1\n", "bad bipartite line"),
+        ("-1 0\n", "bad header line: '-1 0'"),
+        ("3 -1\n", "bad header line: '3 -1'"),
+        ("3 1\n0 1 # c\n", "bad edge line: '0 1 # c'"),
+        ("3 1\n0 1.5\n", "bad edge line: '0 1.5'"),
+        ("3 2\n0 1\n0 2\n2 1\n", "edge line must have u < v: '2 1'"),
+        ("3 2\n0 1\n0 1\n", "duplicate edge (0, 1)"),
+        ("3 2\n0 1\n", "header declares 2 edges, file has 1"),
+        ("# only a comment\n\n", "empty graph file"),
+    ],
+)
+def test_malformed_text_names_the_line(text, message):
+    with pytest.raises(GraphError) as exc:
+        graph_from_text(text)
+    assert message in str(exc.value)
+    assert outcome(reference_graph_from_text, text) == (GraphError, str(exc.value))
+
+
+def test_text_grammar_accepts_blank_comment_and_crlf_lines():
+    text = "# made by hand\n\n 4 2 \r\n\t# V0 = {0, 2}\nbipartite 2 0 2\n+0\t1\n\n 2  3\r\n# end\n"
+    assert graph_from_text(text) == build_graph(4, [(0, 1), (2, 3)], bipartition=({0, 2}, {1, 3}))
+
+
+@pytest.mark.parametrize("n", [-1, -5, MAX_VERTICES + 1])
+def test_build_rejects_vertex_count_at_entry(n):
+    with pytest.raises(GraphError, match=f"vertex count n={n} must be between 0 and {MAX_VERTICES}"):
+        build_graph(n, [])
+
+
+@pytest.mark.parametrize("pair", [(0, 1.5), (1.5, 0), (0, 1.0), (np.float64(0), 1), (0, "1"), (0, None)])
+def test_build_rejects_non_integer_ids(pair):
+    # numpy would truncate 1.5 to 1; the pair must be rejected instead
+    with pytest.raises(GraphError, match="is not a pair of integer vertex ids"):
+        build_graph(3, [(1, 2), pair])
+    with pytest.raises(GraphError, match="is not a pair of integer vertex ids"):
+        build_graph(3, np.array([(1, 2), pair], dtype=object))
+
+
+def test_build_accepts_integer_arrays_of_any_width():
+    pairs = [(0, 1), (1, 2), (2, 0)]
+    want = build_graph(3, pairs)
+    assert want.degree == 2
+    for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+        assert build_graph(3, np.array(pairs, dtype=dtype)) == want
+    assert build_graph(3, [(np.int64(u), np.uint64(v)) for u, v in pairs]) == want
+    with pytest.raises(GraphError, match="out of range"):
+        build_graph(3, np.array([(0, 2**63)], dtype=np.uint64))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        gen_random_regular(64, 8, 1),
+        gen_random_bipartite_regular(40, 5, 2),
+        gen_tree(3, 4),
+        gen_tree(4, 3, glued=True),  # parallel edges at the glue vertex
+        build_graph(0, []),
+        build_graph(5, [(4, 0)]),
+    ],
+    ids=["regular", "bipartite", "tree", "glued-tree", "empty", "one-edge"],
+)
+def test_edges_and_text_match_the_adjacency_walk(g):
+    edges = reference_edges(g)
+    assert g.edges() == edges
+    assert all(type(u) is int and type(w) is int for u, w in g.edges())
+    body = "".join(f"{u} {w}\n" for u, w in edges)
+    assert graph_to_text(g).endswith("\n" + body if body else "\n")
+    if g.glue is None:
+        assert reference_build_graph(g.n, edges, bipartition=g.bipartition) == build_graph(
+            g.n, edges, bipartition=g.bipartition
+        )

@@ -28,6 +28,7 @@ from .conftest import (
     k33,
     k4,
     q3,
+    reference_next_steps,
 )
 
 
@@ -277,6 +278,17 @@ def test_small_graphs_run_step_by_step(monkeypatch, g, mode, M):
     check_glauber_run(g, mode, M, 3 * C + 7, 3, 100, 500)
     # one height list serves the whole run
     assert len(lists) == 4 and all(h is lists[0] for h in lists)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [np.random.default_rng(s).integers(0, n, size) for s, n, size in [(0, 4096, C), (1, 64, C), (2, 7, 33), (3, 2, 5)]]
+    + [np.full(C, 5), np.arange(C)[::-1].copy(), np.array([3]), np.zeros(0, dtype=np.int64)],
+    ids=["n4096", "n64", "n7", "n2", "one-vertex", "no-repeats", "one-step", "empty"],
+)
+def test_next_steps_matches_argsort(vertices):
+    vertices = vertices.astype(np.int64)
+    assert np.array_equal(_kernels._next_steps(vertices), reference_next_steps(vertices))
 
 
 @pytest.mark.parametrize("M", [1, 3])

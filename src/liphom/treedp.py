@@ -5,6 +5,11 @@ Counts depend only on depth, so the bottom-up pass keeps one value table per
 level, and the top-down pass (computed once, on the first marginal or tail
 query) keeps one outside table per level.  Tables hold exact Python
 integers; log values are logs of these exact numbers.
+
+A vertex takes exactly one value, so the products outside[x] * counts[x] at
+one depth sum to the total: a tail's numerator is the total less the terms
+with |x| <= threshold.  Every probability is reduced against the total by
+one gcd, and all those with the same gcd share one reduced denominator.
 """
 
 from __future__ import annotations
@@ -22,6 +27,14 @@ from .heights import family_slope
 
 __all__ = ["TreeDP", "tree_dp", "tree_sample"]
 
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        """num / den for coprime num and den > 0, without a second gcd."""
+        return Fraction(num, den, _normalize=False)
+
 
 @dataclass(frozen=True)
 class TreeDP:
@@ -37,10 +50,12 @@ class TreeDP:
     mode: str
     M: int | None
     counts: tuple[dict[int, int], ...]
-    # exact tails by (depth, threshold); each is reduced once
+    # exact tails by (depth, threshold)
     _tails: dict[tuple[int, int], Fraction] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # total // g by g = gcd(numerator, total): one object per distinct g
+    _dens: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def total(self) -> int:
@@ -80,11 +95,18 @@ class TreeDP:
         if not (0 <= depth <= self.h):
             raise GraphError("depth out of range")
 
+    def _probability(self, num: int) -> Fraction:
+        """num / total, reduced; the only place a count meets the total."""
+        g = math.gcd(num, self.total)
+        den = self._dens.get(g)
+        if den is None:
+            den = self._dens[g] = self.total // g
+        return _coprime_fraction(num // g, den)
+
     def marginal(self, depth: int, x: int) -> Fraction:
         """Exact P(f(v) = x) for any vertex v at the given depth."""
         self._check_depth(depth)
-        num = self._outside[depth].get(x, 0) * self.counts[depth].get(x, 0)
-        return Fraction(num, self.total)
+        return self._probability(self._outside[depth].get(x, 0) * self.counts[depth].get(x, 0))
 
     def tail_probability(self, depth: int, threshold: int) -> Fraction:
         """Exact P(|f(v)| > threshold) at the given depth."""
@@ -92,13 +114,13 @@ class TreeDP:
         p = self._tails.get(key)
         if p is None:
             self._check_depth(depth)
+            # the complement of the tail: at most 2 * threshold + 1 products
+            # (every key of _outside[depth] is a key of counts[depth])
             table = self.counts[depth]
-            num = sum(
-                gx * table.get(x, 0)
-                for x, gx in self._outside[depth].items()
-                if abs(x) > threshold
+            inside = sum(
+                gx * table[x] for x, gx in self._outside[depth].items() if abs(x) <= threshold
             )
-            p = self._tails[key] = Fraction(num, self.total)
+            p = self._tails[key] = self._probability(self.total - inside)
         return p
 
     def log_tail_probability(self, depth: int, threshold: int) -> float:

@@ -1,5 +1,7 @@
+import decimal
 import hashlib
 import math
+import random
 import re
 import sys
 from decimal import Decimal
@@ -211,7 +213,9 @@ def test_tree_kind_bound_holds_on_every_bound_row(d, M, heights):
 
 
 def test_tree_kind_past_int_str_digit_limit(tmp_path):
-    # at h=13 the exact tails have more digits than str(int) accepts
+    # at h=13 the exact tails have more digits than str(int) accepts; the
+    # report converts them without changing the decimal context or the limit
+    before = (decimal.getcontext(), repr(decimal.getcontext()), sys.get_int_max_str_digits())
     d, h = 3, 13
     starts = tree_level_offsets(d, h)[:-1]
     cfg = tmp_path / "tree.cfg"
@@ -221,6 +225,8 @@ def test_tree_kind_past_int_str_digit_limit(tmp_path):
     )
     out = tmp_path / "tree.csv"
     assert main(["experiment", str(cfg), "--out", str(out)]) == 0
+    after = (decimal.getcontext(), repr(decimal.getcontext()), sys.get_int_max_str_digits())
+    assert after[0] is before[0] and after[1:] == before[1:]
     lines = out.read_text().splitlines()
     cols = lines[0].split(",")
     dp = tree_dp(d, h, "lipschitz", 1)
@@ -235,6 +241,24 @@ def test_tree_kind_past_int_str_digit_limit(tmp_path):
         q = Fraction(int(Decimal(num)), int(Decimal(den)))
         assert q == dp.tail_probability(depth, int(row["t"]) - 1)
     assert longest > sys.get_int_max_str_digits() > 0
+
+
+def test_exact_digits_match_one_decimal_conversion():
+    # oracle: the former conversion, one Decimal(int) of the whole integer
+    cut = experiments._DIRECT_BITS
+    k10 = math.ceil(cut / math.log2(10))  # the least k with 10^k past the cutoff
+    assert (10 ** (k10 - 1)).bit_length() <= cut < (10**k10).bit_length()
+    powers = [2**k for k in (1, 2, cut - 1, cut, cut + 1, 2 * cut, 2 * cut + 1, 5 * cut + 3)]
+    powers += [10**k for k in (1, k10 - 1, k10, k10 + 1, cut, 3 * cut)]
+    cases = [0, 1] + [p + e for p in powers for e in (-1, 0)]
+    rng = random.Random(0)
+    cases += [rng.getrandbits(b) for b in (300_000, *(rng.randrange(1, 300_001) for _ in range(8)))]
+    digits = experiments._ExactDigits()
+    for n in cases:
+        want = format(decimal.Decimal(n), "f")
+        assert digits(n) == want, n.bit_length()
+        assert digits(n, keep=True) == want
+        assert digits(n) == want  # from the kept digits when n is past the cutoff
 
 
 def test_tree_kind_ignores_repeated_targets():

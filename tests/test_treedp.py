@@ -92,22 +92,31 @@ def _outside_per_depth(dp, depth):
     return g
 
 
-@pytest.mark.parametrize("d", (3, 4))
+@pytest.mark.parametrize("d", (3, 4, 5))
 @pytest.mark.parametrize("mode, M", (("lipschitz", 1), ("lipschitz", 2), ("hom", None)))
 def test_cached_pass_matches_per_depth_recomputation(d, mode, M):
+    # oracle: per-depth outside tables, each tail the sum over |x| > thr
+    # (a negative thr takes every value), reduced by Fraction
     for h in range(1, 7):
         dp = tree_dp(d, h, mode, M)
         span = (M or 1) * h
+        dens = {}  # the first denominator seen, by gcd(numerator, total)
+
+        def check(p, num):
+            q = Fraction(num, dp.total)
+            assert (p.numerator, p.denominator) == (q.numerator, q.denominator)
+            assert p.denominator is dens.setdefault(math.gcd(num, dp.total), p.denominator)
+            return q
+
         for depth in range(h + 1):
             g = _outside_per_depth(dp, depth)
             table = dp.counts[depth]
             for x in range(-span - 1, span + 2):
-                num = g.get(x, 0) * table.get(x, 0)
-                assert dp.marginal(depth, x) == Fraction(num, dp.total)
-            for thr in range(span + 1):
+                check(dp.marginal(depth, x), g.get(x, 0) * table.get(x, 0))
+            assert sum(dp.marginal(depth, x) for x in range(-span - 1, span + 2)) == 1
+            for thr in range(-1, span + 1):
                 num = sum(g.get(x, 0) * c for x, c in table.items() if abs(x) > thr)
-                q = Fraction(num, dp.total)
-                assert dp.tail_probability(depth, thr) == q
+                q = check(dp.tail_probability(depth, thr), num)
                 assert dp.tail_probability(depth, thr) is dp.tail_probability(depth, thr)
                 log_q = math.log(q.numerator) - math.log(q.denominator) if q else -math.inf
                 assert dp.log_tail_probability(depth, thr) == log_q

@@ -2,7 +2,7 @@
 
 It consumes pre-drawn random words, so a chain's samples depend only on its
 seed and chain id.  Steps are solved a block at a time by vectorized
-fixed-point passes, except on a graph where that is expected to be slower
+fixed-point passes, except on a small graph or one with a very uneven degree
 (see ``glauber_run``), which is run step by step in plain Python.  Both give
 the sequential chain's states, bit for bit.
 """
@@ -24,13 +24,10 @@ NUMBA_ENABLED = False
 # 1024; in hom mode, with rare records, 0.41 against 0.51 and 0.37.
 CHUNK_STEPS = 512
 
-# expected in-block dependencies per step past which a graph is run step by
-# step.  Run to convergence, blocks on random 8-regular graphs took 3.2
-# passes on average (at most 5) at n = 4096 and M = 1, 4.0 (6) at M = 3, 4.3
-# (9) at n = 512.  At 8 per step (8-regular n = 256, 4-regular n = 128: 9.6
-# and 10.7 passes) blocks took 0.67-0.70 us per step against 0.72-0.97 step
-# by step; at 16 (4-regular n = 64), 0.96 against 0.71.
-DEPS_CAP = 8
+# vertex count from which blocks go to the block solver (BENCH_27.json, 2-vCPU
+# x86 host: from 128 vertices blocks won 86 of 93 cases, losing only at n = 128
+# with M = 3, by 10-17 %; below 64 vertices the step loop won 43 of 44)
+MIN_BLOCK_N = 128
 
 _NO_STEP = np.iinfo(np.int64).max  # a vertex with no step in the block
 
@@ -49,21 +46,18 @@ def glauber_run(g, values, free, M, hom, words, thin, burnin, out):
     reachable height.  Returns the number of recorded samples.
 
     Each chunk of words is one block of steps, whose writes ``_solve_block``
-    finds by vectorized passes.  A graph on which a step is expected to read
-    more than ``DEPS_CAP`` in-block writes, or whose ``graphs.neighbour_table``
-    would more than double the adjacency by padding every vertex to the
-    largest degree (a star, a glued tree), is run step by step instead, on
-    one height list kept for the whole run and one ``itemgetter`` per vertex.
+    finds by vectorized passes.  A graph with fewer than ``MIN_BLOCK_N``
+    vertices, or whose ``graphs.neighbour_table`` would more than triple the
+    adjacency by padding every vertex to the largest degree (a star, a glued
+    tree), is run step by step instead, on one height list kept for the whole
+    run and one ``itemgetter`` per vertex.
     The recorded states and the final state are then built from the block
     start and the writes in step order.
     """
     adj = g.adj
     n = len(adj)
     deg = list(map(len, adj))
-    # a step's expected in-block dependencies are CHUNK_STEPS * mean degree / 2n
-    n_slots = sum(deg)
-    width = max(deg)
-    blocks = CHUNK_STEPS * n_slots <= 2 * DEPS_CAP * n * n and width * n <= 2 * n_slots
+    blocks = n >= MIN_BLOCK_N and max(deg) * n <= 3 * sum(deg)
     if blocks:
         table = neighbour_table(g)
         first = np.full(n, _NO_STEP, dtype=np.int64)

@@ -179,9 +179,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.n_samples < 1:
+        raise ValueError(f"--n-samples must be at least 1, got {args.n_samples}")
     if args.sampler == "tree":
-        if args.n_samples < 0:
-            raise ValueError(f"--n-samples must be non-negative, got {args.n_samples}")
         dp = tree_dp(args.d, args.h, mode=args.mode, M=args.M)
         header = (
             f"# sample sampler=tree d={args.d} h={args.h} mode={args.mode} "

@@ -176,7 +176,13 @@ def parse_config(text: str) -> ExperimentConfig:
         fld = ExperimentConfig.__dataclass_fields__.get(key)
         if fld is None:
             raise ValueError(f"unknown config key {key!r}")
-        data[key] = parsers[fld.type.removesuffix(" | None")](val)
+        if key in data:
+            raise ValueError(f"config key {key!r} is given twice")
+        type_name = fld.type.removesuffix(" | None")
+        try:
+            data[key] = parsers[type_name](val)
+        except ValueError:
+            raise ValueError(f"config {key} = {val!r} does not read as {type_name}") from None
     if "kind" not in data:
         raise ValueError("config must set 'kind'")
     return ExperimentConfig(**data)

@@ -309,6 +309,9 @@ def test_experiment_seed_override(tmp_path, argv, seed):
         (["certify", "{underscore_id}"], "bad edge line: '0 1_0'"),
         (["certify", "{arabic_id}"], "bad edge line: '0 ٣'"),
         (["certify", "{huge_id}"], "edge (0,99999999999999999999) out of range for n=3"),
+        # one --n-samples rule for both samplers, before the graph is read
+        (["sample", "--sampler", "mcmc", "--graph", "{missing}", "--n-samples", "0"], "--n-samples must be at least 1"),
+        (["sample", "--sampler", "tree", "--d", "3", "--h", "2", "--n-samples", "0"], "--n-samples must be at least 1"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, k33_file, tmp_path, capsys, argv, expect):

@@ -50,6 +50,10 @@ def test_parse_config_errors():
         parse_config("no equals sign here")
     with pytest.raises(ValueError):
         parse_config("graph_type = file")  # kind missing
+    with pytest.raises(ValueError, match="^config M = '1.5' does not read as int$"):
+        parse_config("kind = deviation\nM = 1.5\n")
+    with pytest.raises(ValueError, match="^config key 'seed' is given twice$"):
+        parse_config("kind = deviation\nseed = 1\nseed = 2\n")
 
 
 @pytest.mark.parametrize(

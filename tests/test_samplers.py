@@ -146,10 +146,13 @@ def philox_words(seed, chain, count):
 
 
 C = _kernels.CHUNK_STEPS
-# graphs that the block solver takes, and a star, which it does not
+# graphs that the block solver takes, K160 too, and two that it does not: a
+# star and the 64-cycle
 REGULAR = gen_random_regular(2048, 8, 0)
 BIPARTITE = gen_random_bipartite_regular(1024, 8, 0)
 STAR = build_graph(300, [(1, v) for v in range(300) if v != 1])  # the root 0 is a leaf
+K160 = build_graph(160, [(u, w) for u in range(160) for w in range(u + 1, 160)])
+CYCLE64 = build_graph(64, [(v, (v + 1) % 64) for v in range(64)], bipartition=(range(0, 64, 2), range(1, 64, 2)))
 
 
 @pytest.mark.parametrize("count", [1, 8 * C - 1, 8 * C, 8 * C + 1, 24 * C + 5])
@@ -212,6 +215,7 @@ def replay_glauber(g, values, free, M, hom, rnd_v, rnd_x, thin, burnin, n_out):
         (gen_tree(3, 6), "lipschitz", 1, 3 * C, 3, 100, 500),  # padded neighbor rows
         (gen_tree(3, 6, glued=True), "hom", 1, 2 * C, 3, 50, 200),  # parallel edges
         (STAR, "lipschitz", 2, 2 * C, 4, 10, 200),
+        (K160, "lipschitz", 2, 3 * C + 100, 7, C // 2 + 3, 200),  # dense: every step reads 159 neighbours
     ],
 )
 def test_glauber_run_rows_match_python_replay(g, mode, M, n_steps, thin, burnin, n_out):
@@ -249,6 +253,10 @@ def refuse(*args):
         # graphs the rule admits whose blocks often need more than 8 passes
         (gen_tree(3, 6), "lipschitz", 1),
         (gen_random_regular(300, 8, 1), "lipschitz", 3),
+        # dense or mid-size graphs of at least MIN_BLOCK_N vertices
+        (gen_random_regular(256, 16, 1), "lipschitz", 1),
+        (K160, "lipschitz", 3),
+        (gen_random_bipartite_regular(64, 8, 1), "hom", 1),
     ],
 )
 def test_block_solver_runs_every_block_of_a_large_graph(monkeypatch, g, mode, M):
@@ -263,6 +271,8 @@ def test_block_solver_runs_every_block_of_a_large_graph(monkeypatch, g, mode, M)
         (q3(), "hom", 1),
         (STAR, "lipschitz", 2),
         (gen_tree(3, 6, glued=True), "hom", 1),
+        (CYCLE64, "lipschitz", 1),
+        (CYCLE64, "hom", 1),
     ],
 )
 def test_small_graphs_run_step_by_step(monkeypatch, g, mode, M):

@@ -19,6 +19,7 @@ import numpy as np
 from . import expansion, transform
 from .experiments import emit_report, parse_config, result_to_text, run_experiment
 from .graphs import (
+    _INT,
     GraphError,
     check_vertex,
     gen_random_bipartite_regular,
@@ -209,13 +210,26 @@ def _cmd_sample(args) -> int:
 
 
 def _read_function(path: str) -> list[int]:
+    """One integer per line, [+-]?[0-9]+ as in the graph format; blank
+    lines and "#" comments are skipped."""
     vals = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if line:
+                if not _INT.fullmatch(line):
+                    raise ValueError(f"{path}: line {lineno} is not an integer: {line!r}")
                 vals.append(int(line))
     return vals
+
+
+def _read_vertices(text: str) -> list[int]:
+    """The vertex ids of a comma list (``--vertices``)."""
+    ids = [v.strip(" \t") for v in text.split(",")] if text else []
+    for v in ids:
+        if not _INT.fullmatch(v):
+            raise ValueError(f"--vertices {text!r}: {v!r} is not a vertex id")
+    return [int(v) for v in ids]
 
 
 def _cmd_phase(args) -> int:
@@ -224,7 +238,7 @@ def _cmd_phase(args) -> int:
     problems = validate(g, vals, args.v0, args.mode, args.M)
     if problems:
         raise ValueError(f"{args.function}: {problems[0]}")
-    vertices = [int(v) for v in args.vertices.split(",")] if args.vertices else []
+    vertices = _read_vertices(args.vertices)
     for v in vertices:
         check_vertex(g, v)
     lam = _lam(g, args)

@@ -25,6 +25,7 @@ __all__ = [
     "check_lambda",
     "resolve_lambda",
     "goodness",
+    "diameter_bound",
     "check_expansion_props",
     "certify",
 ]
@@ -278,6 +279,16 @@ def bi_threshold(d: int) -> float:
     return d / (300 * math.log(d))
 
 
+def diameter_bound(n: int, d: int, lam: float, mode: str = "general") -> float | None:
+    """The diameter corollary's bound on a d-regular graph: log n /
+    log(d / 2 lambda) for 0 < lambda < d/2, or in "bipartite" mode, with n
+    a class size, that plus 1 for 0 < lambda <= d/8; None where the
+    corollary does not apply."""
+    if not (lam > 0 and (lam < d / 2 if mode == "general" else lam <= d / 8)):
+        return None
+    return math.log(n) / math.log(d / (2 * lam)) + (1 if mode == "bipartite" else 0)
+
+
 def goodness(d: int, lam: float, M: int | None = None) -> dict[str, bool]:
     """Evaluate the quantitative expansion predicates for a given lambda.
 
@@ -451,11 +462,8 @@ def check_expansion_props(g: Graph, lam: float, mode: str = "general") -> dict[s
     )
 
     dm = checks["diameter"]
-    applicable = lam > 0 and (lam < d / 2 if mode == "general" else lam <= d / 8)
-    if applicable:
-        dbound = math.log(n) / math.log(d / (2 * lam))
-        if mode == "bipartite":
-            dbound += 1
+    dbound = diameter_bound(n, d, lam, mode)
+    if dbound is not None:
         dm.tick(diam <= dbound + 1e-12, ("diameter", diam, dbound))
     else:
         dm.note = "not applicable (lambda outside the corollary's range)"

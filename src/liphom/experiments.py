@@ -26,7 +26,7 @@ from .graphs import (
     tree_ball_size,
     tree_level_offsets,
 )
-from .heights import family_slope, phases_hom, phases_lipschitz
+from .heights import family_slope, phase_windows
 from .samplers import BLOCK_VALUES, enumerate_functions, mcmc_sample_array
 from .treedp import tree_dp
 
@@ -229,12 +229,10 @@ def _target_vertices(n: int, cfg: ExperimentConfig) -> list[int]:
 def _t_range(g: Graph, cfg: ExperimentConfig, lam: float, d: int, n_norm: int) -> range:
     if cfg.t_max is not None:
         return range(cfg.t_min, cfg.t_max + 1)
-    # default upper end: the diameter corollary bound when applicable
-    if 0 < lam < d / 2:
-        t_hi = max(cfg.t_min, math.ceil(math.log(max(n_norm, 2)) / math.log(d / (2 * lam))))
-    else:
-        t_hi = max(cfg.t_min, max(distances_from(g, cfg.v0)))
-    return range(cfg.t_min, t_hi + 1)
+    # default upper end: the diameter corollary's bound where it applies
+    bound = expansion.diameter_bound(n_norm, d, lam, "bipartite" if cfg.mode == "hom" else "general")
+    t_hi = max(distances_from(g, cfg.v0)) if bound is None else math.ceil(bound)
+    return range(cfg.t_min, max(cfg.t_min, t_hi) + 1)
 
 
 # _ExactDigits splits integers past this many bits; on the ~64k-bit tails of
@@ -338,11 +336,7 @@ def _deviation_counts(g, cfg, lam, rows, targets, top) -> np.ndarray:
     step = max(1, BLOCK_VALUES // g.n)
     for start in range(0, rows.shape[0], step):
         block = rows[start : start + step]
-        if cfg.mode == "lipschitz":
-            lo, hi = phases_lipschitz(g, block, lam, cfg.M)
-        else:
-            lo, _ = phases_hom(g, block, lam, cfg.v0)
-            hi = lo
+        lo, hi = phase_windows(g, block, lam, cfg.mode, cfg.M, cfg.v0)
         vals = block[:, targets]
         dev = np.maximum(np.maximum(lo[:, None] - vals, vals - hi[:, None]), 0)
         counts += np.bincount(

@@ -15,6 +15,7 @@ __all__ = [
     "phase_hom",
     "phases_lipschitz",
     "phases_hom",
+    "phase_windows",
 ]
 
 
@@ -75,23 +76,38 @@ def _signs(rows: np.ndarray) -> np.ndarray:
     return np.sign(rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)])
 
 
-def _histograms(rows: np.ndarray, column_sets) -> tuple[int, list[np.ndarray]]:
-    """(A, counts): counts[i][r, A + x] = |{v in column_sets[i] : rows[r, v]
-    = x}| for -A <= x <= A, where A is the largest |value|; a column set of
-    None means every column.  Each value costs one ``rows == x`` comparison."""
+def _histograms(rows: np.ndarray, sign: np.ndarray, column_sets) -> tuple[int, list[np.ndarray]]:
+    """(A, counts): counts[i][r, A + x] = |{v in column_sets[i] : f(v) = x}|
+    for |x| <= A, f row r in its canonical sign; A exceeds every |value| by
+    1, so that x - 1 and x + 1 are in range.  One ``rows == x`` per value."""
     low, high = int(rows.min(initial=0)), int(rows.max(initial=0))
-    width = 2 * max(-low, high) + 1
+    width = 2 * max(-low, high) + 3
     counts = [np.zeros((rows.shape[0], width), dtype=np.int64) for _ in column_sets]
     for x in range(low, high + 1):
         same = rows == x
         for hist, cols in zip(counts, column_sets):
-            hist[:, width // 2 + x] = (same if cols is None else same[:, cols]).sum(axis=1)
-    return width // 2, counts
+            hist[:, width // 2 + x] = same[:, cols].sum(axis=1)
+    return width // 2, [np.where((sign < 0)[:, None], hist[:, ::-1], hist) for hist in counts]
 
 
-def _canonical(hist: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Value counts of each row's larger sign: reversed where sign < 0."""
-    return np.where((sign < 0)[:, None], hist[:, ::-1], hist)
+def _window_counts(hist: np.ndarray, width: int) -> np.ndarray:
+    """inside[:, j] = hist[:, j-width+1..j].sum(axis=1), by cumulative sums."""
+    cum = np.cumsum(hist, axis=1)
+    inside = cum.copy()
+    inside[:, width:] -= cum[:, :-width]
+    return inside
+
+
+def _lowest_windows(hist: np.ndarray, width: int, size: int, budget: float):
+    """The phase rule of both families: (top, found) for every row of value
+    counts ``hist``, top the least column j from the row's least to its
+    greatest value whose window j-width+1..j leaves at most ``budget`` of
+    the ``size`` counted vertices outside, and found False where none does."""
+    j = np.arange(hist.shape[1])
+    present = hist > 0
+    first, last = present.argmax(axis=1), j[-1] - present[:, ::-1].argmax(axis=1)
+    ok = (size - _window_counts(hist, width) <= budget) & (first[:, None] <= j) & (j <= last[:, None])
+    return ok.argmax(axis=1), ok.any(axis=1)
 
 
 def phases_lipschitz(g: Graph, rows, lam: float, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,34 +118,20 @@ def phases_lipschitz(g: Graph, rows, lam: float, M: int) -> tuple[np.ndarray, np
     For the larger of {f, -f} (the one whose first nonzero value is
     positive), the interval is {k..k+M} for the minimal k >= min(f) - M with
     |{v : f(v) outside {k..k+M}}| <= 2*lambda*n/d; the other sign gets the
-    negated interval, and the zero function has phase {0}.
-
-    Each row's value counts are taken in its canonical sign, and the number
-    of values in {x-M..x} is a difference of their cumulative sums, so the
-    base is the smallest x from the row's minimum to its maximum whose window
-    meets the bound, minus M.  Raises PhaseError if some nonzero row has no
-    such x.
+    negated interval, and the zero function has phase {0}.  Raises
+    PhaseError if some nonzero row has no such k.
     """
     d = require_regular(g)
     rows = np.asarray(rows)
-    n = rows.shape[1]
-    budget = 2 * lam * g.n / d
     sign = _signs(rows)
-    A, (hist,) = _histograms(rows, [None])
-    hist = _canonical(hist, sign)
-    cum = np.cumsum(hist, axis=1)
-    inside = cum.copy()  # inside[:, j] = |{v : f(v) in {x_j - M..x_j}}|, x_j = j - A
-    inside[:, M + 1 :] -= cum[:, : max(cum.shape[1] - M - 1, 0)]
-    j = np.arange(hist.shape[1])
-    present = hist > 0
-    first, last = present.argmax(axis=1), j[-1] - present[:, ::-1].argmax(axis=1)
-    ok = (n - inside <= budget) & (first[:, None] <= j) & (j <= last[:, None])
-    if not np.all(ok.any(axis=1) | (sign == 0)):
+    A, (hist,) = _histograms(rows, sign, [slice(None)])
+    top, found = _lowest_windows(hist, M + 1, rows.shape[1], 2 * lam * g.n / d)
+    if not np.all(found | (sign == 0)):
         raise PhaseError(
             "no interval satisfies the count bound; lambda is not a valid "
             "expansion parameter for this graph"
         )
-    base = np.where(sign == 0, 0, ok.argmax(axis=1) - A - M)  # the zero function's phase is {0}
+    base = np.where(sign == 0, 0, top - A - M)  # the zero function's phase is {0}
     top = np.where(sign == 0, 0, base + M)
     return np.where(sign < 0, -top, base), np.where(sign < 0, -base, top)
 
@@ -143,42 +145,46 @@ def phases_hom(g: Graph, rows, lam: float, root: int) -> tuple[np.ndarray, np.nd
     smallest such k for the larger of {f, -f}; the other sign gets the
     negated level, so that phase(-f) = -phase(f) holds exactly (the
     smallest-k rule alone breaks the antisymmetry when several levels
-    qualify).  Each row's value counts per color class are taken in its
-    canonical sign.  Raises PhaseError if some row has no qualifying class
-    or, when lambda < d/3, violates the refinement bound
-    |{v : |f(v)-k| >= 2}| <= 3*lambda*n/d.
+    qualify); a level is a window of one value.  Raises PhaseError if some
+    row has no qualifying class or, when lambda < d/3, violates the
+    refinement bound |{v : |f(v)-k| >= 2}| <= 3*lambda*n/d.
     """
     d = require_regular(g)
     family_slope("hom", None, g)  # raises on a graph with no bipartition
     rows = np.asarray(rows)
     n = g.n // 2
-    budget = 2 * lam * n / d
     classes = root_classes(g, root)
     sign = _signs(rows)
-    A, (total, *by_class) = _histograms(rows, [None, *map(sorted, classes)])
-    level = np.zeros(rows.shape[0], dtype=np.int64)
-    class_index = np.full(rows.shape[0], -1, dtype=np.int64)
-    for i, hist in enumerate(by_class):
-        hist = _canonical(hist, sign)
-        ok = (hist > 0) & (len(classes[i]) - hist <= budget)
-        hit = (class_index < 0) & ok.any(axis=1)
-        level[hit] = ok.argmax(axis=1)[hit] - A
-        class_index[hit] = i
-    if (class_index < 0).any():
+    A, hists = _histograms(rows, sign, [sorted(c) for c in classes])
+    budget = 2 * lam * n / d
+    top0, in0 = _lowest_windows(hists[0], 1, len(classes[0]), budget)
+    top1, in1 = _lowest_windows(hists[1], 1, len(classes[1]), budget)
+    if not np.all(in0 | in1):
         raise PhaseError(
             "no (class, level) satisfies the count bound; lambda is not a valid "
             "expansion parameter for this graph"
         )
-    level = np.where(sign < 0, -level, level)
+    class_index = np.where(in0, 0, 1)  # the root's class first
+    level = np.where(in0, top0, top1)  # a column of hists until A is taken off
     if lam < d / 3:
-        # |{v : |f(v) - level| >= 2}| from the counts of level-1..level+1
-        padded = np.pad(total, ((0, 0), (1, 1)))
-        near = np.arange(rows.shape[0])[:, None], A + 1 + level[:, None] + np.arange(-1, 2)
-        far = rows.shape[1] - padded[near].sum(axis=1)
+        # |{v : |f(v) - level| >= 2}|: all vertices less the window level-1..level+1
+        near = _window_counts(hists[0] + hists[1], 3)[np.arange(rows.shape[0]), level + 1]
+        far = rows.shape[1] - near
         bad = np.flatnonzero(far > 3 * lam * n / d)
         if bad.size:
             raise PhaseError(f"refinement bound violated: {far[bad[0]]} > 3*lambda*n/d")
-    return level, class_index
+    level -= A
+    return np.where(sign < 0, -level, level), class_index
+
+
+def phase_windows(g: Graph, rows, lam: float, mode: str, M: int | None, root: int):
+    """Phase (lo, hi) of every row of a (count, n) integer array in ``mode``:
+    that of ``phases_lipschitz``, or (level, level) of ``phases_hom``."""
+    family_slope(mode, M)  # raises on an unknown mode or a Lipschitz M below 1
+    if mode == "lipschitz":
+        return phases_lipschitz(g, rows, lam, M)
+    level = phases_hom(g, rows, lam, root)[0]
+    return level, level
 
 
 def phase_lipschitz(g: Graph, values, lam: float, M: int) -> tuple[int, int]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .expansion import CheckResult
 from .graphs import Graph, GraphError, ball, check_vertex, edge_array, neighbour_table
-from .heights import family_slope, phases_hom, phases_lipschitz, validate
+from .heights import family_slope, phase_windows, validate
 from .samplers import BLOCK_VALUES, enumerate_functions
 
 __all__ = [
@@ -382,10 +382,8 @@ def verify_counting(
     rows = fam.rows
     if k_strategy == "zero":
         k_all = np.zeros(rows.shape[0], dtype=np.int64)
-    elif mode == "lipschitz":
-        k_all = phases_lipschitz(g, rows, lam, M)[0]
     else:
-        k_all = phases_hom(g, rows, lam, v0)[0]
+        k_all = phase_windows(g, rows, lam, mode, M, v0)[0]
     high = np.flatnonzero(rows[:, v] > k_all + t * slope)
     q_size = rows.shape[0]
 

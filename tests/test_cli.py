@@ -312,6 +312,14 @@ def test_experiment_seed_override(tmp_path, argv, seed):
         # one --n-samples rule for both samplers, before the graph is read
         (["sample", "--sampler", "mcmc", "--graph", "{missing}", "--n-samples", "0"], "--n-samples must be at least 1"),
         (["sample", "--sampler", "tree", "--d", "3", "--h", "2", "--n-samples", "0"], "--n-samples must be at least 1"),
+        # phase reads its function file and --vertices by the graph format's integer grammar
+        (["phase", "{k4}", "{word_fn}", "--mode", "lipschitz"], "word_fn: line 3 is not an integer: 'x'"),
+        (["phase", "{k4}", "{underscore_fn}", "--mode", "lipschitz"],
+         "underscore_fn: line 2 is not an integer: '0_0'"),
+        (["phase", "{k4}", "{flat}", "--mode", "lipschitz", "--vertices", "1,,2"],
+         "--vertices '1,,2': '' is not a vertex id"),
+        (["phase", "{k4}", "{flat}", "--mode", "lipschitz", "--vertices", "0_1"],
+         "--vertices '0_1': '0_1' is not a vertex id"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, k33_file, tmp_path, capsys, argv, expect):
@@ -338,6 +346,8 @@ def test_rejected_input_exits_2(k4_file, k33_file, tmp_path, capsys, argv, expec
         "underscore_id": "20 1\n0 1_0\n",
         "arabic_id": "4 1\n0 \u0663\n",
         "huge_id": "3 1\n0 99999999999999999999\n",
+        "word_fn": "0\n# a comment\nx\n0\n0\n",
+        "underscore_fn": "0\n0_0\n0\n0\n",
     }
     paths = {"{k4}": k4_file, "{k33}": k33_file, "{missing}": str(tmp_path / "missing.txt")}
     for name, text in files.items():

@@ -25,7 +25,7 @@ from liphom.cli import main
 from liphom.graphs import distances_from, graph_to_text, tree_level_offsets
 from liphom.experiments import HYPOTHESES_NOT_MET, result_to_text
 
-from .conftest import c6, k4, reference_phase_hom, reference_phase_lipschitz
+from .conftest import c6, k4, q3, reference_phase_hom, reference_phase_lipschitz
 
 
 def test_parse_config_roundtrip():
@@ -384,20 +384,27 @@ def test_max_report_keeps_its_bytes(tmp_path, graph, mode, sha1):
     assert hashlib.sha1(data).hexdigest() == sha1
 
 
-@pytest.mark.parametrize("graph, t_hi", [(k4, 2), (c6, 3)], ids=["k4", "c6"])
-def test_default_t_range(tmp_path, graph, t_hi):
-    # without t_max, t runs from t_min to the diameter corollary's
-    # ceil(log n / log(d / 2 lambda)) when lambda < d/2 (K4: lambda = 3/4),
-    # else to ecc(v0) (C6: lambda = 1 = d/2)
+@pytest.mark.parametrize(
+    "graph, mode, t_hi", [(k4, "lipschitz", 2), (c6, "lipschitz", 3), (q3, "hom", 3)],
+    ids=["k4", "c6", "q3-hom"],
+)
+def test_default_t_range(tmp_path, graph, mode, t_hi):
+    # without t_max, t runs from t_min to the diameter corollary's bound
+    # where it applies, else to ecc(v0).  Lipschitz: ceil(log n /
+    # log(d / 2 lambda)) when lambda < d/2 (K4: lambda = 3/4; C6: lambda =
+    # 1 = d/2).  Hom: ceil(log(n/2) / log(d / 2 lambda) + 1) when lambda <=
+    # d/8 (Q3: lambda = 3/4 > 3/8)
     g = graph()
     path = tmp_path / "g.txt"
     path.write_text(graph_to_text(g))
-    cfg = ExperimentConfig(kind="deviation", graph_path=str(path), targets="all",
+    cfg = ExperimentConfig(kind="deviation", graph_path=str(path), targets="all", mode=mode,
                            lambda_source="exhaustive")
     res = run_experiment(cfg)
     lam, d = res.summary["lambda"], g.degree
-    if lam < d / 2:
+    if mode == "lipschitz" and lam < d / 2:
         expect = math.ceil(math.log(g.n) / math.log(d / (2 * lam)))
+    elif mode == "hom" and lam <= d / 8:
+        expect = math.ceil(math.log(g.n // 2) / math.log(d / (2 * lam)) + 1)
     else:
         expect = max(distances_from(g, cfg.v0))
     assert expect == t_hi

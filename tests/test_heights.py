@@ -211,7 +211,7 @@ def hom_blocks(draw):
         st.lists(st.lists(st.integers(-width, width), min_size=g.n, max_size=g.n), min_size=1, max_size=6)
     )
     rows += [[-x for x in r] for r in rows]
-    lam = draw(st.floats(0.0, g.degree / 2, allow_nan=False))
+    lam = draw(st.floats(0.0, 1.1 * g.degree / 2, allow_nan=False))  # up to a budget >= the class size
     return g, rows, lam, root
 
 
@@ -263,3 +263,10 @@ def test_batched_phase_errors():
         reference_phase_hom(h, far, lam, 0)
     with pytest.raises(PhaseError, match="refinement"):
         phases_hom(h, np.array([[0, 0, 0, 1, 1, 1], far]), lam, 0)
+    # hom: a level at the largest |value|, so that the refinement window
+    # level-1..level+1 meets the edge of the value range; no vertex lies
+    # outside it in the first row (and its negation), two in the last
+    edge = np.array([[2, 2, 2, 1, 1, 1], [-2, -2, -2, -1, -1, -1]])
+    assert [x.tolist() for x in phases_hom(h, edge, lam, 0)] == [[2, -2], [0, 0]]
+    with pytest.raises(PhaseError, match="refinement bound violated: 2 >"):
+        phases_hom(h, np.array([[2, 2, 2, -1, -1, 1]]), lam, 0)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import expansion
 from .graphs import (
+    _INT,
     Graph,
     GraphError,
     build_graph,
@@ -73,10 +74,19 @@ _NEEDS = {
 }
 
 
+def _read_int(text: str) -> int:
+    """An integer by the graph format's grammar [+-]?[0-9]+ (``int()`` also
+    reads "1_0" as 10 and non-ASCII digits)."""
+    if not _INT.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _listed_targets(text: str) -> list[int]:
-    """The vertex ids of a comma-separated targets value."""
+    """The vertex ids of a comma-separated targets value (spaces and tabs
+    around an id are allowed, as in ``liphom phase --vertices``)."""
     try:
-        return [int(x) for x in text.split(",")]
+        return [_read_int(x.strip(" \t")) for x in text.split(",")]
     except ValueError:
         raise ValueError(
             f"config targets = {text!r}: expected v0, all or comma-separated vertex ids"
@@ -164,7 +174,7 @@ class ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Flat key = value lines, each read as its field's type; '#' starts a comment."""
-    parsers = {"int": int, "float": float, "str": str}
+    parsers = {"int": _read_int, "float": float, "str": str}
     data: dict = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .graphs import Graph, GraphError, require_regular
@@ -76,38 +78,56 @@ def _signs(rows: np.ndarray) -> np.ndarray:
     return np.sign(rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)])
 
 
-def _histograms(rows: np.ndarray, sign: np.ndarray, column_sets) -> tuple[int, list[np.ndarray]]:
-    """(A, counts): counts[i][r, A + x] = |{v in column_sets[i] : f(v) = x}|
+def _value_counts(rows: np.ndarray, sign: np.ndarray, column_sets) -> tuple[int, np.ndarray]:
+    """(A, counts): counts[A + x, r, i] = |{v in column_sets[i] : f(v) = x}|
     for |x| <= A, f row r in its canonical sign; A exceeds every |value| by
-    1, so that x - 1 and x + 1 are in range.  One ``rows == x`` per value."""
+    1, so that x - 1 and x + 1 are in range.  One ``rows == x`` per value,
+    counted in every column set at once by a product with the sets' 0/1
+    matrix, so that no sum runs along a row.  Every partial sum is an
+    integer of at most n, which float32 holds exactly below 2^24 and float64
+    below 2^53 (graphs.MAX_VERTICES is below 2^31)."""
+    n = rows.shape[1]
+    sets = np.zeros((n, len(column_sets)), np.float32 if n < 1 << 24 else np.float64)
+    for i, cols in enumerate(column_sets):
+        sets[cols, i] = 1
     low, high = int(rows.min(initial=0)), int(rows.max(initial=0))
-    width = 2 * max(-low, high) + 3
-    counts = [np.zeros((rows.shape[0], width), dtype=np.int64) for _ in column_sets]
+    A = max(-low, high) + 1
+    counts = np.zeros((2 * A + 1, rows.shape[0], sets.shape[1]), dtype=sets.dtype)
+    same = np.empty(rows.shape, dtype=sets.dtype)
+    neg = (sign < 0)[:, None]
     for x in range(low, high + 1):
-        same = rows == x
-        for hist, cols in zip(counts, column_sets):
-            hist[:, width // 2 + x] = same[:, cols].sum(axis=1)
-    return width // 2, [np.where((sign < 0)[:, None], hist[:, ::-1], hist) for hist in counts]
+        per_set = np.equal(rows, x, out=same, casting="unsafe") @ sets
+        np.copyto(counts[A + x], per_set, where=~neg)
+        np.copyto(counts[A - x], per_set, where=neg)  # -f has the value -x there
+    return A, counts
 
 
-def _window_counts(hist: np.ndarray, width: int) -> np.ndarray:
-    """inside[:, j] = hist[:, j-width+1..j].sum(axis=1), by cumulative sums."""
-    cum = np.cumsum(hist, axis=1)
-    inside = cum.copy()
-    inside[:, width:] -= cum[:, :-width]
-    return inside
-
-
-def _lowest_windows(hist: np.ndarray, width: int, size: int, budget: float):
-    """The phase rule of both families: (top, found) for every row of value
-    counts ``hist``, top the least column j from the row's least to its
-    greatest value whose window j-width+1..j leaves at most ``budget`` of
-    the ``size`` counted vertices outside, and found False where none does."""
-    j = np.arange(hist.shape[1])
-    present = hist > 0
-    first, last = present.argmax(axis=1), j[-1] - present[:, ::-1].argmax(axis=1)
-    ok = (size - _window_counts(hist, width) <= budget) & (first[:, None] <= j) & (j <= last[:, None])
-    return ok.argmax(axis=1), ok.any(axis=1)
+def _lowest_windows(counts: np.ndarray, width: int, size: int, budget: float):
+    """The phase rule of both families: (top, found) for every row r of
+    per-value counts ``counts[:, r]``, top the least index j from the row's
+    least to its greatest value whose window j-width+1..j leaves at most
+    ``budget`` of the ``size`` counted vertices outside, and found False
+    where none does.  One scan from the least value up, each step on all
+    rows at once."""
+    # the count inside is an integer, so size - inside <= budget iff inside
+    # >= need; need >= 1 keeps the top between the least and greatest value
+    # (a window holds a value from the least one on, and past the greatest
+    # it only loses them)
+    if budget >= size:
+        need = 1
+    elif budget >= 0:
+        need = size - math.floor(budget)
+    else:  # negative or NaN: no window qualifies
+        need = size + 1
+    values = counts.shape[0]
+    inside = np.zeros(counts.shape[1], dtype=counts.dtype)
+    top = np.full(counts.shape[1], values)
+    for j in range(values):
+        inside += counts[j]
+        if j >= width:
+            inside -= counts[j - width]
+        np.minimum(top, np.where(inside >= need, j, values), out=top)
+    return top, top < values
 
 
 def phases_lipschitz(g: Graph, rows, lam: float, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +144,8 @@ def phases_lipschitz(g: Graph, rows, lam: float, M: int) -> tuple[np.ndarray, np
     d = require_regular(g)
     rows = np.asarray(rows)
     sign = _signs(rows)
-    A, (hist,) = _histograms(rows, sign, [slice(None)])
-    top, found = _lowest_windows(hist, M + 1, rows.shape[1], 2 * lam * g.n / d)
+    A, counts = _value_counts(rows, sign, [slice(None)])
+    top, found = _lowest_windows(counts[:, :, 0], M + 1, rows.shape[1], 2 * lam * g.n / d)
     if not np.all(found | (sign == 0)):
         raise PhaseError(
             "no interval satisfies the count bound; lambda is not a valid "
@@ -155,21 +175,22 @@ def phases_hom(g: Graph, rows, lam: float, root: int) -> tuple[np.ndarray, np.nd
     n = g.n // 2
     classes = root_classes(g, root)
     sign = _signs(rows)
-    A, hists = _histograms(rows, sign, [sorted(c) for c in classes])
+    A, counts = _value_counts(rows, sign, [np.fromiter(c, np.int64, len(c)) for c in classes])
     budget = 2 * lam * n / d
-    top0, in0 = _lowest_windows(hists[0], 1, len(classes[0]), budget)
-    top1, in1 = _lowest_windows(hists[1], 1, len(classes[1]), budget)
+    top0, in0 = _lowest_windows(counts[:, :, 0], 1, len(classes[0]), budget)
+    top1, in1 = _lowest_windows(counts[:, :, 1], 1, len(classes[1]), budget)
     if not np.all(in0 | in1):
         raise PhaseError(
             "no (class, level) satisfies the count bound; lambda is not a valid "
             "expansion parameter for this graph"
         )
     class_index = np.where(in0, 0, 1)  # the root's class first
-    level = np.where(in0, top0, top1)  # a column of hists until A is taken off
+    level = np.where(in0, top0, top1)  # an index of counts until A is taken off
     if lam < d / 3:
-        # |{v : |f(v) - level| >= 2}|: all vertices less the window level-1..level+1
-        near = _window_counts(hists[0] + hists[1], 3)[np.arange(rows.shape[0]), level + 1]
-        far = rows.shape[1] - near
+        # |{v : |f(v) - level| >= 2}|: all vertices less those at level-1..level+1
+        r = np.arange(rows.shape[0])
+        near = counts[level - 1, r] + counts[level, r] + counts[level + 1, r]
+        far = rows.shape[1] - (near[:, 0] + near[:, 1]).astype(np.int64)
         bad = np.flatnonzero(far > 3 * lam * n / d)
         if bad.size:
             raise PhaseError(f"refinement bound violated: {far[bad[0]]} > 3*lambda*n/d")

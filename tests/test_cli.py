@@ -320,6 +320,10 @@ def test_experiment_seed_override(tmp_path, argv, seed):
          "--vertices '1,,2': '' is not a vertex id"),
         (["phase", "{k4}", "{flat}", "--mode", "lipschitz", "--vertices", "0_1"],
          "--vertices '0_1': '0_1' is not a vertex id"),
+        # config ints and targets by the same grammar
+        (["experiment", "{underscore_cfg}"], "config M = '1_0' does not read as int"),
+        (["experiment", "{arabic_cfg}"], "config seed = '\u0663' does not read as int"),
+        (["experiment", "{underscore_targets_cfg}"], "config targets = '1_0,2'"),
     ],
 )
 def test_rejected_input_exits_2(k4_file, k33_file, tmp_path, capsys, argv, expect):
@@ -348,6 +352,9 @@ def test_rejected_input_exits_2(k4_file, k33_file, tmp_path, capsys, argv, expec
         "huge_id": "3 1\n0 99999999999999999999\n",
         "word_fn": "0\n# a comment\nx\n0\n0\n",
         "underscore_fn": "0\n0_0\n0\n0\n",
+        "underscore_cfg": f"kind = deviation\ngraph_path = {k4_file}\nM = 1_0\n",
+        "arabic_cfg": f"kind = deviation\ngraph_path = {k4_file}\nseed = \u0663\n",
+        "underscore_targets_cfg": f"kind = deviation\ngraph_path = {k4_file}\ntargets = 1_0,2\n",
     }
     paths = {"{k4}": k4_file, "{k33}": k33_file, "{missing}": str(tmp_path / "missing.txt")}
     for name, text in files.items():

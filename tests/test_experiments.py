@@ -24,6 +24,7 @@ from liphom import (
 from liphom.cli import main
 from liphom.graphs import distances_from, graph_to_text, tree_level_offsets
 from liphom.experiments import HYPOTHESES_NOT_MET, result_to_text
+from liphom.heights import PhaseError
 
 from .conftest import c6, k4, q3, reference_phase_hom, reference_phase_lipschitz
 
@@ -282,7 +283,7 @@ def test_tree_kind_rejects_out_of_range_target():
             run_experiment(cfg)
 
 
-@pytest.mark.parametrize("targets", ["1,x", "", "1,,2", "al", "0.5"])
+@pytest.mark.parametrize("targets", ["1,x", "", "1,,2", "al", "0.5", "1_0,2", "2,\u0663", "1,\u00a02"])
 def test_config_rejects_malformed_targets(targets):
     with pytest.raises(ValueError, match=re.escape(f"config targets = {targets!r}")):
         ExperimentConfig(kind="deviation", graph_type="regular", n=8, d=3, targets=targets)
@@ -490,6 +491,34 @@ def test_deviation_tails_match_per_sample_loop(case, block_values, monkeypatch):
         else:
             assert r["exact"] is None
     assert any(0 < h < n_s for h in hits.values())  # a tail strictly inside (0, 1)
+
+
+@pytest.mark.parametrize("case", DEVIATION_CASES)
+def test_deviation_counts_do_not_depend_on_block_size(case, monkeypatch):
+    # one row per block, the default, and one block for the whole array
+    cfg = ExperimentConfig(kind="deviation", burnin=200, thin=3, seed=4, **case)
+    g = experiments._build_graph_from_config(cfg)
+    M = cfg.M if cfg.mode == "lipschitz" else None
+    if cfg.sampler == "exact":
+        rows = enumerate_functions(g, cfg.v0, cfg.mode, M=M).rows
+    else:
+        rows = mcmc_sample_array(
+            g, cfg.v0, cfg.mode, M=M, burnin=cfg.burnin, thin=cfg.thin,
+            n_samples=cfg.n_samples, seed=cfg.seed,
+        )
+    lam = experiments.expansion.resolve_lambda(g, cfg.mode, cfg.lambda_source)
+    for scale in (1.0, 0.5, 3.0):  # halved, the budget is below the counted vertices
+        seen = []
+        for block_values in (g.n, experiments.BLOCK_VALUES, 2 * rows.size):
+            monkeypatch.setattr(experiments, "BLOCK_VALUES", block_values)
+            try:
+                counts = experiments._deviation_counts(g, cfg, lam * scale, rows, list(range(g.n)), 4)
+            except PhaseError as exc:
+                seen.append(str(exc))
+            else:
+                seen.append(counts.tolist())
+            monkeypatch.undo()
+        assert seen[0] == seen[1] == seen[2]
 
 
 @pytest.mark.parametrize(

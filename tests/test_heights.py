@@ -8,6 +8,8 @@ from liphom import (
     build_graph,
     enumerate_functions,
     exhaustive_lambda,
+    gen_random_bipartite_regular,
+    gen_random_regular,
     mcmc_sample_array,
     phase_hom,
     phase_lipschitz,
@@ -164,15 +166,19 @@ def scalar_phases(g, rows, lam, mode, root, M=None):
 
 
 def assert_batched_matches_scalar(g, rows, lam, mode, root, M=None):
+    """Batched phases equal the reference row by row, on int64 rows and on
+    the int8 rows that the samplers and enumeration give at these sizes."""
     want = scalar_phases(g, [tuple(r) for r in rows], lam, mode, root, M)
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), g.n)
-    if isinstance(want, PhaseError):
-        with pytest.raises(PhaseError):
-            batched(g, arr, lam, mode, root, M)
-        return
-    a, b = batched(g, arr, lam, mode, root, M)
-    assert a.dtype == b.dtype == np.int64
-    assert list(zip(a.tolist(), b.tolist())) == want
+    wide = np.array(rows, dtype=np.int64).reshape(len(rows), g.n)
+    for arr in (wide, wide.astype(np.int8)):
+        assert np.array_equal(arr, wide)  # the values fit in int8
+        if isinstance(want, PhaseError):
+            with pytest.raises(PhaseError):
+                batched(g, arr, lam, mode, root, M)
+            continue
+        a, b = batched(g, arr, lam, mode, root, M)
+        assert a.dtype == b.dtype == np.int64
+        assert list(zip(a.tolist(), b.tolist())) == want
 
 
 def batched(g, arr, lam, mode, root, M):
@@ -239,6 +245,34 @@ def test_phases_match_scalar_on_family_and_mcmc_rows(g, root, mode, M, radius):
     for rows in (family, mcmc.tolist()):
         for scale in (1.0, 0.5, 3.0):
             assert_batched_matches_scalar(g, rows, lam * scale, mode, root, M)
+
+
+@pytest.mark.parametrize(
+    "mode, M, lam_tight",
+    [
+        # budget 2*lam*n/d = 160 of n = 1024: {-1,0} leaves ~120 vertices
+        # outside and {0,1} ~200, so in one sign the lowest window fails
+        ("lipschitz", 1, 0.625),
+        # budget 160: only the window {-1,0,1} (~90 outside) qualifies
+        ("lipschitz", 2, 0.625),
+        # budget 107.5 of a class of 512: level 0 of the root's class leaves
+        # 100-109 outside, so some rows take their level from the other class
+        ("hom", None, 0.84),
+    ],
+)
+def test_phases_match_scalar_on_long_rows(mode, M, lam_tight):
+    # long rows: 8 samples of 1024 vertices, at a tight and a vacuous budget
+    if mode == "lipschitz":
+        g, size = gen_random_regular(1024, 8, 3), 1024
+    else:
+        g, size = gen_random_bipartite_regular(512, 8, 3), 512
+    rows = mcmc_sample_array(g, 0, mode, M=M, burnin=2000, thin=200, n_samples=8, seed=4)
+    assert rows.dtype == np.int8
+    for lam in (lam_tight, 4.5):
+        budget = 2 * lam * size / g.degree
+        assert (budget < size) == (lam == lam_tight)
+        assert not isinstance(scalar_phases(g, rows.tolist(), lam, mode, 0, M), PhaseError)
+        assert_batched_matches_scalar(g, rows.tolist(), lam, mode, 0, M)
 
 
 def test_batched_phase_errors():
